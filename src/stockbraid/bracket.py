@@ -1,18 +1,20 @@
 """Kauffman bracket, Kauffman invariant, and Jones polynomial of braid closures.
 
-Three computation paths are provided and cross-checked in the tests:
+The bracket is computed two ways, cross-checked in the tests:
 
 * ``bracket_poly_state_sum``: the literal state sum.  Every crossing is
   resolved both ways, loops of each fully smoothed diagram are counted
   by union-find, and the terms A^(#A-smoothings - #B-smoothings) *
   d^(loops-1) are summed, with d = -A^2 - A^{-2}.  Exponential in the
   crossing count; this is the reference oracle.
-* ``bracket_poly``: exact evaluation through planar tangle states (a
-  memoized sweep keyed on the partial smoothing's matching), polynomial
-  time in crossings for a fixed strand count.
-* ``bracket_eval``: numeric evaluation at a complex point through the
-  Temperley-Lieb action on non-crossing perfect matchings; plat closures
-  contract a state vector grown from the bottom caps against the top caps.
+* one Temperley-Lieb sweep over non-crossing perfect matchings,
+  polynomial time in crossings for a fixed strand count and generic over
+  the coefficient ring: ``bracket_poly`` runs it on exact Laurent
+  polynomials, ``bracket_eval`` on complex numbers at a point A = a.
+  Plat closures sweep the n-point module (dimension Catalan(n/2)) from
+  the bottom caps and close it with the top caps; trace closures sweep
+  the 2n-point module from the identity tangle and close it by joining
+  bottom point i to top point i.
 
 Crossing-sign convention, pinned once for the whole package: the positive
 generator weights its cap-cup smoothing with A and its vertical smoothing
@@ -45,7 +47,7 @@ import os
 from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, Generator, compose, writhe
-from .closure import ClosedBraid, _UnionFind
+from .closure import ClosedBraid, _UnionFind, closure_arcs
 from .laurent import LaurentPoly, neg_a_power
 
 DEFAULT_CROSSING_CAP = 24
@@ -64,7 +66,16 @@ def _crossing_cap(override: int | None) -> int:
     if override is not None:
         return override
     raw = os.environ.get(CROSSING_CAP_ENV)
-    return int(raw) if raw else DEFAULT_CROSSING_CAP
+    if not raw:
+        return DEFAULT_CROSSING_CAP
+    invalid = ValueError(f"{CROSSING_CAP_ENV} must be a non-negative integer, got {raw!r}")
+    try:
+        cap = int(raw)
+    except ValueError:
+        raise invalid from None
+    if cap < 0:
+        raise invalid
+    return cap
 
 
 def _check_cap(k: ClosedBraid, max_crossings: int | None) -> None:
@@ -147,24 +158,46 @@ def bracket_poly_state_sum(
 
 
 # ---------------------------------------------------------------------------
-# Path 2: exact sweep over planar tangle states.
+# The Temperley-Lieb sweep, shared by the exact and the numeric path.
 #
-# A state is a perfect matching of the 2n points (bottom anchors 0..n-1,
-# frontier n..2n-1) describing how the partially smoothed braid connects
-# them.  Each generator branches a state into its two smoothings; closed
-# loops contribute a factor d as they appear.
+# A state is a non-crossing perfect matching of the module's points, stored
+# as an involution m (m[x] is the partner of x).  Each generator branches a
+# state into its two smoothings; a loop closed by a cap-cup smoothing
+# contributes a factor d as it appears.
 
-def _tangle_sweep(word: BraidWord, one, weight_pos, weight_neg, d):
-    """Sweep the word over tangle states with ring-generic coefficients.
+def _involution(pairs: list[tuple[int, int]], size: int) -> tuple[int, ...]:
+    m = [0] * size
+    for x, y in pairs:
+        m[x], m[y] = y, x
+    return tuple(m)
 
-    weight_pos / weight_neg are (cupcap, vertical) weight pairs for the
-    two generator signs; coefficients only need ``*``.
+
+def _module(k: ClosedBraid) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
+    """Start matching, generator offset and closing involution of the
+    module k is swept on, from the closure's arcs: plat sweeps the n top
+    points from the bottom caps; trace sweeps bottom anchors 0..n-1 and
+    top points n..2n-1 from the identity tangle."""
+    n = k.braid.n_strands
+    arcs = closure_arcs(k)
+    if k.closure == "plat":
+        half = n // 2
+        tops = [(x - n, y - n) for x, y in arcs[half:]]
+        return _involution(arcs[:half], n), 0, _involution(tops, n)
+    identity = _involution(arcs, 2 * n)
+    return identity, n, identity
+
+
+def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
+    """The state vector of k's braid word, with ring-generic coefficients,
+    and the involution that closes it.
+
+    weight_pos / weight_neg are (cupcap, vertical) weight pairs for the two
+    generator signs; coefficients only need ``*`` and ``+``.
     """
-    n = word.n_strands
-    start = tuple(range(n, 2 * n)) + tuple(range(n))
+    start, offset, close = _module(k)
     states = {start: one}
-    for g in word.generators:
-        a = n + g.index - 1
+    for g in k.braid.generators:
+        a = offset + g.index - 1
         b = a + 1
         w_cup, w_vert = weight_pos if g.exponent > 0 else weight_neg
         nxt: dict[tuple[int, ...], object] = {}
@@ -185,65 +218,11 @@ def _tangle_sweep(word: BraidWord, one, weight_pos, weight_neg, d):
             prev = nxt.get(key)
             nxt[key] = cup_coeff if prev is None else prev + cup_coeff
         states = nxt
-    return states
+    return states, close
 
 
-def _pairing_cycles(m: tuple[int, ...], arcs: list[tuple[int, int]]) -> int:
-    """Loops formed when the matching m is closed off by the given arcs."""
-    partner = {}
-    for x, y in arcs:
-        partner[x] = y
-        partner[y] = x
-    seen = set()
-    cycles = 0
-    for start in range(len(m)):
-        if start in seen:
-            continue
-        cycles += 1
-        x = start
-        while x not in seen:
-            seen.add(x)
-            y = m[x]
-            seen.add(y)
-            x = partner[y]
-    return cycles
-
-
-def _closure_arcs_2n(k: ClosedBraid) -> list[tuple[int, int]]:
-    n = k.braid.n_strands
-    if k.closure == "plat":
-        bottoms = [(i, i + 1) for i in range(0, n, 2)]
-        return bottoms + [(n + i, n + j) for i, j in bottoms]
-    return [(i, n + i) for i in range(n)]
-
-
-def bracket_poly(k: ClosedBraid, *, max_crossings: int | None = None) -> LaurentPoly:
-    """The Kauffman bracket of a braid closure, exact in the variable A.
-
-    Normalized so a single circle evaluates to 1.  Raises
-    CrossingCapExceeded above the configured crossing cap (default 24,
-    overridable by the STOCKBRAID_CROSSING_CAP environment variable).
-    """
-    _check_cap(k, max_crossings)
-    states = _tangle_sweep(
-        k.braid,
-        one=LaurentPoly.one(),
-        weight_pos=(_A, _A_INV),
-        weight_neg=(_A_INV, _A),
-        d=_D_POLY,
-    )
-    arcs = _closure_arcs_2n(k)
-    total = LaurentPoly.zero()
-    for m, coeff in states.items():
-        cycles = _pairing_cycles(m, arcs)
-        total = total + coeff * _D_POLY ** (cycles - 1)
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Path 3: numeric Temperley-Lieb evaluation.
-
-def _matching_cycles(m: tuple[int, ...], caps: tuple[int, ...]) -> int:
+def _cycles(m: tuple[int, ...], close: tuple[int, ...]) -> int:
+    """Loops formed when the matching m is closed off by the involution close."""
     seen = [False] * len(m)
     cycles = 0
     for start in range(len(m)):
@@ -255,72 +234,74 @@ def _matching_cycles(m: tuple[int, ...], caps: tuple[int, ...]) -> int:
             seen[x] = True
             y = m[x]
             seen[y] = True
-            x = caps[y]
+            x = close[y]
     return cycles
 
 
-def _plat_eval(word: BraidWord, a: complex) -> complex:
-    """Plat contraction through the matching basis of the n-point
-    Temperley-Lieb module (dimension Catalan(n/2))."""
-    n = word.n_strands
-    a_inv = 1 / a
-    d = -(a * a) - (a_inv * a_inv)
-    caps = []
-    for i in range(0, n, 2):
-        caps.extend((i + 1, i))
-    start = tuple(caps)
-    vec: dict[tuple[int, ...], complex] = {start: complex(1)}
-    for g in word.generators:
-        i = g.index - 1
-        w_cup, w_vert = (a, a_inv) if g.exponent > 0 else (a_inv, a)
-        nxt: dict[tuple[int, ...], complex] = {}
-        for m, coeff in vec.items():
-            nxt[m] = nxt.get(m, 0j) + coeff * w_vert
-            if m[i] == i + 1:
-                nxt[m] = nxt.get(m, 0j) + coeff * w_cup * d
-            else:
-                j, kk = m[i], m[i + 1]
-                m2 = list(m)
-                m2[j], m2[kk] = kk, j
-                m2[i], m2[i + 1] = i + 1, i
-                key = tuple(m2)
-                nxt[key] = nxt.get(key, 0j) + coeff * w_cup
-        vec = nxt
-    total = 0j
-    for m, coeff in vec.items():
-        total += coeff * d ** (_matching_cycles(m, start) - 1)
+def bracket_poly(k: ClosedBraid, *, max_crossings: int | None = None) -> LaurentPoly:
+    """The Kauffman bracket of a braid closure, exact in the variable A.
+
+    Normalized so a single circle evaluates to 1.  Raises
+    CrossingCapExceeded above the configured crossing cap (default 24,
+    overridable by the STOCKBRAID_CROSSING_CAP environment variable).
+    """
+    _check_cap(k, max_crossings)
+    states, close = _sweep(
+        k,
+        one=LaurentPoly.one(),
+        weight_pos=(_A, _A_INV),
+        weight_neg=(_A_INV, _A),
+        d=_D_POLY,
+    )
+    by_cycles: dict[int, LaurentPoly] = {}
+    for m, coeff in states.items():
+        cycles = _cycles(m, close)
+        prev = by_cycles.get(cycles)
+        by_cycles[cycles] = coeff if prev is None else prev + coeff
+    total = LaurentPoly.zero()
+    for cycles, coeff in by_cycles.items():
+        total = total + coeff * _D_POLY ** (cycles - 1)
     return total
 
 
 def bracket_eval(k: ClosedBraid, a: complex) -> complex:
     """The bracket evaluated at A = a, polynomial time in crossings."""
     a = complex(a)
-    if not cmath.isfinite(a):
-        raise ValueError("evaluation point must be finite")
-    if k.closure == "plat":
-        return _plat_eval(k.braid, a)
+    if not cmath.isfinite(a) or a == 0:
+        raise ValueError("evaluation point must be finite and nonzero")
     a_inv = 1 / a
     d = -(a * a) - (a_inv * a_inv)
-    states = _tangle_sweep(
-        k.braid,
+    states, close = _sweep(
+        k,
         one=complex(1),
         weight_pos=(a, a_inv),
         weight_neg=(a_inv, a),
         d=d,
     )
-    arcs = _closure_arcs_2n(k)
-    return sum(
-        coeff * d ** (_pairing_cycles(m, arcs) - 1) for m, coeff in states.items()
-    )
+    total = 0j
+    for m, coeff in states.items():
+        total += coeff * d ** (_cycles(m, close) - 1)
+    return total
 
 
 # ---------------------------------------------------------------------------
 # Writhe-corrected invariants.
 
+def writhe_corrected(
+    bracket: LaurentPoly, k: ClosedBraid, convention: str = "paper"
+) -> LaurentPoly:
+    """f[K] = (-A)^(-3 Wr(K)) <K> from an already computed bracket of k.
+
+    Read in quarter units of t, f[K] is the Jones polynomial under the
+    "paper" convention t = A^4; "standard" (t = A^{-4}) mirrors it.
+    """
+    f = neg_a_power(-3 * writhe(k.braid)) * bracket
+    return f if convention == "paper" else f.mirrored()
+
+
 def kauffman_invariant(k: ClosedBraid, *, max_crossings: int | None = None) -> LaurentPoly:
     """f[K] = (-A)^(-3 Wr(K)) <K>, with the writhe taken from the word."""
-    w = writhe(k.braid)
-    return neg_a_power(-3 * w) * bracket_poly(k, max_crossings=max_crossings)
+    return writhe_corrected(bracket_poly(k, max_crossings=max_crossings), k)
 
 
 def jones_from_bracket(
@@ -333,8 +314,7 @@ def jones_from_bracket(
     """
     if convention not in ("paper", "standard"):
         raise ValueError(f"unknown Jones convention {convention!r}")
-    f = kauffman_invariant(k, max_crossings=max_crossings)
-    return f if convention == "paper" else f.mirrored()
+    return writhe_corrected(bracket_poly(k, max_crossings=max_crossings), k, convention)
 
 
 def _fourth_root(t: complex) -> complex:
@@ -345,8 +325,8 @@ def jones_eval(k: ClosedBraid, t: complex) -> complex:
     """The Jones polynomial value at t, via the bracket at A = t^(1/4)
     (principal branch) under the t = A^4 convention."""
     t = complex(t)
-    if not cmath.isfinite(t):
-        raise ValueError("evaluation point must be finite")
+    if not cmath.isfinite(t) or t == 0:
+        raise ValueError("evaluation point must be finite and nonzero")
     a = _fourth_root(t)
     w = writhe(k.braid)
     return (-a) ** (-3 * w) * bracket_eval(k, a)

@@ -31,7 +31,7 @@ from .bracket import (
     bracket_eval,
     bracket_poly,
     jones_eval,
-    jones_from_bracket,
+    writhe_corrected,
 )
 from .closure import ClosedBraid, ClosureError, diagram_stats
 from .crossings import audit_log, build_braid
@@ -67,11 +67,13 @@ def _load_word(source: str, start: str | None, end: str | None) -> BraidWord:
 
 
 def _emit_json(doc: dict, pretty: bool) -> None:
+    # Dumped in both modes, so a non-finite value is an error in both.
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if pretty:
         for line in _pretty_lines(doc, indent=""):
             print(line)
     else:
-        print(json.dumps(doc, indent=2))
+        print(text)
 
 
 def _pretty_lines(value, indent: str):
@@ -108,12 +110,14 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     word = _load_word(args.source, args.window_from, args.window_to)
     k = ClosedBraid(word, args.closure)
     doc: dict = {"word": format_word(word), "stats": diagram_stats(k).to_json()}
+    if args.bracket or args.jones:
+        bracket = bracket_poly(k)
     if args.bracket:
-        doc["bracket"] = poly_to_json(bracket_poly(k), variable="A")
+        doc["bracket"] = poly_to_json(bracket, variable="A")
     if args.jones:
         conventions = [args.convention] if args.convention else ["paper", "standard"]
         doc["jones"] = [
-            poly_to_json(jones_from_bracket(k, conv), variable="t^{1/4}", convention=conv)
+            poly_to_json(writhe_corrected(bracket, k, conv), variable="t^{1/4}", convention=conv)
             for conv in conventions
         ]
     if args.eval_point is not None:

@@ -12,7 +12,7 @@ import csv
 import io
 from dataclasses import dataclass
 from datetime import date, datetime
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, InvalidOperation, Overflow
 
 
 class CsvFormatError(ValueError):
@@ -92,7 +92,12 @@ def _parse_cents(raw: str, row_date: str, ticker: str) -> int:
         value = Decimal(raw)
     except InvalidOperation:
         raise CsvFormatError(f"unparseable price {raw!r} for {ticker} on {row_date}") from None
-    cents = value.scaleb(2)
+    if not value.is_finite():
+        raise CsvFormatError(f"non-finite price {raw!r} for {ticker} on {row_date}")
+    try:
+        cents = value.scaleb(2)
+    except Overflow:
+        raise CsvFormatError(f"price {raw!r} for {ticker} on {row_date} is out of range") from None
     if cents != cents.to_integral_value():
         raise CsvFormatError(
             f"price {raw!r} for {ticker} on {row_date} has more than cent precision"

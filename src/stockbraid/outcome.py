@@ -140,8 +140,10 @@ def outcome_from_stats(
 ) -> OutcomeReport:
     """Evaluate the outcome formula on raw diagram statistics."""
     a = complex(a)
-    if not cmath.isfinite(a):
-        raise ValueError("evaluation point must be finite")
+    if not cmath.isfinite(a) or a == 0:
+        raise ValueError("evaluation point must be finite and nonzero")
+    if not cmath.isfinite(jones_value):
+        raise ValueError("Jones value must be finite")
     phi2 = float(GOLDEN_RATIO * GOLDEN_RATIO)
     sign = -1 if (components - 1 + writhe_value) % 2 else 1
     numerator = sign * (-a) ** (3 * writhe_value) * jones_value
@@ -171,7 +173,9 @@ def outcome_probability(k: ClosedBraid, a: complex = FIBONACCI_POINT) -> Outcome
     if k.closure != "plat":
         raise ClosureError("the outcome probability is defined only for plat closures")
     w = writhe(k.braid)
-    jones_value = (-complex(a)) ** (-3 * w) * bracket_eval(k, a)
+    # bracket_eval first: it rejects a = 0 before the power below divides by it.
+    bracket = bracket_eval(k, a)
+    jones_value = (-complex(a)) ** (-3 * w) * bracket
     return outcome_from_stats(
         jones_value=jones_value,
         components=component_count(k),

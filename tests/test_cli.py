@@ -3,6 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from stockbraid import cli
 from stockbraid.cli import main
 
 DOW4_CSV = Path(__file__).parent / "data" / "dow4_2013.csv"
@@ -175,3 +178,58 @@ def test_cli_runs_are_byte_identical(tmp_path):
     ]
     assert inv_runs[0].returncode == 0
     assert inv_runs[0].stdout == inv_runs[1].stdout
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "2: 1", "--eval", "0"],
+        ["prob", "3: 1", "--point", "0"],
+        ["prob", "3: 1", "--gamma", "4: 1", "--point", "0"],
+        ["prob", "--stats", "1,1,1,-1", "--point", "0"],
+    ],
+)
+def test_evaluation_point_zero(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: evaluation point must be finite and nonzero\n"
+
+
+@pytest.mark.parametrize("value", ["-3", "abc"])
+def test_invalid_crossing_cap(capsys, monkeypatch, value):
+    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", value)
+    code, out, err = run_cli(capsys, "invariant", "2: ", "--bracket")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: STOCKBRAID_CROSSING_CAP must be a non-negative integer")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1+infj"])
+def test_prob_stats_rejects_non_finite(capsys, value):
+    code, out, err = run_cli(capsys, "prob", "--stats", f"{value},1,1,0")
+    assert (code, out) == (1, "")
+    assert err == "error: Jones value must be finite\n"
+
+
+def test_non_finite_output_is_an_error(capsys):
+    # 1/A overflows, so the bracket value is not finite and cannot be strict JSON.
+    for pretty in ([], ["--pretty"]):
+        code, out, err = run_cli(capsys, "invariant", "2: 1", "--eval", "1e-320", *pretty)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+def test_invariant_runs_one_bracket_sweep(capsys, monkeypatch):
+    calls = []
+    original = cli.bracket_poly
+
+    def counted(k):
+        calls.append(k)
+        return original(k)
+
+    monkeypatch.setattr(cli, "bracket_poly", counted)
+    code, out, _ = run_cli(capsys, "invariant", "4: 1 -2 3 2 -1", "--bracket", "--jones")
+    assert code == 0
+    assert len(calls) == 1
+    doc = json.loads(out)
+    assert [j["convention"] for j in doc["jones"]] == ["paper", "standard"]

@@ -53,6 +53,11 @@ def test_blank_cell_names_date_and_ticker():
         ("2013-05-16,72.123,75.00", "cent precision"),
         ("2013-05-16,72.00", "expected 3 fields"),
         ("2013-05-16,seventy,75.00", "unparseable price"),
+        ("2013-05-16,inf,75.00", "non-finite price"),
+        ("2013-05-16,-Infinity,75.00", "non-finite price"),
+        ("2013-05-16,nan,75.00", "non-finite price"),
+        ("2013-05-16,sNaN,75.00", "non-finite price"),
+        ("2013-05-16,1e999999,75.00", "out of range"),
     ],
 )
 def test_rejected_rows(row, fragment):
