@@ -34,7 +34,7 @@ from .bracket import (
     writhe_corrected,
 )
 from .closure import ClosedBraid, ClosureError, diagram_stats
-from .crossings import audit_log, build_braid
+from .crossings import audit_entries, braid_with_events, build_braid
 from .laurent import poly_to_json
 from .market import CsvFormatError, WindowError, parse_csv, parse_price_date, select_window
 from .outcome import FIBONACCI_POINT, interference_braid, outcome_from_stats, outcome_probability
@@ -54,6 +54,8 @@ def _load_series(path: str, start: str | None, end: str | None):
     with open(path, encoding="utf-8") as fh:
         series = parse_csv(fh.read())
     if start or end:
+        if not series.dates:
+            raise WindowError(f"{path} has no dates to window")
         lo = parse_price_date(start) if start else series.dates[0]
         hi = parse_price_date(end) if end else series.dates[-1]
         series = select_window(series, lo, hi)
@@ -96,10 +98,10 @@ def _pretty_lines(value, indent: str):
 
 def _cmd_braid(args: argparse.Namespace) -> int:
     series = _load_series(args.csv, args.window_from, args.window_to)
-    word = build_braid(series)
+    word, events = braid_with_events(series)
     print(format_word(word))
     if args.audit:
-        entries = audit_log(series)
+        entries = audit_entries(events)
         with open(args.audit, "w", encoding="utf-8") as fh:
             json.dump(entries, fh, indent=2)
             fh.write("\n")
@@ -230,12 +232,21 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except CrossingCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(str(exc))
         return 2
+    except OverflowError as exc:
+        # Float arithmetic at an extreme evaluation point or statistic.
+        _report(f"numeric overflow: {exc}")
+        return 1
     except (CsvFormatError, WindowError, WordFormatError, ClosureError,
             ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(str(exc))
         return 1
+
+
+def _report(message: str) -> None:
+    # One line on stderr even when the message quotes a ticker with a line break.
+    print("error: " + message.replace("\r", "\\r").replace("\n", "\\n"), file=sys.stderr)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,12 @@ change strictly exceeds the other's, an undercrossing (negative
 generator) when it is strictly smaller.  Equal changes fall back to the
 higher price on the later day, then to the lexicographically smaller
 ticker crossing over.
+
+Cost: detection walks the price rows by index and sorts each day's
+tickers once, so it is linear in days (times one sort of the tickers).
+Intervals whose rank order does not change are skipped; a changed one
+costs O(tickers^2) comparisons at most, and only between its first and
+last moved positions, plus one event per swap.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import enum
 from dataclasses import dataclass
 from datetime import date
 from decimal import Decimal
+from typing import Callable
 
 from .braid import BraidWord, Generator
 from .market import PriceSeries
@@ -67,34 +74,64 @@ class CrossingEvent:
         return Decimal(self.delta_upper_cents).scaleb(-2)
 
 
+def _ranker(tickers: tuple[str, ...]) -> Callable[[tuple[int, ...]], list[int]]:
+    """The rank rule as a function of one price row: the row's ticker
+    indices sorted ascending by price, exact ties ranking the
+    lexicographically smaller ticker lower.
+
+    Each index sorts on the single integer price * len(tickers) + its
+    ticker's place in lexicographic order, which orders exactly as the
+    pair (price, ticker).
+    """
+    n = len(tickers)
+    tie = [0] * n
+    for place, t in enumerate(sorted(range(n), key=tickers.__getitem__)):
+        tie[t] = place
+    indices = range(n)
+
+    def rank(row: tuple[int, ...]) -> list[int]:
+        keys = [price * n + place for price, place in zip(row, tie)]
+        return sorted(indices, key=keys.__getitem__)
+
+    return rank
+
+
 def rank_order(series: PriceSeries, on: date) -> list[str]:
     """Tickers sorted ascending by price on the given date; exact ties
     rank the lexicographically smaller ticker lower."""
     row = series.prices_cents[series.date_index(on)]
-    return [
-        t for _, t in sorted(zip(row, series.tickers), key=lambda pair: (pair[0], pair[1]))
-    ]
+    return [series.tickers[t] for t in _ranker(series.tickers)(row)]
 
 
 def detect_crossings(series: PriceSeries) -> list[CrossingEvent]:
     """All crossing events of the series, one per adjacent swap, ordered
     by interval and then by bubble-sort schedule."""
-    if len(series.dates) < 2:
+    dates, rows, tickers = series.dates, series.prices_cents, series.tickers
+    if len(dates) < 2:
         raise ValueError("crossing detection needs at least two dates")
+    rank = _ranker(tickers)
     events: list[CrossingEvent] = []
-    order = rank_order(series, series.dates[0])
-    for from_date, to_date in zip(series.dates, series.dates[1:]):
-        target = rank_order(series, to_date)
-        target_pos = {ticker: i for i, ticker in enumerate(target)}
-        from_row = series.prices_cents[series.date_index(from_date)]
-        to_row = series.prices_cents[series.date_index(to_date)]
-        delta = {t: abs(to_row[i] - from_row[i]) for i, t in enumerate(series.tickers)}
-        after = {t: to_row[i] for i, t in enumerate(series.tickers)}
-        arrangement = list(order)
+    # Strands are ticker indices; arrangement holds them by rank on day d - 1.
+    arrangement = rank(rows[0])
+    target_pos = [0] * len(tickers)
+    for d in range(1, len(dates)):
+        target = rank(rows[d])
+        if target == arrangement:
+            continue
+        from_date, to_date, from_row, to_row = dates[d - 1], dates[d], rows[d - 1], rows[d]
+        for i, t in enumerate(target):
+            target_pos[t] = i
+        # Positions before the first and after the last difference already
+        # hold their targets and never swap, so the sweeps skip them.
+        lo, hi = 0, len(target) - 1
+        while arrangement[lo] == target[lo]:
+            lo += 1
+        while arrangement[hi] == target[hi]:
+            hi -= 1
         swapped = True
         while swapped:
             swapped = False
-            for i in range(len(arrangement) - 1):
+            for i in range(lo, hi):
                 lower, upper = arrangement[i], arrangement[i + 1]
                 if target_pos[lower] > target_pos[upper]:
                     arrangement[i], arrangement[i + 1] = upper, lower
@@ -104,15 +141,14 @@ def detect_crossings(series: PriceSeries) -> list[CrossingEvent]:
                             from_date=from_date,
                             to_date=to_date,
                             position=i + 1,
-                            lower_ticker=lower,
-                            upper_ticker=upper,
-                            delta_lower_cents=delta[lower],
-                            delta_upper_cents=delta[upper],
-                            lower_after_cents=after[lower],
-                            upper_after_cents=after[upper],
+                            lower_ticker=tickers[lower],
+                            upper_ticker=tickers[upper],
+                            delta_lower_cents=abs(to_row[lower] - from_row[lower]),
+                            delta_upper_cents=abs(to_row[upper] - from_row[upper]),
+                            lower_after_cents=to_row[lower],
+                            upper_after_cents=to_row[upper],
                         )
                     )
-        order = target
     return events
 
 
@@ -138,24 +174,20 @@ def classify_crossing(event: CrossingEvent) -> CrossingSign:
     return CrossingSign.OVER if crosses_over == event.upper_ticker else CrossingSign.UNDER
 
 
-def build_braid(series: PriceSeries) -> BraidWord:
-    """The braid word of the whole series: classified crossings in
-    detection order, strand 1 anchored to the lowest-priced stock on the
-    first date."""
+def braid_with_events(series: PriceSeries) -> tuple[BraidWord, list[CrossingEvent]]:
+    """build_braid's word together with the events it was read from, so
+    a caller that also wants the audit log detects crossings once."""
     if len(series.tickers) < 2:
         raise ValueError("braid construction needs at least two tickers")
-    gens = tuple(
-        Generator(event.position, classify_crossing(event).exponent)
-        for event in detect_crossings(series)
-    )
-    return BraidWord(len(series.tickers), gens)
+    events = detect_crossings(series)
+    gens = tuple(Generator(event.position, classify_crossing(event).exponent) for event in events)
+    return BraidWord(len(series.tickers), gens), events
 
 
-def audit_log(series: PriceSeries) -> list[dict]:
-    """JSON-ready record of every crossing: dates, tickers, both price
-    changes as printed decimals, and the classified sign."""
+def audit_entries(events: list[CrossingEvent]) -> list[dict]:
+    """audit_log's records of the given events."""
     entries = []
-    for event in detect_crossings(series):
+    for event in events:
         sign = classify_crossing(event)
         entries.append(
             {
@@ -171,3 +203,16 @@ def audit_log(series: PriceSeries) -> list[dict]:
             }
         )
     return entries
+
+
+def build_braid(series: PriceSeries) -> BraidWord:
+    """The braid word of the whole series: classified crossings in
+    detection order, strand 1 anchored to the lowest-priced stock on the
+    first date."""
+    return braid_with_events(series)[0]
+
+
+def audit_log(series: PriceSeries) -> list[dict]:
+    """JSON-ready record of every crossing: dates, tickers, both price
+    changes as printed decimals, and the classified sign."""
+    return audit_entries(detect_crossings(series))

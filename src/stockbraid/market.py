@@ -84,7 +84,8 @@ def parse_price_date(text: str) -> date:
         raise CsvFormatError(f"unparseable date {text!r}") from None
 
 
-def _parse_cents(raw: str, row_date: str, ticker: str) -> int:
+def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
+    # row_date is formatted only into error messages; f"{d}" is d.isoformat().
     raw = raw.strip()
     if not raw:
         raise CsvFormatError(f"missing price for {ticker} on {row_date}")
@@ -107,6 +108,17 @@ def _parse_cents(raw: str, row_date: str, ticker: str) -> int:
     return int(cents)
 
 
+def _records(text: str):
+    """The CSV records of text after any leading byte-order marks.  A
+    record ends at LF, CRLF or a lone CR, as in a file opened with
+    universal newlines; the csv module's own errors become CsvFormatError."""
+    reader = csv.reader(io.StringIO(text.lstrip("﻿"), newline=""))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def parse_csv(text: str) -> PriceSeries:
     """Parse a price document: header ``Date,T1,T2,...`` then one row per
     trading day, in ascending or descending date order.
@@ -115,7 +127,7 @@ def parse_csv(text: str) -> PriceSeries:
     non-positive, or over-precise cell rejects the whole document with
     the offending date and ticker named.
     """
-    reader = csv.reader(io.StringIO(text.lstrip("﻿")))
+    reader = _records(text)
     try:
         header = next(reader)
     except StopIteration:
@@ -137,7 +149,7 @@ def parse_csv(text: str) -> PriceSeries:
             raise CsvFormatError(f"duplicate date {row_date.isoformat()}")
         seen.add(row_date)
         cents = tuple(
-            _parse_cents(cell, row_date.isoformat(), ticker)
+            _parse_cents(cell, row_date, ticker)
             for cell, ticker in zip(row[1:], tickers)
         )
         rows.append((row_date, cents))

@@ -73,6 +73,10 @@ class GoldenConstant:
 #: The golden ratio (1 + sqrt 5) / 2, the Fibonacci loop value.
 GOLDEN_RATIO = GoldenConstant(Fraction(1, 2), Fraction(1, 2))
 
+#: The minima counts m for which float(GOLDEN_RATIO ** (m - 2)) does not
+#: overflow; checked first, so a huge m never builds the exact power.
+_MINIMA_RANGE = range(-1474, 1479)
+
 
 @dataclass(frozen=True)
 class OutcomeReport:
@@ -144,10 +148,22 @@ def outcome_from_stats(
         raise ValueError("evaluation point must be finite and nonzero")
     if not cmath.isfinite(jones_value):
         raise ValueError("Jones value must be finite")
+    if minima not in _MINIMA_RANGE:
+        raise ValueError(
+            f"minima {minima} is out of range "
+            f"({_MINIMA_RANGE.start}..{_MINIMA_RANGE.stop - 1})"
+        )
+    scale = float(GOLDEN_RATIO ** (minima - 2))
+    if scale == 0:
+        raise ValueError(f"phi^(minima - 2) evaluates to zero for minima {minima}")
+    try:
+        turn = (-a) ** (3 * writhe_value)
+    except OverflowError:
+        raise ValueError(f"(-A)^(3 Wr) overflows for writhe {writhe_value}") from None
     phi2 = float(GOLDEN_RATIO * GOLDEN_RATIO)
     sign = -1 if (components - 1 + writhe_value) % 2 else 1
-    numerator = sign * (-a) ** (3 * writhe_value) * jones_value
-    amplitude = 1 + numerator / float(GOLDEN_RATIO ** (minima - 2))
+    numerator = sign * turn * jones_value
+    amplitude = 1 + numerator / scale
     full = amplitude / (1 + phi2)
     probability = full.real
     return OutcomeReport(

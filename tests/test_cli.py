@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from stockbraid import cli
+from stockbraid import cli, crossings, detect_crossings, parse_csv
 from stockbraid.cli import main
+from stockbraid.market import PriceSeries
 
 DOW4_CSV = Path(__file__).parent / "data" / "dow4_2013.csv"
 
@@ -211,6 +212,28 @@ def test_prob_stats_rejects_non_finite(capsys, value):
     assert err == "error: Jones value must be finite\n"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["1,1,5000,0"], "minima 5000 is out of range (-1474..1478)"),
+        (["1,1,-99999,0"], "minima -99999 is out of range (-1474..1478)"),
+        (["1,1,-40,0"], "phi^(minima - 2) evaluates to zero for minima -40"),
+        (["1,1,2,100000", "--point", "2"], "(-A)^(3 Wr) overflows for writhe 100000"),
+    ],
+)
+def test_prob_stats_rejects_overflow(capsys, argv, message):
+    code, out, err = run_cli(capsys, "prob", "--stats", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("minima", [-30, 1478])
+def test_prob_stats_extreme_minima_in_range(capsys, minima):
+    code, out, _ = run_cli(capsys, "prob", "--stats", f"1,1,{minima},0")
+    assert code == 0
+    assert json.loads(out)["minima"] == minima
+
+
 def test_non_finite_output_is_an_error(capsys):
     # 1/A overflows, so the bracket value is not finite and cannot be strict JSON.
     for pretty in ([], ["--pretty"]):
@@ -233,3 +256,47 @@ def test_invariant_runs_one_bracket_sweep(capsys, monkeypatch):
     assert len(calls) == 1
     doc = json.loads(out)
     assert [j["convention"] for j in doc["jones"]] == ["paper", "standard"]
+
+
+def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):
+    calls = []
+    original = crossings.detect_crossings
+
+    def counted(series):
+        calls.append(series)
+        return original(series)
+
+    monkeypatch.setattr(crossings, "detect_crossings", counted)
+    audit_path = tmp_path / "audit.json"
+    code, out, _ = run_cli(capsys, "braid", str(DOW4_CSV), "--audit", str(audit_path))
+    assert code == 0
+    assert out == "4: -2 -3 -3 3 1 3 1 2 -2 -3 -1 -2\n"
+    assert len(calls) == 1
+    assert json.loads(audit_path.read_text()) == crossings.audit_log(calls[0])
+
+
+def test_ingest_and_detection_never_look_dates_up(capsys, monkeypatch, tmp_path):
+    def refuse(self, on):
+        raise AssertionError(f"date_index({on}) called")
+
+    monkeypatch.setattr(PriceSeries, "date_index", refuse)
+    series = parse_csv(DOW4_CSV.read_text(encoding="utf-8"))
+    assert len(detect_crossings(series)) == 12
+    code, out, _ = run_cli(capsys, "braid", str(DOW4_CSV), "--audit", str(tmp_path / "a.json"))
+    assert (code, out) == (0, "4: -2 -3 -3 3 1 3 1 2 -2 -3 -1 -2\n")
+
+
+def test_error_naming_a_ticker_with_a_line_break_stays_on_one_line(capsys, tmp_path):
+    csv = tmp_path / "break.csv"
+    csv.write_text('Date,"A\nB",C\n2013-05-15,,1.00\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "braid", str(csv))
+    assert (code, out) == (1, "")
+    assert err == "error: missing price for A\\nB on 2013-05-15\n"
+
+
+def test_window_on_a_file_without_dates(capsys, tmp_path):
+    csv = tmp_path / "header.csv"
+    csv.write_text("Date,A,B\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "braid", str(csv), "--from", "2013-05-16")
+    assert (code, out) == (1, "")
+    assert err == f"error: {csv} has no dates to window\n"

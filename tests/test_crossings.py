@@ -1,7 +1,10 @@
-from datetime import date
+import random
+from datetime import date, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockbraid import (
     CrossingEvent,
@@ -16,6 +19,8 @@ from stockbraid import (
     rank_order,
     select_window,
 )
+from stockbraid.braid import BraidWord, Generator
+from stockbraid.market import PriceSeries
 
 # the full crossing schedule of the 2013 sample data, tracked by hand from the
 # printed prices: (from, to, position, lower, upper, sign)
@@ -202,3 +207,147 @@ def test_audit_log_matches_events(dow4_series):
         "sign": "under",
         "generator": -2,
     }
+
+
+def _reference_detect_crossings(series):
+    """The original ticker-keyed detection, kept as the oracle for the
+    index-based one: ranks sorted per date, dict lookups per ticker and a
+    full left-to-right bubble sort per interval.  It reads rows by index
+    instead of looking dates up, so it runs in seconds on long series."""
+    if len(series.dates) < 2:
+        raise ValueError("crossing detection needs at least two dates")
+
+    def ranked(row):
+        return [t for _, t in sorted(zip(row, series.tickers), key=lambda pair: (pair[0], pair[1]))]
+
+    events = []
+    order = ranked(series.prices_cents[0])
+    for d in range(1, len(series.dates)):
+        from_date, to_date = series.dates[d - 1], series.dates[d]
+        target = ranked(series.prices_cents[d])
+        target_pos = {ticker: i for i, ticker in enumerate(target)}
+        from_row = series.prices_cents[d - 1]
+        to_row = series.prices_cents[d]
+        delta = {t: abs(to_row[i] - from_row[i]) for i, t in enumerate(series.tickers)}
+        after = {t: to_row[i] for i, t in enumerate(series.tickers)}
+        arrangement = list(order)
+        swapped = True
+        while swapped:
+            swapped = False
+            for i in range(len(arrangement) - 1):
+                lower, upper = arrangement[i], arrangement[i + 1]
+                if target_pos[lower] > target_pos[upper]:
+                    arrangement[i], arrangement[i + 1] = upper, lower
+                    swapped = True
+                    events.append(
+                        CrossingEvent(
+                            from_date=from_date,
+                            to_date=to_date,
+                            position=i + 1,
+                            lower_ticker=lower,
+                            upper_ticker=upper,
+                            delta_lower_cents=delta[lower],
+                            delta_upper_cents=delta[upper],
+                            lower_after_cents=after[lower],
+                            upper_after_cents=after[upper],
+                        )
+                    )
+        order = target
+    return events
+
+
+def _reference_word(series):
+    gens = tuple(
+        Generator(e.position, classify_crossing(e).exponent)
+        for e in _reference_detect_crossings(series)
+    )
+    return BraidWord(len(series.tickers), gens)
+
+
+def _tie_break_rung(event):
+    if event.delta_lower_cents != event.delta_upper_cents:
+        return "delta"
+    if event.lower_after_cents != event.upper_after_cents:
+        return "later price"
+    return "ticker"
+
+
+def _series(tickers, rows):
+    dates = tuple(date(2000, 1, 3) + timedelta(days=d) for d in range(len(rows)))
+    return PriceSeries(tuple(tickers), dates, tuple(tuple(r) for r in rows))
+
+
+@st.composite
+def tied_series(draw):
+    """2-12 tickers over 2-60 days of prices in a band of a few cents, so
+    equal prices, flat days and equal moves are common.  Ticker names are
+    drawn unsorted, so column order and ticker order differ."""
+    n = draw(st.integers(2, 12))
+    tickers = draw(st.lists(st.text("ABCXYZ", min_size=1, max_size=3),
+                            min_size=n, max_size=n, unique=True))
+    cents = st.integers(1, 6)
+    rows = [draw(st.lists(cents, min_size=n, max_size=n))]
+    for _ in range(draw(st.integers(1, 59))):
+        move = draw(st.sampled_from(["flat", "fresh", "shift"]))
+        if move == "flat":
+            rows.append(rows[-1])
+        elif move == "fresh":
+            rows.append(draw(st.lists(cents, min_size=n, max_size=n)))
+        else:
+            # One move shared by the chosen tickers: equal absolute changes.
+            step = draw(st.integers(-3, 3))
+            chosen = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+            rows.append([max(1, p + step) if c else p for p, c in zip(rows[-1], chosen)])
+    return _series(tickers, rows)
+
+
+def test_detection_matches_reference_on_ties():
+    rungs = set()
+    tied_rows = 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(tied_series())
+    def check(series):
+        nonlocal tied_rows
+        events = detect_crossings(series)
+        assert events == _reference_detect_crossings(series)
+        rungs.update(_tie_break_rung(e) for e in events)
+        tied_rows += sum(len(set(row)) < len(row) for row in series.prices_cents)
+
+    check()
+    # The generated series reach every rung of the tie-break chain.
+    assert rungs == {"delta", "later price", "ticker"}
+    assert tied_rows > 0
+
+
+def _walk(rng, n_tickers, n_days):
+    """Mean-reverting cent walks with flat days and copied prices."""
+    anchors = [5000 + rng.randrange(-40 * n_tickers, 40 * n_tickers + 1) for _ in range(n_tickers)]
+    prices = list(anchors)
+    rows = []
+    for day in range(n_days):
+        if day and rng.random() >= 0.03:
+            for t in range(n_tickers):
+                if rng.random() >= 0.15:
+                    prices[t] = max(1, prices[t] + (anchors[t] - prices[t]) // 50 + rng.randint(-30, 30))
+            if rng.random() < 0.02:
+                i, j = rng.sample(range(n_tickers), 2)
+                prices[i] = prices[j]
+        rows.append(tuple(prices))
+    return rows
+
+
+def test_long_series_word_matches_reference():
+    rng = random.Random(20131)
+    tickers = [f"T{k:02d}" for k in rng.sample(range(100), 30)]
+    series = _series(tickers, _walk(rng, 30, 10_000))
+    word = build_braid(series)
+    assert len(word) > 10_000
+    assert format_word(word) == format_word(_reference_word(series))
+
+
+def test_dow_sample_matches_reference(dow4_series):
+    assert detect_crossings(dow4_series) == _reference_detect_crossings(dow4_series)
+    for lo in range(0, 15, 3):
+        window = select_window(dow4_series, dow4_series.dates[lo], dow4_series.dates[-1])
+        assert detect_crossings(window) == _reference_detect_crossings(window)

@@ -102,3 +102,12 @@ def test_select_window_out_of_range(dow4_series):
 
 def test_csv_round_trip(dow4_series):
     assert parse_csv(format_csv(dow4_series)) == dow4_series
+
+
+def test_lone_carriage_returns_end_records():
+    assert parse_csv("Date,A\r2013-05-15,10.00\r") == parse_csv("Date,A\n2013-05-15,10.00\n")
+
+
+def test_csv_module_errors_are_format_errors():
+    with pytest.raises(CsvFormatError, match="line 2: field larger than field limit"):
+        parse_csv('Date,A\n2013-05-15,"' + "9" * 200_000 + '"\n')
