@@ -37,7 +37,9 @@ satisfy the signed relation
 which ``verify_jones_skein`` checks numerically; the opposite sign on the
 V(K-) term fails on generic triples and is kept as a negative control.
 
-All functions are pure; every cache below is per-call.
+All functions are pure.  The sweep's state and move tables are built
+afresh for each call and dropped when it returns; nothing is cached
+across calls.
 """
 
 from __future__ import annotations
@@ -187,38 +189,68 @@ def _module(k: ClosedBraid) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return identity, n, identity
 
 
+def _cupcap(m: tuple[int, ...], a: int) -> tuple[int, ...]:
+    """The matching left by the cap-cup smoothing at points a, a+1 of m.
+
+    When a and a+1 are already paired the smoothing closes a loop and m
+    is returned unchanged; otherwise their partners are joined and a,
+    a+1 become a pair.
+    """
+    b = a + 1
+    if m[a] == b:
+        return m
+    j, kk = m[a], m[b]
+    m2 = list(m)
+    m2[j], m2[kk] = kk, j
+    m2[a], m2[b] = b, a
+    return tuple(m2)
+
+
 def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
     """The state vector of k's braid word, with ring-generic coefficients,
     and the involution that closes it.
 
     weight_pos / weight_neg are (cupcap, vertical) weight pairs for the two
     generator signs; coefficients only need ``*`` and ``+``.
+
+    States are interned: ``matchings[s]`` is the matching with id s and
+    ``index`` maps it back, and ``moves[a][s]`` memoizes the id of the
+    cap-cup smoothing of state s at point a, so each distinct move builds
+    its tuple once however often the sweep takes it.  A move closes a loop
+    exactly when it maps a state to itself.  Ids stand one-to-one for
+    matchings, so every state vector is filled in the same insertion
+    order, with the same multiplications and the same first-assignment-
+    then-``+`` accumulation, as a sweep keyed by the matchings themselves:
+    floating-point coefficients come out bit-identical, signed zeros
+    included.
     """
     start, offset, close = _module(k)
-    states = {start: one}
+    matchings = [start]
+    index = {start: 0}
+    moves: dict[int, dict[int, int]] = {}
+    states = {0: one}
     for g in k.braid.generators:
         a = offset + g.index - 1
-        b = a + 1
         w_cup, w_vert = weight_pos if g.exponent > 0 else weight_neg
-        nxt: dict[tuple[int, ...], object] = {}
-        for m, coeff in states.items():
+        move = moves.setdefault(a, {})
+        nxt: dict[int, object] = {}
+        for s, coeff in states.items():
             vert_coeff = coeff * w_vert
-            prev = nxt.get(m)
-            nxt[m] = vert_coeff if prev is None else prev + vert_coeff
-            if m[a] == b:
-                cup_coeff = coeff * w_cup * d
-                key = m
-            else:
-                j, kk = m[a], m[b]
-                m2 = list(m)
-                m2[j], m2[kk] = kk, j
-                m2[a], m2[b] = b, a
-                key = tuple(m2)
-                cup_coeff = coeff * w_cup
-            prev = nxt.get(key)
-            nxt[key] = cup_coeff if prev is None else prev + cup_coeff
+            prev = nxt.get(s)
+            nxt[s] = vert_coeff if prev is None else prev + vert_coeff
+            t = move.get(s)
+            if t is None:
+                m2 = _cupcap(matchings[s], a)
+                t = index.get(m2)
+                if t is None:
+                    t = index[m2] = len(matchings)
+                    matchings.append(m2)
+                move[s] = t
+            cup_coeff = coeff * w_cup * d if t == s else coeff * w_cup
+            prev = nxt.get(t)
+            nxt[t] = cup_coeff if prev is None else prev + cup_coeff
         states = nxt
-    return states, close
+    return {matchings[s]: coeff for s, coeff in states.items()}, close
 
 
 def _cycles(m: tuple[int, ...], close: tuple[int, ...]) -> int:

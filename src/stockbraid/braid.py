@@ -86,7 +86,17 @@ def compose(a: BraidWord, b: BraidWord) -> BraidWord:
 
 def inverse(w: BraidWord) -> BraidWord:
     """The group inverse: generators reversed with exponents negated."""
-    return BraidWord(w.n_strands, tuple(g.inverse() for g in reversed(w.generators)))
+    # Keyed by generator value (index * exponent), so each distinct
+    # generator's inverse is built once and shared.
+    inverses: dict[int, Generator] = {}
+    gens = []
+    for g in reversed(w.generators):
+        value = g.index * g.exponent
+        inv = inverses.get(value)
+        if inv is None:
+            inv = inverses[value] = g.inverse()
+        gens.append(inv)
+    return BraidWord(w.n_strands, tuple(gens))
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -141,15 +151,20 @@ def parse_word(text: str) -> BraidWord:
         n = int(head.strip())
     except ValueError:
         raise WordFormatError(f"bad strand count {head.strip()!r}") from None
+    # Each distinct generator is checked and built once, then shared.
+    by_value: dict[int, Generator] = {}
     gens = []
     for token in tail.split():
         try:
             value = int(token)
         except ValueError:
             raise WordFormatError(f"bad generator token {token!r}") from None
-        if value == 0:
-            raise WordFormatError("generator 0 is not defined")
-        if abs(value) >= n:
-            raise WordFormatError(f"generator {value} out of range on {n} strands")
-        gens.append(Generator.from_int(value))
+        g = by_value.get(value)
+        if g is None:
+            if value == 0:
+                raise WordFormatError("generator 0 is not defined")
+            if abs(value) >= n:
+                raise WordFormatError(f"generator {value} out of range on {n} strands")
+            g = by_value[value] = Generator.from_int(value)
+        gens.append(g)
     return BraidWord(n, tuple(gens))

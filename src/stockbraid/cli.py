@@ -224,8 +224,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    # Built once per process and reused; parse_args keeps no state between calls.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    parser = _parser
     args = parser.parse_args(argv)
     if args.command == "prob" and not args.stats and not args.source:
         parser.error("prob needs a braid word, a CSV path, or --stats")

@@ -113,6 +113,18 @@ def test_writhe_additive(rand_word):
         assert writhe(inverse(a)) == -writhe(a)
 
 
+def test_equal_generators_are_shared_within_a_word():
+    w = parse_word("4: 1 -2 1 +1 -2 3")
+    assert w.to_ints() == [1, -2, 1, 1, -2, 3]
+    g = w.generators
+    assert g[0] is g[2] is g[3] and g[1] is g[4]
+    inv = inverse(w)
+    assert inv.to_ints() == [-3, 2, -1, -1, 2, -1]
+    assert inv.generators[1] is inv.generators[4] and inv.generators[2] is inv.generators[5]
+    with pytest.raises(WordFormatError, match="generator 4 out of range"):
+        parse_word("4: 1 1 4 1")
+
+
 def test_parse_and_format():
     w = parse_word("4: 1 -2 3")
     assert w.n_strands == 4

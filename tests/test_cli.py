@@ -300,3 +300,39 @@ def test_window_on_a_file_without_dates(capsys, tmp_path):
     code, out, err = run_cli(capsys, "braid", str(csv), "--from", "2013-05-16")
     assert (code, out) == (1, "")
     assert err == f"error: {csv} has no dates to window\n"
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    argvs = [
+        ["braid", str(DOW4_CSV)],
+        ["invariant", "4: 1 -2 3 2 -1", "--bracket", "--jones"],
+        ["prob", "3: 1 2 -1", "--gamma", "4: 3 -2 3"],
+        ["render", "3: 1 -2"],
+        ["invariant", "3: 5"],
+        ["prob"],
+    ]
+    alone = [_run_subprocess(*argv) for argv in argvs]
+
+    calls = []
+    build = cli.build_parser
+
+    def counted():
+        calls.append(None)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    monkeypatch.setattr(cli, "_parser", None)
+    for argv, proc in zip(argvs, alone):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            proc.returncode,
+            proc.stdout.decode("utf-8"),
+            proc.stderr.decode("utf-8"),
+        )
+    assert [proc.returncode for proc in alone] == [0, 0, 0, 0, 1, 2]
+    assert len(calls) == 1
+    assert build() is not build()

@@ -1,0 +1,203 @@
+"""The interned Temperley-Lieb sweep against the tuple-keyed sweep it
+replaced, kept below as a reference copy.
+
+Interning must not change a single bit: the state vectors have to come
+out item for item in the same order, and ``bracket_eval`` has to agree on
+the ``repr`` of its real and imaginary parts, so a -0.0 against a 0.0
+counts as a difference.  Hypothesis runs derandomized, so every run tries
+the same examples.
+"""
+
+import cmath
+import inspect
+import random
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stockbraid import BraidWord, ClosedBraid, bracket, bracket_eval, format_word, free_reduce
+from stockbraid.cli import main
+from stockbraid.laurent import LaurentPoly
+from stockbraid.outcome import interference_braid
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
+POINTS = (cmath.exp(1j * cmath.pi / 10), 1j, 0.7 + 0.2j, 1.3 - 0.4j)
+
+
+def tuple_keyed_sweep(k, one, weight_pos, weight_neg, d):
+    """The sweep as it was before interning: states keyed by their
+    matchings, the cap-cup smoothing rebuilt for every state and step."""
+    start, offset, close = bracket._module(k)
+    states = {start: one}
+    for g in k.braid.generators:
+        a = offset + g.index - 1
+        b = a + 1
+        w_cup, w_vert = weight_pos if g.exponent > 0 else weight_neg
+        nxt = {}
+        for m, coeff in states.items():
+            vert_coeff = coeff * w_vert
+            prev = nxt.get(m)
+            nxt[m] = vert_coeff if prev is None else prev + vert_coeff
+            if m[a] == b:
+                cup_coeff = coeff * w_cup * d
+                key = m
+            else:
+                j, kk = m[a], m[b]
+                m2 = list(m)
+                m2[j], m2[kk] = kk, j
+                m2[a], m2[b] = b, a
+                key = tuple(m2)
+                cup_coeff = coeff * w_cup
+            prev = nxt.get(key)
+            nxt[key] = cup_coeff if prev is None else prev + cup_coeff
+        states = nxt
+    return states, close
+
+
+def numeric_ring(a: complex) -> dict:
+    a_inv = 1 / a
+    d = -(a * a) - (a_inv * a_inv)
+    return {"one": complex(1), "weight_pos": (a, a_inv), "weight_neg": (a_inv, a), "d": d}
+
+
+EXACT_RING = {
+    "one": LaurentPoly.one(),
+    "weight_pos": (bracket._A, bracket._A_INV),
+    "weight_neg": (bracket._A_INV, bracket._A),
+    "d": bracket._D_POLY,
+}
+
+
+def parts(z: complex) -> tuple[str, str]:
+    return repr(z.real), repr(z.imag)
+
+
+def numeric_items(states: dict) -> list:
+    return [(m, parts(c)) for m, c in states.items()]
+
+
+def assert_bit_identical(sweep, k: ClosedBraid, a: complex) -> None:
+    """sweep gives the reference's state vector and bracket value at A = a."""
+    ring = numeric_ring(a)
+    got, got_close = sweep(k, **ring)
+    want, want_close = tuple_keyed_sweep(k, **ring)
+    assert got_close == want_close
+    assert numeric_items(got) == numeric_items(want)
+    with mock.patch.object(bracket, "_sweep", sweep):
+        value = bracket_eval(k, a)
+    with mock.patch.object(bracket, "_sweep", tuple_keyed_sweep):
+        reference = bracket_eval(k, a)
+    assert parts(value) == parts(reference)
+
+
+@st.composite
+def closed_braids(draw, max_crossings: int) -> ClosedBraid:
+    """Plat closures on 2-12 strands and trace closures on 2-6 strands
+    with up to max_crossings crossings; trace closures on 7-12 strands
+    get at most 12, because their 2n-point module has Catalan(n) states
+    (58,786 at 11 strands) where the plat module has Catalan(n/2)."""
+    closure = draw(st.sampled_from(["plat", "trace"]))
+    n = draw(st.sampled_from(range(2, 13, 2)) if closure == "plat" else st.integers(2, 12))
+    if closure == "trace" and n > 6:
+        max_crossings = min(max_crossings, 12)
+    length = draw(st.integers(0, max_crossings))
+    generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
+    gens = draw(st.lists(generator, min_size=length, max_size=length))
+    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in gens]), closure)
+
+
+@SETTINGS
+@given(closed_braids(max_crossings=300))
+def test_numeric_sweep_is_bit_identical(k):
+    for a in POINTS:
+        assert_bit_identical(bracket._sweep, k, a)
+
+
+@SETTINGS
+@given(closed_braids(max_crossings=14))
+def test_exact_sweep_is_identical(k):
+    got, got_close = bracket._sweep(k, **EXACT_RING)
+    want, want_close = tuple_keyed_sweep(k, **EXACT_RING)
+    assert got_close == want_close
+    assert list(got.items()) == list(want.items())
+
+
+def seeded_words(seed: int, count: int) -> list[ClosedBraid]:
+    rng = random.Random(seed)
+    words = []
+    for _ in range(count):
+        closure = rng.choice(["plat", "trace"])
+        n = rng.choice([4, 6, 8]) if closure == "plat" else rng.choice([3, 4, 5])
+        ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.randrange(20, 120))]
+        words.append(ClosedBraid(BraidWord.from_ints(n, ints), closure))
+    return words
+
+
+def test_a_sweep_in_sorted_state_order_is_caught():
+    # The same sweep, but visiting each step's states in id order instead
+    # of insertion order: the same states, filled in another order.
+    source = inspect.getsource(bracket._sweep)
+    loop = "for s, coeff in states.items():"
+    assert source.count(loop) == 1
+    namespace = dict(vars(bracket))
+    exec(source.replace(loop, "for s, coeff in sorted(states.items()):"), namespace)
+    sorted_sweep = namespace["_sweep"]
+
+    caught = 0
+    for k in seeded_words(seed=3, count=12):
+        ring = numeric_ring(POINTS[0])
+        assert set(sorted_sweep(k, **ring)[0]) == set(bracket._sweep(k, **ring)[0])
+        try:
+            assert_bit_identical(sorted_sweep, k, POINTS[0])
+        except AssertionError:
+            caught += 1
+    assert caught > 0
+
+
+def test_comparison_tells_signed_zeros_apart():
+    assert parts(complex(0.0, -0.0)) != parts(0j)
+    # A = i makes every weight and d exact, so the sweep produces exact
+    # zeros, some of them negative: the bit-identity check sees their signs.
+    zeros = set()
+    for k in seeded_words(seed=5, count=12):
+        for coeff in bracket._sweep(k, **numeric_ring(1j))[0].values():
+            zeros.update(repr(x) for x in (coeff.real, coeff.imag) if x == 0)
+    assert zeros == {"0.0", "-0.0"}
+
+
+def interference_case():
+    """A seeded system word on 11 strands and a gamma on 12 whose
+    interference braid, freely reduced, has at least 400 crossings."""
+    rng = random.Random(2014)
+    sigma = free_reduce(
+        BraidWord.from_ints(11, [rng.choice([1, -1]) * rng.randrange(1, 11) for _ in range(260)])
+    )
+    gamma = BraidWord.from_ints(12, [rng.choice([1, -1]) * rng.randrange(1, 12) for _ in range(12)])
+    return sigma, gamma
+
+
+def test_prob_builds_each_cupcap_move_once(capsys, monkeypatch):
+    sigma, gamma = interference_case()
+    braid = free_reduce(interference_braid(sigma, gamma))
+    assert braid.n_strands == 12 and len(braid) >= 400
+    argv = ["prob", format_word(sigma), "--gamma", format_word(gamma)]
+
+    calls = []
+    cupcap = bracket._cupcap
+
+    def counted(m, a):
+        calls.append(a)
+        return cupcap(m, a)
+
+    monkeypatch.setattr(bracket, "_cupcap", counted)
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    # 11 generator positions times Catalan(6) = 132 plat states, against
+    # one move per state and crossing without interning.
+    assert 0 < len(calls) <= 11 * 132
+
+    monkeypatch.setattr(bracket, "_sweep", tuple_keyed_sweep)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == out
+
