@@ -49,7 +49,7 @@ import os
 from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, Generator, compose, writhe
-from .closure import ClosedBraid, _UnionFind, closure_arcs
+from .closure import ClosedBraid, _cycles, _involution, closure_arcs
 from .laurent import LaurentPoly, neg_a_power
 
 DEFAULT_CROSSING_CAP = 24
@@ -91,6 +91,30 @@ def _check_cap(k: ClosedBraid, max_crossings: int | None) -> None:
 
 # ---------------------------------------------------------------------------
 # Path 1: literal state sum (reference oracle).
+
+class _UnionFind:
+    __slots__ = ("parent",)
+
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+
+    def find(self, x: int) -> int:
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Join the classes of a and b; True if they were already joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return True
+        self.parent[rb] = ra
+        return False
+
 
 class SmoothingState(NamedTuple):
     """One full resolution of the diagram: a choice bit per crossing
@@ -166,13 +190,6 @@ def bracket_poly_state_sum(
 # as an involution m (m[x] is the partner of x).  Each generator branches a
 # state into its two smoothings; a loop closed by a cap-cup smoothing
 # contributes a factor d as it appears.
-
-def _involution(pairs: list[tuple[int, int]], size: int) -> tuple[int, ...]:
-    m = [0] * size
-    for x, y in pairs:
-        m[x], m[y] = y, x
-    return tuple(m)
-
 
 def _module(k: ClosedBraid) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """Start matching, generator offset and closing involution of the
@@ -251,23 +268,6 @@ def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
             nxt[t] = cup_coeff if prev is None else prev + cup_coeff
         states = nxt
     return {matchings[s]: coeff for s, coeff in states.items()}, close
-
-
-def _cycles(m: tuple[int, ...], close: tuple[int, ...]) -> int:
-    """Loops formed when the matching m is closed off by the involution close."""
-    seen = [False] * len(m)
-    cycles = 0
-    for start in range(len(m)):
-        if seen[start]:
-            continue
-        cycles += 1
-        x = start
-        while not seen[x]:
-            seen[x] = True
-            y = m[x]
-            seen[y] = True
-            x = close[y]
-    return cycles
 
 
 def bracket_poly(k: ClosedBraid, *, max_crossings: int | None = None) -> LaurentPoly:
@@ -349,6 +349,12 @@ def jones_from_bracket(
     return writhe_corrected(bracket_poly(k, max_crossings=max_crossings), k, convention)
 
 
+def _writhe_corrected_value(bracket_value: complex, a: complex, w: int) -> complex:
+    """(-a)^(-3 w) <K>(a): the numeric f[K], that is the Jones value with
+    t^(1/4) = a, from the bracket value at A = a and the writhe w."""
+    return (-complex(a)) ** (-3 * w) * bracket_value
+
+
 def _fourth_root(t: complex) -> complex:
     return cmath.exp(cmath.log(t) / 4)
 
@@ -360,8 +366,7 @@ def jones_eval(k: ClosedBraid, t: complex) -> complex:
     if not cmath.isfinite(t) or t == 0:
         raise ValueError("evaluation point must be finite and nonzero")
     a = _fourth_root(t)
-    w = writhe(k.braid)
-    return (-a) ** (-3 * w) * bracket_eval(k, a)
+    return _writhe_corrected_value(bracket_eval(k, a), a, writhe(k.braid))
 
 
 def verify_jones_skein(

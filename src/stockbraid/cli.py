@@ -25,12 +25,12 @@ import sys
 from datetime import date
 
 from . import __version__
-from .braid import BraidWord, WordFormatError, format_word, free_reduce, parse_word
+from .braid import BraidWord, WordFormatError, format_word, free_reduce, parse_word, writhe
 from .bracket import (
     CrossingCapExceeded,
+    _writhe_corrected_value,
     bracket_eval,
     bracket_poly,
-    jones_eval,
     writhe_corrected,
 )
 from .closure import ClosedBraid, ClosureError, diagram_stats
@@ -130,7 +130,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
             "bracket_value": {"re": value.real, "im": value.imag},
         }
         if args.jones:
-            v = jones_eval(k, a**4)
+            v = _writhe_corrected_value(value, a, writhe(word))
             doc["eval"]["jones_value_at_a4"] = {"re": v.real, "im": v.imag}
     _emit_json(doc, args.pretty)
     return 0

@@ -6,8 +6,9 @@ Every diagram in this package is a braid closure, either:
   and at the bottom (needs an even strand count), or
 * trace: top strand i is joined to bottom strand i around the side.
 
-Keeping diagrams in this form makes loop counting a union-find problem;
-no general planar-diagram machinery is needed.
+Keeping diagrams in this form makes loop counting a walk over two
+involutions of the 2n strand endpoints, the strands and the closure's
+arcs; no general planar-diagram machinery is needed.
 """
 
 from __future__ import annotations
@@ -73,30 +74,6 @@ def trace_close(w: BraidWord) -> ClosedBraid:
     return ClosedBraid(w, "trace")
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the classes of a and b; True if they were already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return True
-        self.parent[rb] = ra
-        return False
-
-
 def closure_arcs(k: ClosedBraid) -> list[tuple[int, int]]:
     """Endpoint pairs joined by the closure, over nodes 0..n-1 (bottom)
     and n..2n-1 (top)."""
@@ -107,32 +84,38 @@ def closure_arcs(k: ClosedBraid) -> list[tuple[int, int]]:
     return [(i, n + i) for i in range(n)]
 
 
-def component_count(k: ClosedBraid) -> int:
-    """Number of link components of the closed diagram.
+def _involution(pairs: list[tuple[int, int]], size: int) -> tuple[int, ...]:
+    m = [0] * size
+    for x, y in pairs:
+        m[x], m[y] = y, x
+    return tuple(m)
 
-    Trace closures reduce to cycle counting of the braid permutation;
-    plat closures run union-find over the 2n strand endpoints.
-    """
+
+def _cycles(m: tuple[int, ...], close: tuple[int, ...]) -> int:
+    """Loops formed when the matching m is closed off by the involution close."""
+    seen = [False] * len(m)
+    cycles = 0
+    for start in range(len(m)):
+        if seen[start]:
+            continue
+        cycles += 1
+        x = start
+        while not seen[x]:
+            seen[x] = True
+            y = m[x]
+            seen[y] = True
+            x = close[y]
+    return cycles
+
+
+def component_count(k: ClosedBraid) -> int:
+    """Number of link components of the closed diagram: the loops formed
+    when the strands, joining bottom point p to top point n + perm[p] - 1,
+    are closed off by the closure's arcs."""
     n = k.braid.n_strands
     perm = permutation(k.braid)
-    if k.closure == "trace":
-        seen = [False] * n
-        cycles = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycles += 1
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                p = perm[p] - 1
-        return cycles
-    uf = _UnionFind(2 * n)
-    for p in range(n):
-        uf.union(p, n + perm[p] - 1)
-    for a, b in closure_arcs(k):
-        uf.union(a, b)
-    return len({uf.find(x) for x in range(2 * n)})
+    strands = _involution([(p, n + perm[p] - 1) for p in range(n)], 2 * n)
+    return _cycles(strands, _involution(closure_arcs(k), 2 * n))
 
 
 def minima_count(k: ClosedBraid) -> int:

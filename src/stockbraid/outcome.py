@@ -17,7 +17,8 @@ with the component count, minima count, and writhe read off the diagram
 and V the Jones value.  The right-hand side is complex for general
 writhe; the real part is reported as the probability, the imaginary
 residue is surfaced, and values outside [0, 1] are flagged rather than
-clamped.
+clamped.  The powers of phi are floats, accurate to a few ulp for every
+minima count where phi^(m - 2) is a finite, nonzero float.
 """
 
 from __future__ import annotations
@@ -25,57 +26,36 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .braid import BraidWord, compose, inverse, writhe
-from .bracket import bracket_eval
+from .bracket import _writhe_corrected_value, bracket_eval
 from .closure import ClosedBraid, ClosureError, component_count, minima_count
 
 #: The Fibonacci evaluation point e^(i pi / 10).
 FIBONACCI_POINT = cmath.exp(1j * math.pi / 10)
 
-
-@dataclass(frozen=True)
-class GoldenConstant:
-    """An exact element a + b*sqrt(5) of Z[sqrt 5] with rational a, b."""
-
-    a: Fraction
-    b: Fraction
-
-    def __mul__(self, other: "GoldenConstant") -> "GoldenConstant":
-        return GoldenConstant(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    def __add__(self, other: "GoldenConstant") -> "GoldenConstant":
-        return GoldenConstant(self.a + other.a, self.b + other.b)
-
-    def inverse(self) -> "GoldenConstant":
-        norm = self.a * self.a - 5 * self.b * self.b
-        return GoldenConstant(self.a / norm, -self.b / norm)
-
-    def __pow__(self, n: int) -> "GoldenConstant":
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = GoldenConstant(Fraction(1), Fraction(0))
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * math.sqrt(5.0)
-
-
 #: The golden ratio (1 + sqrt 5) / 2, the Fibonacci loop value.
-GOLDEN_RATIO = GoldenConstant(Fraction(1, 2), Fraction(1, 2))
+GOLDEN_RATIO = (1 + math.sqrt(5.0)) / 2
 
-#: The minima counts m for which float(GOLDEN_RATIO ** (m - 2)) does not
-#: overflow; checked first, so a huge m never builds the exact power.
-_MINIMA_RANGE = range(-1474, 1479)
+#: The minima counts m for which phi^(m - 2) is a finite, nonzero float;
+#: checked before the power is built.
+_MINIMA_RANGE = range(-1472, 1477)
+
+
+def _golden_power(k: int) -> float:
+    """phi^k as a float.
+
+    For k >= 0, phi^k = (L_k + F_k sqrt 5) / 2 with the Lucas and
+    Fibonacci numbers L_k, F_k kept as exact integers up to the final
+    float expression.  A negative power is the reciprocal of the positive
+    one: there the two halves have opposite signs and their sum cancels.
+    """
+    if k < 0:
+        return 1 / _golden_power(-k)
+    lucas, fib = 2, 0
+    for _ in range(k):
+        lucas, fib = (lucas + 5 * fib) // 2, (lucas + fib) // 2
+    return lucas / 2 + fib / 2 * math.sqrt(5.0)
 
 
 @dataclass(frozen=True)
@@ -132,7 +112,7 @@ def plat_amplitude(k: ClosedBraid, a: complex = FIBONACCI_POINT) -> complex:
     if k.closure != "plat":
         raise ClosureError("the plat amplitude is defined only for plat closures")
     n = k.braid.n_strands
-    return bracket_eval(k, a) / float(GOLDEN_RATIO ** (n // 2 - 1))
+    return bracket_eval(k, a) / _golden_power(n // 2 - 1)
 
 
 def outcome_from_stats(
@@ -153,14 +133,12 @@ def outcome_from_stats(
             f"minima {minima} is out of range "
             f"({_MINIMA_RANGE.start}..{_MINIMA_RANGE.stop - 1})"
         )
-    scale = float(GOLDEN_RATIO ** (minima - 2))
-    if scale == 0:
-        raise ValueError(f"phi^(minima - 2) evaluates to zero for minima {minima}")
+    scale = _golden_power(minima - 2)
     try:
         turn = (-a) ** (3 * writhe_value)
     except OverflowError:
         raise ValueError(f"(-A)^(3 Wr) overflows for writhe {writhe_value}") from None
-    phi2 = float(GOLDEN_RATIO * GOLDEN_RATIO)
+    phi2 = _golden_power(2)
     sign = -1 if (components - 1 + writhe_value) % 2 else 1
     numerator = sign * turn * jones_value
     amplitude = 1 + numerator / scale
@@ -189,9 +167,9 @@ def outcome_probability(k: ClosedBraid, a: complex = FIBONACCI_POINT) -> Outcome
     if k.closure != "plat":
         raise ClosureError("the outcome probability is defined only for plat closures")
     w = writhe(k.braid)
-    # bracket_eval first: it rejects a = 0 before the power below divides by it.
+    # bracket_eval first: it rejects a = 0 before the writhe correction divides by it.
     bracket = bracket_eval(k, a)
-    jones_value = (-complex(a)) ** (-3 * w) * bracket
+    jones_value = _writhe_corrected_value(bracket, a, w)
     return outcome_from_stats(
         jones_value=jones_value,
         components=component_count(k),

@@ -1,11 +1,22 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from stockbraid import cli, crossings, detect_crossings, parse_csv
+from stockbraid import (
+    ClosedBraid,
+    bracket,
+    cli,
+    crossings,
+    detect_crossings,
+    format_word,
+    parse_csv,
+    parse_word,
+    writhe,
+)
 from stockbraid.cli import main
 from stockbraid.market import PriceSeries
 
@@ -215,10 +226,11 @@ def test_prob_stats_rejects_non_finite(capsys, value):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["1,1,5000,0"], "minima 5000 is out of range (-1474..1478)"),
-        (["1,1,-99999,0"], "minima -99999 is out of range (-1474..1478)"),
-        (["1,1,-40,0"], "phi^(minima - 2) evaluates to zero for minima -40"),
+        (["1,1,5000,0"], "minima 5000 is out of range (-1472..1476)"),
+        (["1,1,-99999,0"], "minima -99999 is out of range (-1472..1476)"),
+        (["1,1,-1473,0"], "minima -1473 is out of range (-1472..1476)"),
         (["1,1,2,100000", "--point", "2"], "(-A)^(3 Wr) overflows for writhe 100000"),
+        (["1,1,1477,0"], "minima 1477 is out of range (-1472..1476)"),
     ],
 )
 def test_prob_stats_rejects_overflow(capsys, argv, message):
@@ -227,11 +239,26 @@ def test_prob_stats_rejects_overflow(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("minima", [-30, 1478])
+@pytest.mark.parametrize("minima", [-1472, -40, -30, 1476])
 def test_prob_stats_extreme_minima_in_range(capsys, minima):
     code, out, _ = run_cli(capsys, "prob", "--stats", f"1,1,{minima},0")
     assert code == 0
-    assert json.loads(out)["minima"] == minima
+    doc = json.loads(out)
+    assert doc["minima"] == minima
+    if minima < 0:
+        # amplitude = 1 + 1 / phi^(m - 2) = 1 + phi^(2 - m), not the 1 of a lost power
+        phi = (1 + math.sqrt(5)) / 2
+        assert math.isclose(doc["amplitude"]["re"] - 1, phi ** (2 - minima), rel_tol=1e-12)
+
+
+def test_prob_stats_zero_minima_reads_probability_one(capsys):
+    # phi^-2 is 1 / phi^2, so V = 1, c = 1, m = 0 gives 1 + phi^2 over 1 + phi^2.
+    code, out, _ = run_cli(capsys, "prob", "--stats", "1,1,0,0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["amplitude"]["re"], doc["probability"], doc["in_range"]) == (
+        3.618033988749895, 1.0, True
+    )
 
 
 def test_non_finite_output_is_an_error(capsys):
@@ -256,6 +283,40 @@ def test_invariant_runs_one_bracket_sweep(capsys, monkeypatch):
     assert len(calls) == 1
     doc = json.loads(out)
     assert [j["convention"] for j in doc["jones"]] == ["paper", "standard"]
+
+
+def test_invariant_eval_runs_one_numeric_sweep(capsys, monkeypatch):
+    calls = []
+    original = bracket.bracket_eval
+
+    def counted(k, a):
+        calls.append(k)
+        return original(k, a)
+
+    # Both bindings: the CLI's own and the one jones_eval looks up.
+    monkeypatch.setattr(cli, "bracket_eval", counted)
+    monkeypatch.setattr(bracket, "bracket_eval", counted)
+    code, _, _ = run_cli(capsys, "invariant", "4: 1 -2 3 2 -1", "--jones", "--eval", "0.9+0.3j")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_invariant_eval_jones_is_the_writhe_corrected_bracket(capsys):
+    k = ClosedBraid(parse_word("4: 1 -2 3 2 -1 1"), "plat")
+
+    def jones_at(a):
+        code, out, _ = run_cli(capsys, "invariant", format_word(k.braid), "--jones", "--eval", a)
+        assert code == 0
+        v = json.loads(out)["eval"]["jones_value_at_a4"]
+        return complex(v["re"], v["im"])
+
+    inside = complex("0.9+0.3j")  # arg in (-pi/4, pi/4]: a is the principal root of a^4
+    assert abs(jones_at("0.9+0.3j") - bracket.jones_eval(k, inside**4)) < 1e-9
+    outside = complex("0.3+0.9j")
+    expected = bracket._writhe_corrected_value(
+        bracket.bracket_eval(k, outside), outside, writhe(k.braid)
+    )
+    assert jones_at("0.3+0.9j") == expected
 
 
 def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):

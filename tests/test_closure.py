@@ -51,8 +51,8 @@ def _cycle_count(perm: tuple[int, ...]) -> int:
     return cycles
 
 
-def _trace_components_by_union_find(word: BraidWord) -> int:
-    """Independent route: union-find over 2n endpoints with side arcs."""
+def _components_by_union_find(word: BraidWord, closure: str) -> int:
+    """Independent route: union-find over 2n endpoints with closure arcs."""
     n = word.n_strands
     parent = list(range(2 * n))
 
@@ -68,7 +68,13 @@ def _trace_components_by_union_find(word: BraidWord) -> int:
     perm = permutation(word)
     for p in range(n):
         union(p, n + perm[p] - 1)  # strand arc
-        union(p, n + p)  # closure arc
+    if closure == "trace":
+        for p in range(n):
+            union(p, n + p)  # side arc
+    else:
+        for p in range(0, n, 2):
+            union(p, p + 1)  # bottom cap
+            union(n + p, n + p + 1)  # top cap
     return len({find(x) for x in range(2 * n)})
 
 
@@ -78,7 +84,9 @@ def test_trace_components_cross_checked_against_union_find(rand_word):
         w = rand_word(rng)
         k = trace_close(w)
         assert component_count(k) == _cycle_count(permutation(w))
-        assert component_count(k) == _trace_components_by_union_find(w)
+        assert component_count(k) == _components_by_union_find(w, "trace")
+        if w.n_strands % 2 == 0:
+            assert component_count(plat_close(w)) == _components_by_union_find(w, "plat")
 
 
 def test_component_count_bounds_fuzz(rand_word):

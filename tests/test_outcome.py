@@ -1,7 +1,7 @@
 import cmath
 import math
 import random
-from fractions import Fraction
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -10,7 +10,6 @@ from stockbraid import (
     GOLDEN_RATIO,
     BraidWord,
     ClosureError,
-    GoldenConstant,
     free_reduce,
     interference_braid,
     outcome_from_stats,
@@ -21,24 +20,36 @@ from stockbraid import (
     trace_close,
     writhe,
 )
+from stockbraid.outcome import _golden_power
 
 PHI = (1 + math.sqrt(5)) / 2
-ONE = GoldenConstant(Fraction(1), Fraction(0))
 
 
-def test_golden_constant_identities():
-    phi = GOLDEN_RATIO
-    assert phi * phi == phi + ONE  # exact in Z[sqrt 5]
-    assert abs(float(phi) ** 2 - float(phi) - 1) < 1e-12
-    assert abs(float(phi) - PHI) < 1e-15
+def test_golden_power_matches_exact_field_floats():
+    # Pinned bytes: float(a) + float(b) * sqrt(5) for phi^k = a + b sqrt 5
+    # computed exactly in Z[sqrt 5], so probabilities keep their bytes.
+    expected = {
+        0: "1.0",
+        1: "1.618033988749895",
+        2: "2.618033988749895",
+        3: "4.23606797749979",
+        4: "6.854101966249685",
+        5: "11.090169943749475",
+        6: "17.94427190999916",
+        1474: "1.1163020658834684e+308",
+    }
+    for k, text in expected.items():
+        assert repr(_golden_power(k)) == text
 
 
-def test_golden_constant_powers():
-    phi = GOLDEN_RATIO
-    assert abs(float(phi ** 5) - PHI**5) < 1e-10
-    assert abs(float(phi ** -3) - PHI**-3) < 1e-12
-    assert phi ** 0 == ONE
-    assert phi * phi.inverse() == ONE
+def test_golden_power_is_accurate_over_the_float_range():
+    with localcontext() as ctx:
+        ctx.prec = 80
+        phi = (1 + Decimal(5).sqrt()) / 2
+        for k in range(-1472, 1475):
+            reference = phi**k
+            error = abs(Decimal(_golden_power(k)) - reference)
+            assert error <= Decimal("4.5e-16") * reference, k
 
 
 def test_prefactor_identity():
