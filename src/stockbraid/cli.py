@@ -11,8 +11,9 @@ Subcommands:
   the bare formula with ``--stats``.
 * ``render WORD``: ASCII or SVG diagram of a braid word.
 
-Exit codes: 0 success, 1 input error, 2 exact-path crossing cap
-exceeded.  Identical invocations produce byte-identical output; nothing
+``invariant`` and ``prob`` print one strict-JSON document.  Exit codes:
+0 success, 1 input error, 2 exact-path crossing cap exceeded or usage
+error.  Identical invocations produce byte-identical output; nothing
 here depends on clocks, locales, or iteration order of unordered sets.
 """
 
@@ -22,10 +23,9 @@ import argparse
 import json
 import re
 import sys
-from datetime import date
 
 from . import __version__
-from .braid import BraidWord, WordFormatError, format_word, free_reduce, parse_word, writhe
+from .braid import BraidWord, format_word, free_reduce, parse_word, writhe
 from .bracket import (
     CrossingCapExceeded,
     _writhe_corrected_value,
@@ -33,10 +33,10 @@ from .bracket import (
     bracket_poly,
     writhe_corrected,
 )
-from .closure import ClosedBraid, ClosureError, diagram_stats
+from .closure import ClosedBraid, diagram_stats
 from .crossings import audit_entries, braid_with_events, build_braid
 from .laurent import poly_to_json
-from .market import CsvFormatError, WindowError, parse_csv, parse_price_date, select_window
+from .market import WindowError, parse_csv, parse_price_date, select_window
 from .outcome import FIBONACCI_POINT, interference_braid, outcome_from_stats, outcome_probability
 from .render import render_ascii, render_svg
 
@@ -68,32 +68,9 @@ def _load_word(source: str, start: str | None, end: str | None) -> BraidWord:
     return build_braid(_load_series(source, start, end))
 
 
-def _emit_json(doc: dict, pretty: bool) -> None:
-    # Dumped in both modes, so a non-finite value is an error in both.
-    text = json.dumps(doc, indent=2, allow_nan=False)
-    if pretty:
-        for line in _pretty_lines(doc, indent=""):
-            print(line)
-    else:
-        print(text)
-
-
-def _pretty_lines(value, indent: str):
-    if isinstance(value, dict):
-        for key, sub in value.items():
-            if isinstance(sub, (dict, list)):
-                yield f"{indent}{key}:"
-                yield from _pretty_lines(sub, indent + "  ")
-            else:
-                yield f"{indent}{key}: {sub}"
-    elif isinstance(value, list):
-        for sub in value:
-            if isinstance(sub, (dict, list)):
-                yield from _pretty_lines(sub, indent + "  ")
-            else:
-                yield f"{indent}- {sub}"
-    else:
-        yield f"{indent}{value}"
+def _emit_json(doc: dict) -> None:
+    # Dumped before printing, so a non-finite value is an error with nothing on stdout.
+    print(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _cmd_braid(args: argparse.Namespace) -> int:
@@ -132,7 +109,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
         if args.jones:
             v = _writhe_corrected_value(value, a, writhe(word))
             doc["eval"]["jones_value_at_a4"] = {"re": v.real, "im": v.imag}
-    _emit_json(doc, args.pretty)
+    _emit_json(doc)
     return 0
 
 
@@ -149,7 +126,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             writhe_value=int(fields[3]),
             a=point,
         )
-        _emit_json(report.to_json(), args.pretty)
+        _emit_json(report.to_json())
         return 0
     sigma = _load_word(args.source, args.window_from, args.window_to)
     if args.gamma:
@@ -160,7 +137,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     report = outcome_probability(ClosedBraid(braid, "plat"), point)
     doc = {"interference_word": format_word(braid)}
     doc.update(report.to_json())
-    _emit_json(doc, args.pretty)
+    _emit_json(doc)
     return 0
 
 
@@ -201,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="Jones variable convention (default: both)")
     p_inv.add_argument("--eval", dest="eval_point", metavar="COMPLEX",
                        help="also evaluate numerically at this point A")
-    p_inv.add_argument("--pretty", action="store_true")
     p_inv.set_defaults(func=_cmd_invariant)
 
     p_prob = sub.add_parser("prob", help="outcome probability of the interference closure")
@@ -214,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="evaluation point A (default: exp(i*pi/10))")
     p_prob.add_argument("--stats", metavar="V,C,M,WR",
                         help="probe the formula on raw values instead of a braid")
-    p_prob.add_argument("--pretty", action="store_true")
     p_prob.set_defaults(func=_cmd_prob)
 
     p_render = sub.add_parser("render", help="draw a braid word")
@@ -245,8 +220,7 @@ def main(argv: list[str] | None = None) -> int:
         # Float arithmetic at an extreme evaluation point or statistic.
         _report(f"numeric overflow: {exc}")
         return 1
-    except (CsvFormatError, WindowError, WordFormatError, ClosureError,
-            ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _report(str(exc))
         return 1
 

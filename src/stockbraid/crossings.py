@@ -31,7 +31,7 @@ from decimal import Decimal
 from typing import Callable
 
 from .braid import BraidWord, Generator
-from .market import PriceSeries
+from .market import PriceSeries, cents_to_decimal
 
 
 class CrossingSign(enum.Enum):
@@ -67,11 +67,11 @@ class CrossingEvent:
 
     @property
     def delta_lower(self) -> Decimal:
-        return Decimal(self.delta_lower_cents).scaleb(-2)
+        return cents_to_decimal(self.delta_lower_cents)
 
     @property
     def delta_upper(self) -> Decimal:
-        return Decimal(self.delta_upper_cents).scaleb(-2)
+        return cents_to_decimal(self.delta_upper_cents)
 
 
 def _ranker(tickers: tuple[str, ...]) -> Callable[[tuple[int, ...]], list[int]]:

@@ -10,9 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from dataclasses import dataclass
 from datetime import date, datetime
-from decimal import Decimal, InvalidOperation, Overflow
+from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
+
+_EXACT = Context(prec=MAX_PREC)  # the default Emax still raises Overflow
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def cents_to_decimal(cents: int) -> Decimal:
+    """The price of an integer number of cents, exact for any number of digits."""
+    return Decimal(cents).scaleb(-2, _EXACT)
 
 
 class CsvFormatError(ValueError):
@@ -58,7 +67,7 @@ class PriceSeries:
         return self.prices_cents[self.date_index(on)][self.ticker_index(ticker)]
 
     def price(self, on: date, ticker: str) -> Decimal:
-        return Decimal(self.price_cents(on, ticker)).scaleb(-2)
+        return cents_to_decimal(self.price_cents(on, ticker))
 
     def date_index(self, on: date) -> int:
         try:
@@ -74,14 +83,16 @@ class PriceSeries:
 
 
 def parse_price_date(text: str) -> date:
-    """Accept ISO YYYY-MM-DD and M/D/YYYY forms."""
+    """Accept ISO YYYY-MM-DD and M/D/YYYY forms only, on every Python."""
     text = text.strip()
     try:
         if "/" in text:
             return datetime.strptime(text, "%m/%d/%Y").date()
-        return date.fromisoformat(text)
+        if _ISO_DATE.fullmatch(text):
+            return date.fromisoformat(text)
     except ValueError:
-        raise CsvFormatError(f"unparseable date {text!r}") from None
+        pass
+    raise CsvFormatError(f"unparseable date {text!r}")
 
 
 def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
@@ -96,7 +107,7 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
     if not value.is_finite():
         raise CsvFormatError(f"non-finite price {raw!r} for {ticker} on {row_date}")
     try:
-        cents = value.scaleb(2)
+        cents = value.scaleb(2, _EXACT)
     except Overflow:
         raise CsvFormatError(f"price {raw!r} for {ticker} on {row_date} is out of range") from None
     if cents != cents.to_integral_value():
@@ -167,7 +178,7 @@ def format_csv(series: PriceSeries) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(("Date",) + series.tickers)
     for d, row in zip(series.dates, series.prices_cents):
-        writer.writerow([d.isoformat()] + [str(Decimal(c).scaleb(-2)) for c in row])
+        writer.writerow([d.isoformat()] + [str(cents_to_decimal(c)) for c in row])
     return out.getvalue()
 
 

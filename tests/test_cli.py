@@ -49,6 +49,12 @@ def test_braid_window_flags(capsys):
     assert out == "4: -2 -3 -3 3 1 3 1 2\n"
 
 
+def test_compact_iso_window_date_is_an_input_error(capsys):
+    # Only YYYY-MM-DD and M/D/YYYY, whatever date.fromisoformat takes on this Python.
+    code, out, err = run_cli(capsys, "braid", str(DOW4_CSV), "--from", "20130520")
+    assert (code, out, err) == (1, "", "error: unparseable date '20130520'\n")
+
+
 def test_braid_constant_prices(capsys, tmp_path):
     csv = tmp_path / "flat.csv"
     csv.write_text("Date,A,B\n2013-05-15,10.00,20.00\n2013-05-16,10.00,20.00\n")
@@ -263,10 +269,20 @@ def test_prob_stats_zero_minima_reads_probability_one(capsys):
 
 def test_non_finite_output_is_an_error(capsys):
     # 1/A overflows, so the bracket value is not finite and cannot be strict JSON.
-    for pretty in ([], ["--pretty"]):
-        code, out, err = run_cli(capsys, "invariant", "2: 1", "--eval", "1e-320", *pretty)
-        assert (code, out) == (1, "")
-        assert err.startswith("error: Out of range float values are not JSON compliant")
+    code, out, err = run_cli(capsys, "invariant", "2: 1", "--eval", "1e-320")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+@pytest.mark.parametrize("argv", [["invariant", "2: 1 1"], ["prob", "--stats", "1,1,1,0"]])
+def test_pretty_is_a_usage_error(capsys, argv):
+    # One output form: --pretty is an unknown option like any other.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--pretty"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: stockbraid")
+    assert "unrecognized arguments: --pretty" in err
 
 
 def test_invariant_runs_one_bracket_sweep(capsys, monkeypatch):

@@ -209,6 +209,16 @@ def test_audit_log_matches_events(dow4_series):
     }
 
 
+def test_audit_deltas_of_a_29_digit_move_are_exact():
+    # A rises by 123456789012345678901234567.89 and overtakes B, which moves one cent.
+    series = parse_csv("Date,A,B\n2013-05-15,1.00,2.00\n"
+                       "2013-05-16,123456789012345678901234568.89,1.99\n")
+    (entry,) = audit_log(series)
+    assert (entry["lower_ticker"], entry["upper_ticker"]) == ("A", "B")
+    assert entry["delta_lower"] == "123456789012345678901234567.89"
+    assert entry["delta_upper"] == "0.01"
+
+
 def _reference_detect_crossings(series):
     """The original ticker-keyed detection, kept as the oracle for the
     index-based one: ranks sorted per date, dict lookups per ticker and a

@@ -173,7 +173,7 @@ def argvs(draw, paths: list[str]) -> list[str]:
     source = draw(st.one_of(words(), files, st.sampled_from(["3: 9", "x: 1"])))
     if command == "invariant":
         options += draw(st.sampled_from([[], ["--closure=plat"], ["--closure=trace"]]))
-        options += [flag for flag in ("--bracket", "--jones", "--pretty") if draw(st.booleans())]
+        options += [flag for flag in ("--bracket", "--jones") if draw(st.booleans())]
         if draw(st.booleans()):
             options.append(draw(st.sampled_from(["--convention=paper", "--convention=standard"])))
         if draw(st.booleans()):
@@ -181,8 +181,6 @@ def argvs(draw, paths: list[str]) -> list[str]:
         return [command, *options, *window, "--", source]
     if draw(st.booleans()):
         options.append("--point=" + draw(_POINTS))
-    if draw(st.booleans()):
-        options.append("--pretty")
     if draw(st.integers(0, 2)) == 0:
         return [command, *options, "--stats=" + draw(_STATS)]
     if draw(st.booleans()):
@@ -204,7 +202,7 @@ def test_main_keeps_the_cli_contract(capsys, monkeypatch, csv_paths):
         assert code in (0, 1, 2), argv
         if code == 0:
             assert err == "", argv
-            if argv[0] != "braid" and "--pretty" not in argv:
+            if argv[0] != "braid":
                 json.loads(out, parse_constant=_refuse)
         else:
             assert out == "", argv

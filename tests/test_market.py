@@ -50,7 +50,12 @@ def test_blank_cell_names_date_and_ticker():
         ("2013-05-16,-1.00,75.00", "non-positive"),
         ("2013-05-15,72.00,75.00", "duplicate date"),
         ("15-05-2013,72.00,75.00", "unparseable date"),
+        # Compact and week ISO dates: date.fromisoformat takes them from Python 3.11 on.
+        ("20130515,72.00,75.00", "unparseable date"),
+        ("2013-W20-3,72.00,75.00", "unparseable date"),
+        ("2013W203,72.00,75.00", "unparseable date"),
         ("2013-05-16,72.123,75.00", "cent precision"),
+        ("2013-05-16,1234567890123456789012345678.991,75.00", "more than cent precision"),
         ("2013-05-16,72.00", "expected 3 fields"),
         ("2013-05-16,seventy,75.00", "unparseable price"),
         ("2013-05-16,inf,75.00", "non-finite price"),
@@ -102,6 +107,20 @@ def test_select_window_out_of_range(dow4_series):
 
 def test_csv_round_trip(dow4_series):
     assert parse_csv(format_csv(dow4_series)) == dow4_series
+
+
+def test_prices_past_28_digits_stay_exact():
+    # 30 significant digits: the default 28-digit decimal context would round both alike.
+    series = parse_csv("Date,A,B\n2013-05-15,1234567890123456789012345678.99,"
+                       "1234567890123456789012345678.98\n")
+    assert series.prices_cents == (
+        (123456789012345678901234567899, 123456789012345678901234567898),
+    )
+    # 29 significant digits round-trip, in cents and as a Decimal price.
+    long = parse_csv("Date,A\n2013-05-15,123456789012345678901234567.89\n")
+    assert long.prices_cents == ((12345678901234567890123456789,),)
+    assert format_csv(long) == "Date,A\n2013-05-15,123456789012345678901234567.89\n"
+    assert long.price(date(2013, 5, 15), "A") == Decimal("123456789012345678901234567.89")
 
 
 def test_lone_carriage_returns_end_records():
