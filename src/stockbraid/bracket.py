@@ -64,9 +64,7 @@ class CrossingCapExceeded(RuntimeError):
     """Raised when a braid is too large for exact polynomial evaluation."""
 
 
-def _crossing_cap(override: int | None) -> int:
-    if override is not None:
-        return override
+def _crossing_cap() -> int:
     raw = os.environ.get(CROSSING_CAP_ENV)
     if not raw:
         return DEFAULT_CROSSING_CAP
@@ -80,8 +78,8 @@ def _crossing_cap(override: int | None) -> int:
     return cap
 
 
-def _check_cap(k: ClosedBraid, max_crossings: int | None) -> None:
-    cap = _crossing_cap(max_crossings)
+def _check_cap(k: ClosedBraid) -> None:
+    cap = _crossing_cap()
     if len(k.braid) > cap:
         raise CrossingCapExceeded(
             f"{len(k.braid)} crossings exceed the exact-path cap of {cap}; "
@@ -160,11 +158,9 @@ def smoothing_states(k: ClosedBraid) -> Iterator[SmoothingState]:
         yield SmoothingState(tuple(choices), loops)
 
 
-def bracket_poly_state_sum(
-    k: ClosedBraid, *, max_crossings: int | None = None
-) -> LaurentPoly:
+def bracket_poly_state_sum(k: ClosedBraid) -> LaurentPoly:
     """The bracket by brute enumeration of all smoothing states."""
-    _check_cap(k, max_crossings)
+    _check_cap(k)
     c = len(k.braid)
     max_loops = k.braid.n_strands + c + 1
     d_powers = [LaurentPoly.one()]
@@ -194,14 +190,14 @@ def bracket_poly_state_sum(
 def _module(k: ClosedBraid) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """Start matching, generator offset and closing involution of the
     module k is swept on, from the closure's arcs: plat sweeps the n top
-    points from the bottom caps; trace sweeps bottom anchors 0..n-1 and
-    top points n..2n-1 from the identity tangle."""
+    points from the bottom caps and closes with the top caps, the same
+    involution (0 1)(2 3)...; trace sweeps bottom anchors 0..n-1 and top
+    points n..2n-1 from the identity tangle."""
     n = k.braid.n_strands
     arcs = closure_arcs(k)
     if k.closure == "plat":
-        half = n // 2
-        tops = [(x - n, y - n) for x, y in arcs[half:]]
-        return _involution(arcs[:half], n), 0, _involution(tops, n)
+        caps = _involution(arcs[: n // 2], n)
+        return caps, 0, caps
     identity = _involution(arcs, 2 * n)
     return identity, n, identity
 
@@ -270,14 +266,14 @@ def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
     return {matchings[s]: coeff for s, coeff in states.items()}, close
 
 
-def bracket_poly(k: ClosedBraid, *, max_crossings: int | None = None) -> LaurentPoly:
+def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """The Kauffman bracket of a braid closure, exact in the variable A.
 
     Normalized so a single circle evaluates to 1.  Raises
     CrossingCapExceeded above the configured crossing cap (default 24,
     overridable by the STOCKBRAID_CROSSING_CAP environment variable).
     """
-    _check_cap(k, max_crossings)
+    _check_cap(k)
     states, close = _sweep(
         k,
         one=LaurentPoly.one(),
@@ -325,28 +321,27 @@ def writhe_corrected(
     """f[K] = (-A)^(-3 Wr(K)) <K> from an already computed bracket of k.
 
     Read in quarter units of t, f[K] is the Jones polynomial under the
-    "paper" convention t = A^4; "standard" (t = A^{-4}) mirrors it.
+    "paper" convention t = A^4; "standard" (t = A^{-4}) mirrors it.  Any
+    other convention is a ValueError.
     """
+    if convention not in ("paper", "standard"):
+        raise ValueError(f"unknown Jones convention {convention!r}")
     f = neg_a_power(-3 * writhe(k.braid)) * bracket
     return f if convention == "paper" else f.mirrored()
 
 
-def kauffman_invariant(k: ClosedBraid, *, max_crossings: int | None = None) -> LaurentPoly:
+def kauffman_invariant(k: ClosedBraid) -> LaurentPoly:
     """f[K] = (-A)^(-3 Wr(K)) <K>, with the writhe taken from the word."""
-    return writhe_corrected(bracket_poly(k, max_crossings=max_crossings), k)
+    return writhe_corrected(bracket_poly(k), k)
 
 
-def jones_from_bracket(
-    k: ClosedBraid, convention: str = "paper", *, max_crossings: int | None = None
-) -> LaurentPoly:
+def jones_from_bracket(k: ClosedBraid, convention: str = "paper") -> LaurentPoly:
     """The Jones polynomial in quarter units of t (exponent q means t^(q/4)).
 
     convention "paper" reads t = A^4; "standard" reads t = A^{-4}, which
     mirrors every exponent.
     """
-    if convention not in ("paper", "standard"):
-        raise ValueError(f"unknown Jones convention {convention!r}")
-    return writhe_corrected(bracket_poly(k, max_crossings=max_crossings), k, convention)
+    return writhe_corrected(bracket_poly(k), k, convention)
 
 
 def _writhe_corrected_value(bracket_value: complex, a: complex, w: int) -> complex:

@@ -7,8 +7,8 @@ Subcommands:
 * ``invariant WORD|CSV``: diagram statistics plus the bracket and Jones
   polynomials of the chosen closure, JSON on stdout.
 * ``prob WORD|CSV``: build the interference braid against a test-strand
-  word, plat-close it, and evaluate the outcome probability; or probe
-  the bare formula with ``--stats``.
+  word, plat-close it, and evaluate the outcome probability at A =
+  e^(i pi/10) only; or probe the bare formula with ``--stats``.
 * ``render WORD``: ASCII or SVG diagram of a braid word.
 
 ``invariant`` and ``prob`` print one strict-JSON document.  Exit codes:
@@ -37,7 +37,7 @@ from .closure import ClosedBraid, diagram_stats
 from .crossings import audit_entries, braid_with_events, build_braid
 from .laurent import poly_to_json
 from .market import WindowError, parse_csv, parse_price_date, select_window
-from .outcome import FIBONACCI_POINT, interference_braid, outcome_from_stats, outcome_probability
+from .outcome import interference_braid, outcome_from_stats, outcome_probability
 from .render import render_ascii, render_svg
 
 _WORD_RE = re.compile(r"^\s*\d+\s*:")
@@ -114,7 +114,6 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
 
 
 def _cmd_prob(args: argparse.Namespace) -> int:
-    point = _parse_complex(args.point) if args.point else FIBONACCI_POINT
     if args.stats:
         fields = args.stats.split(",")
         if len(fields) != 4:
@@ -124,7 +123,6 @@ def _cmd_prob(args: argparse.Namespace) -> int:
             components=int(fields[1]),
             minima=int(fields[2]),
             writhe_value=int(fields[3]),
-            a=point,
         )
         _emit_json(report.to_json())
         return 0
@@ -134,7 +132,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     else:
         gamma = BraidWord(sigma.n_strands + 1)
     braid = free_reduce(interference_braid(sigma, gamma))
-    report = outcome_probability(ClosedBraid(braid, "plat"), point)
+    report = outcome_probability(ClosedBraid(braid, "plat"))
     doc = {"interference_word": format_word(braid)}
     doc.update(report.to_json())
     _emit_json(doc)
@@ -186,8 +184,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_window(p_prob)
     p_prob.add_argument("--gamma", metavar="WORD",
                         help="test-strand word on n+1 strands (default: empty)")
-    p_prob.add_argument("--point", metavar="COMPLEX",
-                        help="evaluation point A (default: exp(i*pi/10))")
     p_prob.add_argument("--stats", metavar="V,C,M,WR",
                         help="probe the formula on raw values instead of a braid")
     p_prob.set_defaults(func=_cmd_prob)

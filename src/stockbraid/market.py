@@ -101,6 +101,9 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
     if not raw:
         raise CsvFormatError(f"missing price for {ticker} on {row_date}")
     try:
+        # Decimal also reads non-ASCII digits and underscores; a price cell takes neither.
+        if not raw.isascii() or "_" in raw:
+            raise InvalidOperation
         value = Decimal(raw)
     except InvalidOperation:
         raise CsvFormatError(f"unparseable price {raw!r} for {ticker} on {row_date}") from None

@@ -6,8 +6,8 @@ leaving the appended test strand untouched, and the caller supplies the
 test trajectory gamma on n+1 strands.
 
 The outcome probability of a plat-closed diagram K is evaluated at the
-Fibonacci point A = e^(i pi / 10), where the loop value is the golden
-ratio phi = (1 + sqrt 5) / 2:
+Fibonacci point A = e^(i pi / 10) and nowhere else: the formula's powers
+of the golden ratio phi = (1 + sqrt 5) / 2 are the loop value there.
 
     prob = 1 / (1 + phi^2) *
            (1 + s * (-A)^(3 Wr) * V(A^4) / phi^(m - 2)),
@@ -107,12 +107,12 @@ def interference_braid(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
     return compose(lifted, compose(gamma, inverse(lifted)))
 
 
-def plat_amplitude(k: ClosedBraid, a: complex = FIBONACCI_POINT) -> complex:
-    """The normalized plat contraction <K> / phi^(n/2 - 1)."""
+def plat_amplitude(k: ClosedBraid) -> complex:
+    """The normalized plat contraction <K> / phi^(n/2 - 1) at the Fibonacci point."""
     if k.closure != "plat":
         raise ClosureError("the plat amplitude is defined only for plat closures")
     n = k.braid.n_strands
-    return bracket_eval(k, a) / _golden_power(n // 2 - 1)
+    return bracket_eval(k, FIBONACCI_POINT) / _golden_power(n // 2 - 1)
 
 
 def outcome_from_stats(
@@ -120,12 +120,8 @@ def outcome_from_stats(
     components: int,
     minima: int,
     writhe_value: int,
-    a: complex = FIBONACCI_POINT,
 ) -> OutcomeReport:
-    """Evaluate the outcome formula on raw diagram statistics."""
-    a = complex(a)
-    if not cmath.isfinite(a) or a == 0:
-        raise ValueError("evaluation point must be finite and nonzero")
+    """Evaluate the outcome formula at the Fibonacci point on raw diagram statistics."""
     if not cmath.isfinite(jones_value):
         raise ValueError("Jones value must be finite")
     if minima not in _MINIMA_RANGE:
@@ -135,7 +131,7 @@ def outcome_from_stats(
         )
     scale = _golden_power(minima - 2)
     try:
-        turn = (-a) ** (3 * writhe_value)
+        turn = (-FIBONACCI_POINT) ** (3 * writhe_value)
     except OverflowError:
         raise ValueError(f"(-A)^(3 Wr) overflows for writhe {writhe_value}") from None
     phi2 = _golden_power(2)
@@ -153,27 +149,24 @@ def outcome_from_stats(
         probability=probability,
         imag_residue=abs(full.imag),
         in_range=0.0 <= probability <= 1.0,
-        eval_point=a,
+        eval_point=FIBONACCI_POINT,
     )
 
 
-def outcome_probability(k: ClosedBraid, a: complex = FIBONACCI_POINT) -> OutcomeReport:
+def outcome_probability(k: ClosedBraid) -> OutcomeReport:
     """Evaluate the outcome formula for a plat-closed braid.
 
-    The Jones value at t = a^4 is computed directly from the bracket at
-    A = a, so the evaluation point of the Jones factor matches the
-    fourth power of a by argument arithmetic, with no root extraction.
+    The Jones value at t = A^4 is computed directly from the bracket at
+    the Fibonacci point A, with no root extraction.
     """
     if k.closure != "plat":
         raise ClosureError("the outcome probability is defined only for plat closures")
     w = writhe(k.braid)
-    # bracket_eval first: it rejects a = 0 before the writhe correction divides by it.
-    bracket = bracket_eval(k, a)
-    jones_value = _writhe_corrected_value(bracket, a, w)
+    bracket = bracket_eval(k, FIBONACCI_POINT)
+    jones_value = _writhe_corrected_value(bracket, FIBONACCI_POINT, w)
     return outcome_from_stats(
         jones_value=jones_value,
         components=component_count(k),
         minima=minima_count(k),
         writhe_value=w,
-        a=a,
     )

@@ -19,7 +19,7 @@ from stockbraid import (
     verify_jones_skein,
     writhe,
 )
-from stockbraid.bracket import smoothing_states
+from stockbraid.bracket import smoothing_states, writhe_corrected
 from stockbraid.laurent import LaurentPoly, neg_a_power
 
 D_POLY = LaurentPoly({2: -1, -2: -1})
@@ -100,7 +100,8 @@ def test_crossing_cap(monkeypatch):
     w = BraidWord.from_ints(2, [1] * 25)
     with pytest.raises(CrossingCapExceeded, match="bracket_eval"):
         bracket_poly(trace_close(w))
-    assert bracket_poly(trace_close(w), max_crossings=25)
+    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", "25")
+    assert bracket_poly(trace_close(w))
     monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", "30")
     assert bracket_poly(trace_close(w))
     monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", "10")
@@ -138,6 +139,9 @@ def test_jones_from_bracket_examples():
     assert jones_from_bracket(hopf, "paper") == jones_from_bracket(hopf, "standard").mirrored()
     with pytest.raises(ValueError):
         jones_from_bracket(hopf, "other")
+    trefoil = trace_close(parse_word("2: 1 1 1"))
+    with pytest.raises(ValueError, match="unknown Jones convention 'Paper'"):
+        writhe_corrected(bracket_poly(trefoil), trefoil, "Paper")
 
 
 def test_jones_eval_examples():

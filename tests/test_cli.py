@@ -202,9 +202,6 @@ def test_cli_runs_are_byte_identical(tmp_path):
     "argv",
     [
         ["invariant", "2: 1", "--eval", "0"],
-        ["prob", "3: 1", "--point", "0"],
-        ["prob", "3: 1", "--gamma", "4: 1", "--point", "0"],
-        ["prob", "--stats", "1,1,1,-1", "--point", "0"],
     ],
 )
 def test_evaluation_point_zero(capsys, argv):
@@ -235,7 +232,11 @@ def test_prob_stats_rejects_non_finite(capsys, value):
         (["1,1,5000,0"], "minima 5000 is out of range (-1472..1476)"),
         (["1,1,-99999,0"], "minima -99999 is out of range (-1472..1476)"),
         (["1,1,-1473,0"], "minima -1473 is out of range (-1472..1476)"),
-        (["1,1,2,100000", "--point", "2"], "(-A)^(3 Wr) overflows for writhe 100000"),
+        # 3 Wr does not convert to a float, so (-A)^(3 Wr) overflows.
+        pytest.param(
+            [f"1,1,2,{10**308}"], f"(-A)^(3 Wr) overflows for writhe {10**308}",
+            id="writhe-10**308",
+        ),
         (["1,1,1477,0"], "minima 1477 is out of range (-1472..1476)"),
     ],
 )
@@ -283,6 +284,20 @@ def test_pretty_is_a_usage_error(capsys, argv):
     assert (exc.value.code, out) == (2, "")
     assert err.startswith("usage: stockbraid")
     assert "unrecognized arguments: --pretty" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["prob", "3:"], ["prob", "3: 1", "--gamma", "4: 1"], ["prob", "--stats", "1,1,1,0"]],
+)
+def test_point_is_a_usage_error(capsys, argv):
+    # The readout runs only at the Fibonacci point; --point is an unknown option.
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--point", "2"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: stockbraid")
+    assert "unrecognized arguments: --point" in err
 
 
 def test_invariant_runs_one_bracket_sweep(capsys, monkeypatch):

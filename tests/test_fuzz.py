@@ -179,8 +179,6 @@ def argvs(draw, paths: list[str]) -> list[str]:
         if draw(st.booleans()):
             options.append("--eval=" + draw(_POINTS))
         return [command, *options, *window, "--", source]
-    if draw(st.booleans()):
-        options.append("--point=" + draw(_POINTS))
     if draw(st.integers(0, 2)) == 0:
         return [command, *options, "--stats=" + draw(_STATS)]
     if draw(st.booleans()):

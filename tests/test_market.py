@@ -58,6 +58,10 @@ def test_blank_cell_names_date_and_ticker():
         ("2013-05-16,1234567890123456789012345678.991,75.00", "more than cent precision"),
         ("2013-05-16,72.00", "expected 3 fields"),
         ("2013-05-16,seventy,75.00", "unparseable price"),
+        # Decimal reads these as 3.50, 12 and 1000; the price grammar is ASCII digits only.
+        ("2013-05-16,٣.٥٠,75.00", "unparseable price"),
+        ("2013-05-16,١٢,75.00", "unparseable price"),
+        ("2013-05-16,1_000,75.00", "unparseable price"),
         ("2013-05-16,inf,75.00", "non-finite price"),
         ("2013-05-16,-Infinity,75.00", "non-finite price"),
         ("2013-05-16,nan,75.00", "non-finite price"),

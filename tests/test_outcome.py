@@ -97,9 +97,7 @@ def test_interference_strand_mismatch():
 # --- plat amplitude ----------------------------------------------------------
 
 def test_amplitude_two_strand_identity():
-    k = plat_close(BraidWord(2))
-    for a in (FIBONACCI_POINT, cmath.exp(0.7j)):
-        assert abs(plat_amplitude(k, a) - 1) < 1e-12
+    assert abs(plat_amplitude(plat_close(BraidWord(2))) - 1) < 1e-12
 
 
 def test_amplitude_four_strand_identity_is_minus_one():
@@ -190,8 +188,3 @@ def test_report_serialization():
     }
     assert doc["eval_point"]["re"] == FIBONACCI_POINT.real
     assert doc["components"] == 2
-
-
-def test_outcome_rejects_non_finite_point():
-    with pytest.raises(ValueError):
-        outcome_from_stats(1, 1, 1, 0, a=complex("inf"))
