@@ -9,8 +9,10 @@ The bracket is computed two ways, cross-checked in the tests:
   crossing count; this is the reference oracle.
 * one Temperley-Lieb sweep over non-crossing perfect matchings,
   polynomial time in crossings for a fixed strand count and generic over
-  the coefficient ring: ``bracket_poly`` runs it on exact Laurent
-  polynomials, ``bracket_eval`` on complex numbers at a point A = a.
+  the coefficient ring: ``bracket_poly`` runs it on packed integers, each
+  a polynomial in A^2 with one signed coefficient per W-bit field,
+  W = 2c + 4 for c crossings (Kronecker substitution), and
+  ``bracket_eval`` on complex numbers at a point A = a.
   Plat closures sweep the n-point module (dimension Catalan(n/2)) from
   the bottom caps and close it with the top caps; trace closures sweep
   the 2n-point module from the identity tangle and close it by joining
@@ -55,8 +57,6 @@ from .laurent import LaurentPoly, neg_a_power
 DEFAULT_CROSSING_CAP = 24
 CROSSING_CAP_ENV = "STOCKBRAID_CROSSING_CAP"
 
-_A = LaurentPoly.monomial(1)
-_A_INV = LaurentPoly.monomial(-1)
 _D_POLY = LaurentPoly({2: -1, -2: -1})
 
 
@@ -223,8 +223,10 @@ def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
     """The state vector of k's braid word, with ring-generic coefficients,
     and the involution that closes it.
 
-    weight_pos / weight_neg are (cupcap, vertical) weight pairs for the two
-    generator signs; coefficients only need ``*`` and ``+``.
+    weight_pos / weight_neg are (cupcap, vertical, loop) weight triples
+    for the two generator signs: a cap-cup smoothing that closes a loop
+    is weighted ``loop * d`` instead of ``cupcap``.  Coefficients only
+    need ``*`` and ``+``.
 
     States are interned: ``matchings[s]`` is the matching with id s and
     ``index`` maps it back, and ``moves[a][s]`` memoizes the id of the
@@ -244,7 +246,7 @@ def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
     states = {0: one}
     for g in k.braid.generators:
         a = offset + g.index - 1
-        w_cup, w_vert = weight_pos if g.exponent > 0 else weight_neg
+        w_cup, w_vert, w_loop = weight_pos if g.exponent > 0 else weight_neg
         move = moves.setdefault(a, {})
         nxt: dict[int, object] = {}
         for s, coeff in states.items():
@@ -259,11 +261,28 @@ def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
                     t = index[m2] = len(matchings)
                     matchings.append(m2)
                 move[s] = t
-            cup_coeff = coeff * w_cup * d if t == s else coeff * w_cup
+            cup_coeff = coeff * w_loop * d if t == s else coeff * w_cup
             prev = nxt.get(t)
             nxt[t] = cup_coeff if prev is None else prev + cup_coeff
         states = nxt
     return {matchings[s]: coeff for s, coeff in states.items()}, close
+
+
+def _unpack(packed: int, width: int, shift: int) -> LaurentPoly:
+    """The Laurent polynomial in A whose A^(2i + shift) coefficient is the
+    i-th signed width-bit digit of packed, lowest digit first.  Digits are
+    balanced, in [-2^(width-1), 2^(width-1)), so negative coefficients
+    read back as they were packed."""
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    terms = {}
+    while packed:
+        digit = ((packed + half) & mask) - half
+        if digit:
+            terms[shift] = digit
+        packed = (packed - digit) >> width
+        shift += 2
+    return LaurentPoly(terms)
 
 
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
@@ -274,21 +293,38 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     overridable by the STOCKBRAID_CROSSING_CAP environment variable).
     """
     _check_cap(k)
+    # The sweep runs on packed integers.  Each generator's weights are
+    # taken times A^3, so every weight is a non-negative power of A^2
+    # (positive generator: cap-cup A^4, vertical A^2, loop A^4 d =
+    # -(A^6 + A^2); negative: A^2, A^4 and A^2 d = -(A^4 + 1)), and a
+    # coefficient sum_i a_i A^(2i) is held as the integer sum_i a_i 2^(W i):
+    # polynomial products and sums become integer ones, and the result is
+    # shifted back by A^(-3c) once decoded.
+    #
+    # The digits decode exactly while every |a_i| < 2^(W-1).  Call the sum
+    # of |a_i| over all states and digits the mass of a state vector; the
+    # start has mass 1.  A generator maps a coefficient of mass M to a
+    # vertical term of mass M and a cap-cup term of mass M, or 2M when it
+    # closes a loop, so the mass grows at most 3x per crossing.  Every
+    # digit of a state, or of a sum of states, is then at most
+    # 3^c < 4^c < 2^(2c+3) = 2^(W-1) for W = 2c + 4.
+    c = len(k.braid)
+    width = 2 * c + 4
+    a2, a4, a6 = 1 << width, 1 << 2 * width, 1 << 3 * width
     states, close = _sweep(
         k,
-        one=LaurentPoly.one(),
-        weight_pos=(_A, _A_INV),
-        weight_neg=(_A_INV, _A),
-        d=_D_POLY,
+        one=1,
+        weight_pos=(a4, a2, -(a6 + a2)),
+        weight_neg=(a2, a4, -(a4 + 1)),
+        d=1,
     )
-    by_cycles: dict[int, LaurentPoly] = {}
+    by_cycles: dict[int, int] = {}
     for m, coeff in states.items():
         cycles = _cycles(m, close)
-        prev = by_cycles.get(cycles)
-        by_cycles[cycles] = coeff if prev is None else prev + coeff
+        by_cycles[cycles] = by_cycles.get(cycles, 0) + coeff
     total = LaurentPoly.zero()
-    for cycles, coeff in by_cycles.items():
-        total = total + coeff * _D_POLY ** (cycles - 1)
+    for cycles, packed in by_cycles.items():
+        total = total + _unpack(packed, width, -3 * c) * _D_POLY ** (cycles - 1)
     return total
 
 
@@ -302,8 +338,8 @@ def bracket_eval(k: ClosedBraid, a: complex) -> complex:
     states, close = _sweep(
         k,
         one=complex(1),
-        weight_pos=(a, a_inv),
-        weight_neg=(a_inv, a),
+        weight_pos=(a, a_inv, a),
+        weight_neg=(a_inv, a, a_inv),
         d=d,
     )
     total = 0j

@@ -175,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--convention", choices=("paper", "standard"),
                        help="Jones variable convention (default: both)")
     p_inv.add_argument("--eval", dest="eval_point", metavar="COMPLEX",
-                       help="also evaluate numerically at this point A")
+                       help="also evaluate numerically at this point A; "
+                            "a value with a leading minus needs the = form, --eval=-0.5+1j")
     p_inv.set_defaults(func=_cmd_invariant)
 
     p_prob = sub.add_parser("prob", help="outcome probability of the interference closure")
@@ -185,7 +186,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_prob.add_argument("--gamma", metavar="WORD",
                         help="test-strand word on n+1 strands (default: empty)")
     p_prob.add_argument("--stats", metavar="V,C,M,WR",
-                        help="probe the formula on raw values instead of a braid")
+                        help="probe the formula on raw values instead of a braid; "
+                             "a value with a leading minus needs the = form, --stats=-2+3j,1,1,0")
     p_prob.set_defaults(func=_cmd_prob)
 
     p_render = sub.add_parser("render", help="draw a braid word")

@@ -210,6 +210,27 @@ def test_evaluation_point_zero(capsys, argv):
     assert err == "error: evaluation point must be finite and nonzero\n"
 
 
+@pytest.mark.parametrize(
+    "option,value,command",
+    [("--eval", "-0.5+1j", ["invariant", "2: 1"]), ("--stats", "-2+3j,1,1,0", ["prob"])],
+)
+def test_leading_minus_value_needs_the_equals_form(capsys, option, value, command):
+    # argparse reads "-0.5+1j" after a space as an option, so only --opt=VALUE takes it.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, option, value])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert f"argument {option}: expected one argument" in err
+
+    code, out, err = run_cli(capsys, *command, f"{option}={value}")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if option == "--eval":
+        assert doc["eval"]["point_a"] == {"re": -0.5, "im": 1.0}
+    else:
+        assert doc["jones_value"] == {"re": -2.0, "im": 3.0}
+
+
 @pytest.mark.parametrize("value", ["-3", "abc"])
 def test_invalid_crossing_cap(capsys, monkeypatch, value):
     monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", value)

@@ -1,5 +1,6 @@
 """The interned Temperley-Lieb sweep against the tuple-keyed sweep it
-replaced, kept below as a reference copy.
+replaced, kept below as a reference copy, and the packed-integer ring of
+``bracket_poly`` against the sweep on Laurent polynomials.
 
 Interning must not change a single bit: the state vectors have to come
 out item for item in the same order, and ``bracket_eval`` has to agree on
@@ -16,8 +17,17 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stockbraid import BraidWord, ClosedBraid, bracket, bracket_eval, format_word, free_reduce
+from stockbraid import (
+    BraidWord,
+    ClosedBraid,
+    bracket,
+    bracket_eval,
+    bracket_poly,
+    format_word,
+    free_reduce,
+)
 from stockbraid.cli import main
+from stockbraid.closure import _cycles
 from stockbraid.laurent import LaurentPoly
 from stockbraid.outcome import interference_braid
 
@@ -33,14 +43,14 @@ def tuple_keyed_sweep(k, one, weight_pos, weight_neg, d):
     for g in k.braid.generators:
         a = offset + g.index - 1
         b = a + 1
-        w_cup, w_vert = weight_pos if g.exponent > 0 else weight_neg
+        w_cup, w_vert, w_loop = weight_pos if g.exponent > 0 else weight_neg
         nxt = {}
         for m, coeff in states.items():
             vert_coeff = coeff * w_vert
             prev = nxt.get(m)
             nxt[m] = vert_coeff if prev is None else prev + vert_coeff
             if m[a] == b:
-                cup_coeff = coeff * w_cup * d
+                cup_coeff = coeff * w_loop * d
                 key = m
             else:
                 j, kk = m[a], m[b]
@@ -58,14 +68,16 @@ def tuple_keyed_sweep(k, one, weight_pos, weight_neg, d):
 def numeric_ring(a: complex) -> dict:
     a_inv = 1 / a
     d = -(a * a) - (a_inv * a_inv)
-    return {"one": complex(1), "weight_pos": (a, a_inv), "weight_neg": (a_inv, a), "d": d}
+    return {"one": complex(1), "weight_pos": (a, a_inv, a), "weight_neg": (a_inv, a, a_inv), "d": d}
 
 
+# Exact Laurent-polynomial weights: the reference for bracket_poly's packed ring.
+A, A_INV = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
 EXACT_RING = {
     "one": LaurentPoly.one(),
-    "weight_pos": (bracket._A, bracket._A_INV),
-    "weight_neg": (bracket._A_INV, bracket._A),
-    "d": bracket._D_POLY,
+    "weight_pos": (A, A_INV, A),
+    "weight_neg": (A_INV, A, A_INV),
+    "d": LaurentPoly({2: -1, -2: -1}),
 }
 
 
@@ -164,6 +176,81 @@ def test_comparison_tells_signed_zeros_apart():
         for coeff in bracket._sweep(k, **numeric_ring(1j))[0].values():
             zeros.update(repr(x) for x in (coeff.real, coeff.imag) if x == 0)
     assert zeros == {"0.0", "-0.0"}
+
+
+def laurent_bracket(k: ClosedBraid) -> LaurentPoly:
+    """The bracket from the sweep on the Laurent-polynomial ring."""
+    states, close = bracket._sweep(k, **EXACT_RING)
+    total = LaurentPoly.zero()
+    for m, coeff in states.items():
+        total = total + coeff * EXACT_RING["d"] ** (_cycles(m, close) - 1)
+    return total
+
+
+def words_of(seed: int, count: int, strands, crossings) -> list[ClosedBraid]:
+    """count seeded closures on strand counts drawn from strands and
+    crossing counts drawn from crossings: plat and trace alternate, and an
+    odd strand count, which has no plat closure, is closed as a trace."""
+    rng = random.Random(seed)
+    words = []
+    for i in range(count):
+        n = rng.choice(strands)
+        ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.choice(crossings))]
+        closure = "plat" if i % 2 == 0 and n % 2 == 0 else "trace"
+        words.append(ClosedBraid(BraidWord.from_ints(n, ints), closure))
+    return words
+
+
+def test_packed_bracket_matches_the_laurent_ring_at_the_cap():
+    for k in words_of(seed=8, count=16, strands=[8], crossings=[24]):
+        assert bracket_poly(k) == laurent_bracket(k)
+
+
+def test_packed_bracket_matches_the_laurent_ring_above_the_cap(monkeypatch):
+    monkeypatch.setenv(bracket.CROSSING_CAP_ENV, "40")
+    for k in words_of(seed=9, count=24, strands=[4, 5, 6], crossings=range(25, 41)):
+        assert bracket_poly(k) == laurent_bracket(k)
+
+
+def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch):
+    # Every state's packed coefficient decodes to its Laurent coefficient
+    # times the global factor A^3 per crossing, in the same state order.
+    sweeps = []
+    sweep = bracket._sweep
+
+    def recorded(k, **ring):
+        result = sweep(k, **ring)
+        sweeps.append(result[0])
+        return result
+
+    monkeypatch.setattr(bracket, "_sweep", recorded)
+    for k in words_of(seed=10, count=12, strands=[2, 3, 4, 6], crossings=range(0, 25)):
+        bracket_poly(k)
+        packed = sweeps.pop()
+        want = sweep(k, **EXACT_RING)[0]
+        c = len(k.braid)
+        assert list(packed) == list(want)
+        decoded = [bracket._unpack(p, 2 * c + 4, 0) for p in packed.values()]
+        assert decoded == [coeff.shifted(3 * c) for coeff in want.values()]
+
+
+def test_a_narrower_digit_width_is_caught():
+    # The same bracket_poly with W = c // 2 bits per digit.  Bracket
+    # coefficients stay far below the 3^c bound, so the narrow digits
+    # overflow into their neighbours only on some words: wide strand
+    # counts at few crossings.
+    source = inspect.getsource(bracket.bracket_poly)
+    width = "width = 2 * c + 4"
+    assert source.count(width) == 1
+    namespace = dict(vars(bracket))
+    exec(source.replace(width, "width = c // 2"), namespace)
+    narrow_bracket = namespace["bracket_poly"]
+
+    caught = 0
+    for k in words_of(seed=11, count=40, strands=[6, 8], crossings=range(8, 17)):
+        if narrow_bracket(k) != laurent_bracket(k):
+            caught += 1
+    assert caught > 0
 
 
 def interference_case():
