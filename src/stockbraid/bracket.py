@@ -47,15 +47,13 @@ across calls.
 from __future__ import annotations
 
 import cmath
-import os
 from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, Generator, compose, writhe
 from .closure import ClosedBraid, _cycles, _involution, closure_arcs
 from .laurent import LaurentPoly, neg_a_power
 
-DEFAULT_CROSSING_CAP = 24
-CROSSING_CAP_ENV = "STOCKBRAID_CROSSING_CAP"
+CROSSING_CAP = 24
 
 _D_POLY = LaurentPoly({2: -1, -2: -1})
 
@@ -64,25 +62,10 @@ class CrossingCapExceeded(RuntimeError):
     """Raised when a braid is too large for exact polynomial evaluation."""
 
 
-def _crossing_cap() -> int:
-    raw = os.environ.get(CROSSING_CAP_ENV)
-    if not raw:
-        return DEFAULT_CROSSING_CAP
-    invalid = ValueError(f"{CROSSING_CAP_ENV} must be a non-negative integer, got {raw!r}")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise invalid from None
-    if cap < 0:
-        raise invalid
-    return cap
-
-
 def _check_cap(k: ClosedBraid) -> None:
-    cap = _crossing_cap()
-    if len(k.braid) > cap:
+    if len(k.braid) > CROSSING_CAP:
         raise CrossingCapExceeded(
-            f"{len(k.braid)} crossings exceed the exact-path cap of {cap}; "
+            f"{len(k.braid)} crossings exceed the exact-path cap of {CROSSING_CAP}; "
             "use bracket_eval for numeric evaluation at a point"
         )
 
@@ -289,8 +272,9 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """The Kauffman bracket of a braid closure, exact in the variable A.
 
     Normalized so a single circle evaluates to 1.  Raises
-    CrossingCapExceeded above the configured crossing cap (default 24,
-    overridable by the STOCKBRAID_CROSSING_CAP environment variable).
+    CrossingCapExceeded above CROSSING_CAP crossings.  The cap bounds
+    crossings only: the sweep's cost also grows with the strand count,
+    which sets how many matchings a state vector can hold.
     """
     _check_cap(k)
     # The sweep runs on packed integers.  Each generator's weights are

@@ -37,7 +37,7 @@ from .closure import ClosedBraid, diagram_stats
 from .crossings import audit_entries, braid_with_events, build_braid
 from .laurent import poly_to_json
 from .market import WindowError, parse_csv, parse_price_date, select_window
-from .outcome import interference_braid, outcome_from_stats, outcome_probability
+from .outcome import _complex_json, interference_braid, outcome_from_stats, outcome_probability
 from .render import render_ascii, render_svg
 
 _WORD_RE = re.compile(r"^\s*\d+\s*:")
@@ -102,13 +102,10 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     if args.eval_point is not None:
         a = _parse_complex(args.eval_point)
         value = bracket_eval(k, a)
-        doc["eval"] = {
-            "point_a": {"re": a.real, "im": a.imag},
-            "bracket_value": {"re": value.real, "im": value.imag},
-        }
+        doc["eval"] = {"point_a": _complex_json(a), "bracket_value": _complex_json(value)}
         if args.jones:
             v = _writhe_corrected_value(value, a, writhe(word))
-            doc["eval"]["jones_value_at_a4"] = {"re": v.real, "im": v.imag}
+            doc["eval"]["jones_value_at_a4"] = _complex_json(v)
     _emit_json(doc)
     return 0
 
@@ -217,6 +214,10 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError as exc:
         # Float arithmetic at an extreme evaluation point or statistic.
         _report(f"numeric overflow: {exc}")
+        return 1
+    except MemoryError:
+        # A word on hundreds of millions of strands, say.
+        _report("out of memory")
         return 1
     except (ValueError, OSError) as exc:
         _report(str(exc))

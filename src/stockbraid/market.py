@@ -123,12 +123,16 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
 
 
 def _records(text: str):
-    """The CSV records of text after any leading byte-order marks.  A
-    record ends at LF, CRLF or a lone CR, as in a file opened with
-    universal newlines; the csv module's own errors become CsvFormatError."""
+    """The CSV records of text after any leading byte-order marks, each
+    with the physical line it starts on.  A record ends at LF, CRLF or a
+    lone CR, as in a file opened with universal newlines; the csv
+    module's own errors become CsvFormatError."""
     reader = csv.reader(io.StringIO(text.lstrip("﻿"), newline=""))
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
@@ -143,7 +147,7 @@ def parse_csv(text: str) -> PriceSeries:
     """
     reader = _records(text)
     try:
-        header = next(reader)
+        _, header = next(reader)
     except StopIteration:
         raise CsvFormatError("empty document: no header row") from None
     if len(header) < 2:
@@ -151,7 +155,7 @@ def parse_csv(text: str) -> PriceSeries:
     tickers = tuple(h.strip() for h in header[1:])
     rows: list[tuple[date, tuple[int, ...]]] = []
     seen: set[date] = set()
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
         if len(row) != len(header):

@@ -7,6 +7,7 @@ import pytest
 from stockbraid import (
     BraidWord,
     CrossingCapExceeded,
+    bracket,
     bracket_eval,
     bracket_poly,
     bracket_poly_state_sum,
@@ -97,14 +98,17 @@ def test_eval_agrees_with_exact_polynomial(rand_word):
 
 
 def test_crossing_cap(monkeypatch):
+    assert bracket.CROSSING_CAP == 24
     w = BraidWord.from_ints(2, [1] * 25)
     with pytest.raises(CrossingCapExceeded, match="bracket_eval"):
         bracket_poly(trace_close(w))
-    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", "25")
+    with pytest.raises(CrossingCapExceeded, match="bracket_eval"):
+        bracket_poly_state_sum(trace_close(w))
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 25)
     assert bracket_poly(trace_close(w))
-    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", "30")
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 30)
     assert bracket_poly(trace_close(w))
-    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", "10")
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 10)
     with pytest.raises(CrossingCapExceeded):
         bracket_poly(trace_close(BraidWord.from_ints(2, [1] * 11)))
 

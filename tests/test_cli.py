@@ -115,10 +115,27 @@ def test_invariant_from_csv(capsys):
 
 
 def test_invariant_cap_exit_code(capsys, monkeypatch):
-    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", "3")
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 3)
     code, _, err = run_cli(capsys, "invariant", "2: 1 1 1 1", "--bracket", "--closure", "trace")
     assert code == 2
     assert "bracket_eval" in err
+
+
+@pytest.mark.parametrize("value", ["3", "abc", "-3"])
+def test_the_environment_does_not_move_the_crossing_cap(capsys, monkeypatch, value):
+    argv = ["invariant", "2: 1 1 1 1", "--closure", "trace", "--bracket"]
+    over_cap = ["invariant", "2: " + " ".join(["1"] * 25), "--bracket"]
+    monkeypatch.delenv("STOCKBRAID_CROSSING_CAP", raising=False)
+    unset = run_cli(capsys, *argv)
+    assert unset[0] == 0
+    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", value)
+    assert run_cli(capsys, *argv) == unset
+    assert run_cli(capsys, *over_cap) == (
+        2,
+        "",
+        "error: 25 crossings exceed the exact-path cap of 24; "
+        "use bracket_eval for numeric evaluation at a point\n",
+    )
 
 
 def test_prob_stats_probe(capsys):
@@ -231,13 +248,17 @@ def test_leading_minus_value_needs_the_equals_form(capsys, option, value, comman
         assert doc["jones_value"] == {"re": -2.0, "im": 3.0}
 
 
-@pytest.mark.parametrize("value", ["-3", "abc"])
-def test_invalid_crossing_cap(capsys, monkeypatch, value):
-    monkeypatch.setenv("STOCKBRAID_CROSSING_CAP", value)
-    code, out, err = run_cli(capsys, "invariant", "2: ", "--bracket")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: STOCKBRAID_CROSSING_CAP must be a non-negative integer")
-    assert err.count("\n") == 1
+@pytest.mark.parametrize("argv", [
+    ["invariant", "2: 1"],
+    ["render", "2: 1"],
+    ["prob", "3: 1"],
+])
+def test_memory_error_is_one_error_line(capsys, monkeypatch, argv):
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "parse_word", exhausted)
+    assert run_cli(capsys, *argv) == (1, "", "error: out of memory\n")
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1+infj"])

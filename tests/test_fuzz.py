@@ -19,12 +19,12 @@ from stockbraid import (
     CsvFormatError,
     PriceSeries,
     WordFormatError,
+    bracket,
     format_csv,
     format_word,
     parse_csv,
     parse_word,
 )
-from stockbraid.bracket import CROSSING_CAP_ENV
 from stockbraid.cli import main
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -194,7 +194,7 @@ def test_main_keeps_the_cli_contract(capsys, monkeypatch, csv_paths):
         csv_paths[-1].write_text(data.draw(csv_documents()), encoding="utf-8", newline="")
         argv = data.draw(argvs([str(p) for p in csv_paths]))
         # A low crossing cap makes the exact path refuse (exit 2) now and then.
-        monkeypatch.setenv(CROSSING_CAP_ENV, data.draw(st.sampled_from(["24", "4"])))
+        monkeypatch.setattr(bracket, "CROSSING_CAP", data.draw(st.sampled_from([24, 4])))
         code = main(argv)
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv

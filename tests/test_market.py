@@ -134,3 +134,10 @@ def test_lone_carriage_returns_end_records():
 def test_csv_module_errors_are_format_errors():
     with pytest.raises(CsvFormatError, match="line 2: field larger than field limit"):
         parse_csv('Date,A\n2013-05-15,"' + "9" * 200_000 + '"\n')
+
+
+def test_line_numbers_count_quoted_line_breaks():
+    # The second record spans lines 2 and 3, so the bad record starts on line 4.
+    text = 'Date,A,B\n2013-01-01,"1.00","2\n"\n2013-01-02,1,2,3\n'
+    with pytest.raises(CsvFormatError, match="^line 4: expected 3 fields, got 4$"):
+        parse_csv(text)

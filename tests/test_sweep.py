@@ -207,7 +207,7 @@ def test_packed_bracket_matches_the_laurent_ring_at_the_cap():
 
 
 def test_packed_bracket_matches_the_laurent_ring_above_the_cap(monkeypatch):
-    monkeypatch.setenv(bracket.CROSSING_CAP_ENV, "40")
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 40)
     for k in words_of(seed=9, count=24, strands=[4, 5, 6], crossings=range(25, 41)):
         assert bracket_poly(k) == laurent_bracket(k)
 
