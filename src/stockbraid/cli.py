@@ -53,11 +53,11 @@ def _parse_complex(text: str) -> complex:
 def _load_series(path: str, start: str | None, end: str | None):
     with open(path, encoding="utf-8") as fh:
         series = parse_csv(fh.read())
-    if start or end:
+    if start is not None or end is not None:
         if not series.dates:
             raise WindowError(f"{path} has no dates to window")
-        lo = parse_price_date(start) if start else series.dates[0]
-        hi = parse_price_date(end) if end else series.dates[-1]
+        lo = series.dates[0] if start is None else parse_price_date(start)
+        hi = series.dates[-1] if end is None else parse_price_date(end)
         series = select_window(series, lo, hi)
     return series
 

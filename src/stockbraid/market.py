@@ -4,6 +4,11 @@ Prices are stored as integer cents, never as binary floats: the crossing
 rule downstream compares price differences as small as one cent, and a
 rounding error there could flip a generator sign.  Missing cells are
 rejected rather than filled; a fabricated price can fabricate a crossing.
+
+Ingest is one csv.reader pass over the document.  A row of plain prices
+(ASCII digits, at most two decimals) is checked by one regex match and
+read with int(), other rows cell by cell with Decimal; dates are read by
+one ASCII regex, and validation takes one pass per row.
 """
 
 from __future__ import annotations
@@ -11,12 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
 
 _EXACT = Context(prec=MAX_PREC)  # the default Emax still raises Overflow
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_US_DATE = re.compile(r"(1[0-2]|0?[1-9])/(3[01]|[12][0-9]|0?[1-9])/([0-9]{4})")
 
 
 def cents_to_decimal(cents: int) -> Decimal:
@@ -59,9 +66,9 @@ class PriceSeries:
         for d, row in zip(self.dates, self.prices_cents):
             if len(row) != len(self.tickers):
                 raise CsvFormatError(f"row {d} has {len(row)} cells, expected {len(self.tickers)}")
-            for t, cents in zip(self.tickers, row):
-                if cents <= 0:
-                    raise CsvFormatError(f"non-positive price for {t} on {d}")
+            if row and min(row) <= 0:
+                t = next(t for t, cents in zip(self.tickers, row) if cents <= 0)
+                raise CsvFormatError(f"non-positive price for {t} on {d}")
 
     def price_cents(self, on: date, ticker: str) -> int:
         return self.prices_cents[self.date_index(on)][self.ticker_index(ticker)]
@@ -83,11 +90,13 @@ class PriceSeries:
 
 
 def parse_price_date(text: str) -> date:
-    """Accept ISO YYYY-MM-DD and M/D/YYYY forms only, on every Python."""
+    """Accept ISO YYYY-MM-DD and M/D/YYYY forms only, in ASCII digits, on every Python."""
     text = text.strip()
     try:
-        if "/" in text:
-            return datetime.strptime(text, "%m/%d/%Y").date()
+        us = _US_DATE.fullmatch(text)
+        if us:
+            month, day, year = us.groups()
+            return date(int(year), int(month), int(day))
         if _ISO_DATE.fullmatch(text):
             return date.fromisoformat(text)
     except ValueError:
@@ -122,6 +131,28 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
     return int(cents)
 
 
+# A row of plain prices: ASCII digits with at most two decimals and no
+# sign, space or exponent, as in the Dow sample.  Any other row, and every
+# error message, goes cell by cell through _parse_cents.  The digit bound
+# keeps int() far below its string-length limit.
+_PLAIN_ROW = re.compile(r"[0-9]{1,15}(?:\.[0-9]{1,2})?(?:,[0-9]{1,15}(?:\.[0-9]{1,2})?)*")
+
+
+def _plain_row_cents(cells: list[str]) -> tuple[int, ...] | None:
+    """The cents of a row of plain, positive prices, or None for any other row."""
+    joined = ",".join(cells)
+    if not _PLAIN_ROW.fullmatch(joined):
+        return None
+    prices = joined.split(",")
+    if len(prices) != len(cells):  # a quoted cell held a comma
+        return None
+    cents = tuple(
+        int(whole + frac.ljust(2, "0"))
+        for whole, _, frac in (price.partition(".") for price in prices)
+    )
+    return cents if all(cents) else None
+
+
 def _records(text: str):
     """The CSV records of text after any leading byte-order marks, each
     with the physical line it starts on.  A record ends at LF, CRLF or a
@@ -143,7 +174,8 @@ def parse_csv(text: str) -> PriceSeries:
 
     The result is normalized to ascending dates.  Any missing, blank,
     non-positive, or over-precise cell rejects the whole document with
-    the offending date and ticker named.
+    the offending date and ticker named: the first such cell in document
+    order.
     """
     reader = _records(text)
     try:
@@ -156,7 +188,7 @@ def parse_csv(text: str) -> PriceSeries:
     rows: list[tuple[date, tuple[int, ...]]] = []
     seen: set[date] = set()
     for lineno, row in reader:
-        if not row or all(not cell.strip() for cell in row):
+        if not "".join(row).strip():
             continue
         if len(row) != len(header):
             raise CsvFormatError(
@@ -166,9 +198,10 @@ def parse_csv(text: str) -> PriceSeries:
         if row_date in seen:
             raise CsvFormatError(f"duplicate date {row_date.isoformat()}")
         seen.add(row_date)
-        cents = tuple(
+        cells = row[1:]
+        cents = _plain_row_cents(cells) or tuple(
             _parse_cents(cell, row_date, ticker)
-            for cell, ticker in zip(row[1:], tickers)
+            for cell, ticker in zip(cells, tickers)
         )
         rows.append((row_date, cents))
     rows.sort(key=lambda item: item[0])
@@ -193,13 +226,15 @@ def select_window(series: PriceSeries, start: date, end: date) -> PriceSeries:
     """The sub-series of dates d with start <= d <= end, bounds inclusive."""
     if start > end:
         raise WindowError(f"window start {start} is after end {end}")
-    keep = [i for i, d in enumerate(series.dates) if start <= d <= end]
-    if not keep:
+    # Dates are strictly increasing, so the window is one contiguous slice.
+    lo = bisect_left(series.dates, start)
+    hi = bisect_right(series.dates, end)
+    if lo == hi:
         raise WindowError(
             f"window {start.isoformat()}..{end.isoformat()} selects no dates"
         )
     return PriceSeries(
         tickers=series.tickers,
-        dates=tuple(series.dates[i] for i in keep),
-        prices_cents=tuple(series.prices_cents[i] for i in keep),
+        dates=series.dates[lo:hi],
+        prices_cents=series.prices_cents[lo:hi],
     )

@@ -55,6 +55,20 @@ def test_compact_iso_window_date_is_an_input_error(capsys):
     assert (code, out, err) == (1, "", "error: unparseable date '20130520'\n")
 
 
+@pytest.mark.parametrize("value", ["3/ 1/2013", "5/2٠/2013"])
+def test_padded_or_non_ascii_window_date_is_an_input_error(capsys, value):
+    code, out, err = run_cli(capsys, "braid", str(DOW4_CSV), "--from", value)
+    assert (code, out, err) == (1, "", f"error: unparseable date {value!r}\n")
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("value", ["", "  "], ids=["empty", "spaces"])
+def test_blank_window_date_is_an_input_error(capsys, flag, value):
+    # An empty --from is a date that does not parse, not an absent bound.
+    code, out, err = run_cli(capsys, "braid", str(DOW4_CSV), flag, value)
+    assert (code, out, err) == (1, "", "error: unparseable date ''\n")
+
+
 def test_braid_constant_prices(capsys, tmp_path):
     csv = tmp_path / "flat.csv"
     csv.write_text("Date,A,B\n2013-05-15,10.00,20.00\n2013-05-16,10.00,20.00\n")

@@ -1,15 +1,19 @@
-from datetime import date
+from datetime import date, datetime, timedelta
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stockbraid import (
     CsvFormatError,
     WindowError,
     format_csv,
+    market,
     parse_csv,
     select_window,
 )
+from stockbraid.market import PriceSeries, parse_price_date
 
 
 def test_parse_dow4_table(dow4_series):
@@ -54,6 +58,10 @@ def test_blank_cell_names_date_and_ticker():
         ("20130515,72.00,75.00", "unparseable date"),
         ("2013-W20-3,72.00,75.00", "unparseable date"),
         ("2013W203,72.00,75.00", "unparseable date"),
+        # The M/D/YYYY grammar is ASCII digits with no inner padding.
+        ("3/1/٢٠١٣,72.00,75.00", "unparseable date"),
+        ("3/ 1/2013,72.00,75.00", "unparseable date"),
+        ("2/29/2013,72.00,75.00", "unparseable date"),
         ("2013-05-16,72.123,75.00", "cent precision"),
         ("2013-05-16,1234567890123456789012345678.991,75.00", "more than cent precision"),
         ("2013-05-16,72.00", "expected 3 fields"),
@@ -141,3 +149,156 @@ def test_line_numbers_count_quoted_line_breaks():
     text = 'Date,A,B\n2013-01-01,"1.00","2\n"\n2013-01-02,1,2,3\n'
     with pytest.raises(CsvFormatError, match="^line 4: expected 3 fields, got 4$"):
         parse_csv(text)
+
+
+def test_us_dates_match_strptime_on_ascii_digits():
+    # Every month and day field from 0 to 13 and 0 to 32, bare and zero-padded,
+    # against the strptime reading of M/D/YYYY that the grammar replaced.
+    years = ["2013", "2012", "2000", "1900", "0001", "0000", "9999", "13", "02013", "201", "abcd"]
+    padded = [f"{v:02d}" for v in range(10)]
+    for m in [str(v) for v in range(14)] + padded:
+        for d in [str(v) for v in range(33)] + padded:
+            for y in years:
+                text = f"{m}/{d}/{y}"
+                try:
+                    expected = datetime.strptime(text, "%m/%d/%Y").date()
+                except ValueError:
+                    expected = None
+                try:
+                    got = parse_price_date(text)
+                except CsvFormatError as exc:
+                    assert str(exc) == f"unparseable date {text!r}"
+                    got = None
+                assert got == expected, text
+
+
+def test_post_init_names_the_first_non_positive_ticker():
+    dates = (date(2013, 5, 15), date(2013, 5, 16))
+    with pytest.raises(CsvFormatError, match="^non-positive price for B on 2013-05-16$"):
+        PriceSeries(("A", "B", "C"), dates, ((1, 2, 3), (1, 0, -1)))
+    assert PriceSeries((), dates, ((), ())).prices_cents == ((), ())
+
+
+def _window_by_comprehension(series, start, end):
+    if start > end:
+        raise WindowError(f"window start {start} is after end {end}")
+    keep = [i for i, d in enumerate(series.dates) if start <= d <= end]
+    if not keep:
+        raise WindowError(f"window {start.isoformat()}..{end.isoformat()} selects no dates")
+    return PriceSeries(series.tickers, tuple(series.dates[i] for i in keep),
+                       tuple(series.prices_cents[i] for i in keep))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (CsvFormatError, WindowError) as exc:
+        return type(exc), str(exc)
+
+
+def test_select_window_matches_the_comprehension(dow4_series):
+    # Every pair of Dow dates, and of the days around them (weekends, holidays).
+    one = timedelta(days=1)
+    days = sorted({d + k * one for d in dow4_series.dates for k in (-1, 0, 1)})
+    for start in days:
+        for end in days:
+            assert _outcome(select_window, dow4_series, start, end) == _outcome(
+                _window_by_comprehension, dow4_series, start, end), (start, end)
+
+
+def test_plain_rows_match_the_per_cell_parser():
+    # Every plain form (up to 15 whole digits, up to two decimals) reads as
+    # _parse_cents reads it; a zero, a 16th digit or a third decimal is not plain.
+    day = date(2013, 5, 15)
+    for whole in ["0", "00", "1", "07", "100", "123456789012345", "1234567890123456"]:
+        for frac in ["", ".0", ".5", ".00", ".05", ".50", ".99", ".000", ".123"]:
+            cell = whole + frac
+            try:
+                expected = (market._parse_cents(cell, day, "A"),)
+            except CsvFormatError:
+                expected = None
+            plain = len(whole) <= 15 and len(frac) <= 3
+            assert market._plain_row_cents([cell]) == (expected if plain else None), cell
+    for cells in (["1,5", "2"], ["1", " 2"], ["+1"], ["1."], [".5"], ["1e2"], ["١"], ["1_0"], []):
+        assert market._plain_row_cents(cells) is None, cells
+
+
+def test_only_rows_that_are_not_plain_reach_the_per_cell_parser(monkeypatch):
+    calls = []
+
+    def counting(raw, row_date, ticker):
+        calls.append(raw)
+        return parse_cents(raw, row_date, ticker)
+
+    parse_cents = market._parse_cents
+    monkeypatch.setattr(market, "_parse_cents", counting)
+    text = "Date,A,B,C\n2013-05-15,1.00,43.6,2\n2013-05-16,2, 1.00,1.5\n"
+    assert parse_csv(text).prices_cents == ((100, 4360, 200), (200, 100, 150))
+    assert calls == ["2", " 1.00", "1.5"]
+
+
+def _reference_parse_csv(text):
+    """parse_csv as it was before plain rows: every cell parsed in order."""
+    reader = market._records(text)
+    try:
+        _, header = next(reader)
+    except StopIteration:
+        raise CsvFormatError("empty document: no header row") from None
+    if len(header) < 2:
+        raise CsvFormatError("header must name a date column and at least one ticker")
+    tickers = tuple(h.strip() for h in header[1:])
+    rows = []
+    seen = set()
+    for lineno, row in reader:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise CsvFormatError(f"line {lineno}: expected {len(header)} fields, got {len(row)}")
+        row_date = parse_price_date(row[0])
+        if row_date in seen:
+            raise CsvFormatError(f"duplicate date {row_date.isoformat()}")
+        seen.add(row_date)
+        cents = tuple(market._parse_cents(cell, row_date, ticker)
+                      for cell, ticker in zip(row[1:], tickers))
+        rows.append((row_date, cents))
+    rows.sort(key=lambda item: item[0])
+    return PriceSeries(tickers, tuple(d for d, _ in rows), tuple(p for _, p in rows))
+
+
+_PLAIN_CELLS = ["43.6", "75", "1.00", "0.01", "12.34", "075.50", "1.5", "999999999999999"]
+_OTHER_GOOD_CELLS = [" 1.00", "1e2", "1.", ".5", "+2", "1.500", "1234567890123456"]
+_BAD_CELLS = ["", " ", "0", "0.00", "-1", "1.001", "x", "nan", "1e999999", "١٢", "1_0", '"1,5"']
+
+
+@st.composite
+def price_documents(draw):
+    """Rows of plain cells, some of them with other good cells or with up to
+    two bad cells in place, maybe a blank row, and dates that may repeat."""
+    n = draw(st.integers(1, 5))
+    days = draw(st.integers(1, 12))
+    offsets = draw(st.lists(st.integers(0, 40), min_size=days, max_size=days))
+    rows = [[(date(2013, 1, 1) + timedelta(days=k)).isoformat()]
+            + draw(st.lists(st.sampled_from(_PLAIN_CELLS), min_size=n, max_size=n)) for k in offsets]
+    for cells in (_OTHER_GOOD_CELLS,) * draw(st.integers(0, 2)) + (_BAD_CELLS,) * draw(st.integers(0, 2)):
+        rows[draw(st.integers(0, days - 1))][draw(st.integers(1, n))] = draw(st.sampled_from(cells))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, days)), [" "] * draw(st.integers(1, n + 1)))
+    header = ["Date"] + [f"T{k}" for k in range(n)]
+    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+
+
+def test_plain_rows_match_the_per_cell_reference():
+    seen = {"valid": 0, "bad price": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(price_documents())
+    def check(text):
+        got = _outcome(parse_csv, text)
+        assert got == _outcome(_reference_parse_csv, text)
+        if isinstance(got, PriceSeries):
+            seen["valid"] += 1
+        elif "price" in got[1]:
+            seen["bad price"] += 1
+
+    check()
+    assert all(seen.values()), seen
