@@ -3,7 +3,8 @@
 Subcommands:
 
 * ``braid CSV``: detect crossings and print the braid word; optionally
-  write the crossing audit log as JSON.
+  write the crossing audit log as JSON first, so the word is printed
+  only once the log is complete.
 * ``invariant WORD|CSV``: diagram statistics plus the bracket and Jones
   polynomials of the chosen closure, JSON on stdout.
 * ``prob WORD|CSV``: build the interference braid against a test-strand
@@ -34,7 +35,7 @@ from .bracket import (
     writhe_corrected,
 )
 from .closure import ClosedBraid, diagram_stats
-from .crossings import audit_entries, braid_with_events, build_braid
+from .crossings import braid_with_events, build_braid, write_audit
 from .laurent import poly_to_json
 from .market import WindowError, parse_csv, parse_price_date, select_window
 from .outcome import _complex_json, interference_braid, outcome_from_stats, outcome_probability
@@ -76,12 +77,11 @@ def _emit_json(doc: dict) -> None:
 def _cmd_braid(args: argparse.Namespace) -> int:
     series = _load_series(args.csv, args.window_from, args.window_to)
     word, events = braid_with_events(series)
-    print(format_word(word))
     if args.audit:
-        entries = audit_entries(events)
+        # Written before the word, so an unwritable path leaves stdout empty.
         with open(args.audit, "w", encoding="utf-8") as fh:
-            json.dump(entries, fh, indent=2)
-            fh.write("\n")
+            write_audit(fh, events, word)
+    print(format_word(word))
     return 0
 
 

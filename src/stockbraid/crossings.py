@@ -19,16 +19,22 @@ Cost: detection walks the price rows by index and sorts each day's
 tickers once, so it is linear in days (times one sort of the tickers).
 Intervals whose rank order does not change are skipped; a changed one
 costs O(tickers^2) comparisons at most, and only between its first and
-last moved positions, plus one event per swap.
+last moved positions, plus one event per swap.  An event is a named
+tuple, and braid_with_events classifies each one once and shares one
+Generator per signed value.  write_audit streams the audit file from
+that word's signs: one fixed template per record, each date, ticker and
+distinct price change formatted once per file, and one write per chunk
+of records, so no per-crossing dict or JSON encoder call is made.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import json
 from datetime import date
 from decimal import Decimal
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, TextIO
 
 from .braid import BraidWord, Generator
 from .market import PriceSeries, cents_to_decimal
@@ -45,14 +51,15 @@ class CrossingSign(enum.Enum):
         return 1 if self is CrossingSign.OVER else -1
 
 
-@dataclass(frozen=True)
-class CrossingEvent:
-    """One adjacent swap between consecutive dates.
+class CrossingEvent(NamedTuple):
+    """One adjacent swap between consecutive dates, as an immutable
+    named tuple (fields in this order; compares and unpacks as a tuple).
 
     lower_ticker and upper_ticker occupied rank positions i and i+1
     before the swap; delta_* are the stocks' own absolute price changes
     across the interval and *_after_cents their prices on to_date, all
-    in cents.
+    in cents.  delta_lower and delta_upper give the changes as exact
+    Decimals.
     """
 
     from_date: date
@@ -138,15 +145,15 @@ def detect_crossings(series: PriceSeries) -> list[CrossingEvent]:
                     swapped = True
                     events.append(
                         CrossingEvent(
-                            from_date=from_date,
-                            to_date=to_date,
-                            position=i + 1,
-                            lower_ticker=tickers[lower],
-                            upper_ticker=tickers[upper],
-                            delta_lower_cents=abs(to_row[lower] - from_row[lower]),
-                            delta_upper_cents=abs(to_row[upper] - from_row[upper]),
-                            lower_after_cents=to_row[lower],
-                            upper_after_cents=to_row[upper],
+                            from_date,
+                            to_date,
+                            i + 1,
+                            tickers[lower],
+                            tickers[upper],
+                            abs(to_row[lower] - from_row[lower]),
+                            abs(to_row[upper] - from_row[upper]),
+                            to_row[lower],
+                            to_row[upper],
                         )
                     )
     return events
@@ -180,29 +187,99 @@ def braid_with_events(series: PriceSeries) -> tuple[BraidWord, list[CrossingEven
     if len(series.tickers) < 2:
         raise ValueError("braid construction needs at least two tickers")
     events = detect_crossings(series)
-    gens = tuple(Generator(event.position, classify_crossing(event).exponent) for event in events)
-    return BraidWord(len(series.tickers), gens), events
+    # Each event is classified once; each distinct generator is built once and shared.
+    by_value: dict[int, Generator] = {}
+    gens = []
+    for event in events:
+        exponent = classify_crossing(event).exponent
+        value = event.position * exponent
+        g = by_value.get(value)
+        if g is None:
+            g = by_value[value] = Generator(event.position, exponent)
+        gens.append(g)
+    return BraidWord(len(series.tickers), tuple(gens)), events
+
+
+# The keys of an audit record, in order.
+_AUDIT_KEYS = ("from_date", "to_date", "position", "lower_ticker", "upper_ticker",
+               "delta_lower", "delta_upper", "sign", "generator")
+# Keys whose values are ASCII text with nothing to escape: dates, decimals, sign names.
+_PLAIN_TEXT = {"from_date", "to_date", "delta_lower", "delta_upper", "sign"}
+# One record laid out as json.dump(entries, fh, indent=2) lays out an entry.
+_RECORD = (
+    "  {\n"
+    + ",\n".join(
+        f'    "{key}": "%s"' if key in _PLAIN_TEXT else f'    "{key}": %s' for key in _AUDIT_KEYS
+    )
+    + "\n  }"
+)
+# Records per write of write_audit.
+_CHUNK = 512
+_SIGN_NAMES = {sign.exponent: sign.value for sign in CrossingSign}
+
+
+class _Memo(dict):
+    """memo[key] is format(key), computed on the first lookup of key."""
+
+    def __init__(self, format: Callable) -> None:
+        self.format = format
+
+    def __missing__(self, key):
+        value = self[key] = self.format(key)
+        return value
+
+
+def _decimal_text(cents: int) -> str:
+    # Exact at any length: a Decimal's str is not bound by the int-to-str digit limit.
+    return str(cents_to_decimal(cents))
+
+
+def _audit_values(
+    events: list[CrossingEvent], exponents: list[int], ticker_text: Callable[[str], str] = str
+) -> Iterator[tuple]:
+    """The values of each event's audit record in _AUDIT_KEYS order,
+    given its generator exponent, with tickers written by ticker_text.
+    Each date, ticker and distinct price change is formatted once per
+    call."""
+    dates = _Memo(date.isoformat)
+    names = _Memo(ticker_text)
+    deltas = _Memo(_decimal_text)
+    for event, exponent in zip(events, exponents, strict=True):
+        from_date, to_date, position, lower, upper, delta_lower, delta_upper, _, _ = event
+        yield (
+            dates[from_date],
+            dates[to_date],
+            position,
+            names[lower],
+            names[upper],
+            deltas[delta_lower],
+            deltas[delta_upper],
+            _SIGN_NAMES[exponent],
+            position * exponent,
+        )
 
 
 def audit_entries(events: list[CrossingEvent]) -> list[dict]:
     """audit_log's records of the given events."""
-    entries = []
-    for event in events:
-        sign = classify_crossing(event)
-        entries.append(
-            {
-                "from_date": event.from_date.isoformat(),
-                "to_date": event.to_date.isoformat(),
-                "position": event.position,
-                "lower_ticker": event.lower_ticker,
-                "upper_ticker": event.upper_ticker,
-                "delta_lower": str(event.delta_lower),
-                "delta_upper": str(event.delta_upper),
-                "sign": sign.value,
-                "generator": event.position * sign.exponent,
-            }
-        )
-    return entries
+    exponents = [classify_crossing(event).exponent for event in events]
+    return [dict(zip(_AUDIT_KEYS, values)) for values in _audit_values(events, exponents)]
+
+
+def write_audit(fh: TextIO, events: list[CrossingEvent], word: BraidWord) -> None:
+    """Write audit_entries(events) to fh exactly as json.dump(...,
+    indent=2) followed by a newline would, taking each sign from the
+    word that braid_with_events returned with the events.
+
+    Tickers are quoted by json.dumps; records fill a fixed template
+    and go out _CHUNK at a time.
+    """
+    exponents = [g.exponent for g in word.generators]
+    records = map(_RECORD.__mod__, _audit_values(events, exponents, json.dumps))
+    head = "[\n"
+    while chunk := list(islice(records, _CHUNK)):
+        fh.write(head + ",\n".join(chunk))
+        head = ",\n"
+    fh.write("[]\n" if head == "[\n" else "\n]\n")
 
 
 def build_braid(series: PriceSeries) -> BraidWord:

@@ -408,19 +408,49 @@ def test_invariant_eval_jones_is_the_writhe_corrected_bracket(capsys):
 
 def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):
     calls = []
-    original = crossings.detect_crossings
+    classified = []
+    words = []
+    detect, classify, braid_with_events = (
+        crossings.detect_crossings, crossings.classify_crossing, cli.braid_with_events
+    )
 
     def counted(series):
         calls.append(series)
-        return original(series)
+        return detect(series)
+
+    def counted_classify(event):
+        classified.append(event)
+        return classify(event)
+
+    def kept(series):
+        word, events = braid_with_events(series)
+        words.append(word)
+        return word, events
 
     monkeypatch.setattr(crossings, "detect_crossings", counted)
+    monkeypatch.setattr(crossings, "classify_crossing", counted_classify)
+    monkeypatch.setattr(cli, "braid_with_events", kept)
     audit_path = tmp_path / "audit.json"
     code, out, _ = run_cli(capsys, "braid", str(DOW4_CSV), "--audit", str(audit_path))
     assert code == 0
     assert out == "4: -2 -3 -3 3 1 3 1 2 -2 -3 -1 -2\n"
     assert len(calls) == 1
-    assert json.loads(audit_path.read_text()) == crossings.audit_log(calls[0])
+    (word,) = words
+    # One classification per event, and one shared Generator per signed value.
+    assert len(classified) == len(word) == 12
+    assert len({id(g) for g in word.generators}) <= 2 * (word.n_strands - 1)
+    monkeypatch.undo()
+    entries = crossings.audit_log(calls[0])
+    assert audit_path.read_bytes() == (json.dumps(entries, indent=2) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_unwritable_audit_path_leaves_stdout_empty(capsys, tmp_path, where):
+    audit = tmp_path / "missing" / "a.json" if where == "missing directory" else tmp_path
+    code, out, err = run_cli(capsys, "braid", str(DOW4_CSV), "--audit", str(audit))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(audit) in err
 
 
 def test_ingest_and_detection_never_look_dates_up(capsys, monkeypatch, tmp_path):

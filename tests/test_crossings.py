@@ -1,3 +1,5 @@
+import io
+import json
 import random
 from datetime import date, timedelta
 from decimal import Decimal
@@ -20,6 +22,7 @@ from stockbraid import (
     select_window,
 )
 from stockbraid.braid import BraidWord, Generator
+from stockbraid.crossings import _CHUNK, audit_entries, braid_with_events, write_audit
 from stockbraid.market import PriceSeries
 
 # the full crossing schedule of the 2013 sample data, tracked by hand from the
@@ -218,6 +221,123 @@ def test_audit_deltas_of_a_29_digit_move_are_exact():
     assert entry["delta_lower"] == "123456789012345678901234567.89"
     assert entry["delta_upper"] == "0.01"
 
+
+
+def test_crossing_event_is_a_named_tuple_in_field_order():
+    event = _event(195, 1)
+    assert isinstance(event, tuple)
+    assert CrossingEvent._fields == (
+        "from_date", "to_date", "position", "lower_ticker", "upper_ticker",
+        "delta_lower_cents", "delta_upper_cents", "lower_after_cents", "upper_after_cents",
+    )
+    assert (event.delta_lower, event.delta_upper) == (Decimal("1.95"), Decimal("0.01"))
+
+
+def _audit_oracle(events) -> str:
+    """The audit file as json.dump writes it: the writer's specification."""
+    fh = io.StringIO()
+    json.dump(audit_entries(events), fh, indent=2)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+def _written_audit(series) -> tuple[list, str]:
+    word, events = braid_with_events(series)
+    fh = io.StringIO()
+    write_audit(fh, events, word)
+    return events, fh.getvalue()
+
+
+# Ticker text that JSON must escape or that ensure_ascii rewrites.
+AWKWARD = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "Ω", "中", "\U0001F4C8", "\ud800"]
+
+
+@st.composite
+def audit_series(draw):
+    """2-6 tickers whose names mix plain letters with quotes, backslashes,
+    control characters, non-ASCII and non-BMP characters, on one of
+    three shapes: a walk in a band of a few cents (many crossings,
+    repeated changes), a flat series (no crossings), or one swap of two
+    neighbours (a single crossing)."""
+    n = draw(st.integers(2, 6))
+    tickers = draw(st.lists(st.text(st.sampled_from(AWKWARD + list("AB")), min_size=1, max_size=4),
+                            min_size=n, max_size=n, unique=True))
+    shape = draw(st.sampled_from(["walk", "flat", "single"]))
+    if shape == "walk":
+        cents = st.integers(1, 6)
+        rows = draw(st.lists(st.lists(cents, min_size=n, max_size=n), min_size=2, max_size=30))
+    elif shape == "flat":
+        rows = [list(range(100, 100 * (n + 1), 100))] * draw(st.integers(2, 5))
+    else:
+        # Distinct prices 100, 200, ...; the stocks at rank k and k+1 trade places.
+        k = draw(st.integers(0, n - 2))
+        first = draw(st.permutations(range(100, 100 * (n + 1), 100)))
+        at = {price: t for t, price in enumerate(first)}
+        second = list(first)
+        second[at[100 * (k + 1)]], second[at[100 * (k + 2)]] = 100 * (k + 2), 100 * (k + 1)
+        rows = [first, second]
+    return _series(tickers, rows)
+
+
+def test_written_audit_matches_json_dump_of_entries():
+    seen_counts = set()
+    seen_awkward = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(audit_series())
+    def check(series):
+        events, text = _written_audit(series)
+        assert text.encode("utf-8") == _audit_oracle(events).encode("utf-8")
+        if not events:
+            assert text == "[]\n"
+        seen_counts.add(min(len(events), 2))
+        seen_awkward.update(c for t in series.tickers for c in t if c in AWKWARD)
+
+    check()
+    # No crossings, one crossing and many; every awkward character in a ticker.
+    assert seen_counts == {0, 1, 2}
+    assert seen_awkward == set(AWKWARD)
+
+
+def test_written_audit_of_a_5000_digit_price_is_exact():
+    # A rises from 1.00 to a 5000-digit price and overtakes B, which moves one cent.
+    price = "9" * 4998 + ".99"
+    series = parse_csv(f"Date,A,B\n2013-05-15,1.00,2.00\n2013-05-16,{price},1.99\n")
+    events, text = _written_audit(series)
+    assert text == (
+        "[\n"
+        "  {\n"
+        '    "from_date": "2013-05-15",\n'
+        '    "to_date": "2013-05-16",\n'
+        '    "position": 1,\n'
+        '    "lower_ticker": "A",\n'
+        '    "upper_ticker": "B",\n'
+        f'    "delta_lower": "{"9" * 4997}8.99",\n'
+        '    "delta_upper": "0.01",\n'
+        '    "sign": "under",\n'
+        '    "generator": -1\n'
+        "  }\n"
+        "]\n"
+    )
+    assert text == _audit_oracle(events)
+
+
+@pytest.mark.parametrize("count", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, 2 * _CHUNK + 5])
+def test_written_audit_across_chunk_boundaries(dow4_series, count):
+    # The Dow sample's 12 records, repeated to fill whole and partial write chunks.
+    word, events = braid_with_events(dow4_series)
+    repeats = count // len(events) + 1
+    events = (events * repeats)[:count]
+    word = BraidWord(word.n_strands, (word.generators * repeats)[:count])
+    fh = io.StringIO()
+    write_audit(fh, events, word)
+    assert fh.getvalue() == _audit_oracle(events)
+
+
+def test_written_audit_needs_one_generator_per_event(dow4_series):
+    word, events = braid_with_events(dow4_series)
+    with pytest.raises(ValueError):
+        write_audit(io.StringIO(), events[:-1], word)
 
 def _reference_detect_crossings(series):
     """The original ticker-keyed detection, kept as the oracle for the
