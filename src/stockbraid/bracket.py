@@ -11,7 +11,7 @@ The bracket is computed two ways, cross-checked in the tests:
   polynomial time in crossings for a fixed strand count and generic over
   the coefficient ring: ``bracket_poly`` runs it on packed integers, each
   a polynomial in A^2 with one signed coefficient per W-bit field,
-  W = 2c + 4 for c crossings (Kronecker substitution), and
+  W = bitlength(3^c) + 1 for c crossings (Kronecker substitution), and
   ``bracket_eval`` on complex numbers at a point A = a.
   Plat closures sweep the n-point module (dimension Catalan(n/2)) from
   the bottom caps and close it with the top caps; trace closures sweep
@@ -36,8 +36,7 @@ satisfy the signed relation
 
     t^(1/2) V(K+) - t^(-1/2) V(K-) = (t^(1/2) - t^(-1/2)) V(K0)
 
-which ``verify_jones_skein`` checks numerically; the opposite sign on the
-V(K-) term fails on generic triples and is kept as a negative control.
+which ``verify_jones_skein`` checks numerically.
 
 All functions are pure.  The sweep's state and move tables are built
 afresh for each call and dropped when it returns; nothing is cached
@@ -51,7 +50,7 @@ from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, Generator, compose, writhe
 from .closure import ClosedBraid, _cycles, _involution, closure_arcs
-from .laurent import LaurentPoly, neg_a_power
+from .laurent import LaurentPoly
 
 CROSSING_CAP = 24
 
@@ -290,10 +289,10 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     # start has mass 1.  A generator maps a coefficient of mass M to a
     # vertical term of mass M and a cap-cup term of mass M, or 2M when it
     # closes a loop, so the mass grows at most 3x per crossing.  Every
-    # digit of a state, or of a sum of states, is then at most
-    # 3^c < 4^c < 2^(2c+3) = 2^(W-1) for W = 2c + 4.
+    # digit of a state, or of a sum of states, is then at most 3^c, and
+    # 3^c < 2^bitlength(3^c) = 2^(W-1) for W = bitlength(3^c) + 1.
     c = len(k.braid)
-    width = 2 * c + 4
+    width = (3 ** c).bit_length() + 1
     a2, a4, a6 = 1 << width, 1 << 2 * width, 1 << 3 * width
     states, close = _sweep(
         k,
@@ -306,9 +305,10 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     for m, coeff in states.items():
         cycles = _cycles(m, close)
         by_cycles[cycles] = by_cycles.get(cycles, 0) + coeff
-    total = LaurentPoly.zero()
-    for cycles, packed in by_cycles.items():
-        total = total + _unpack(packed, width, -3 * c) * _D_POLY ** (cycles - 1)
+    # Horner in d: the bucket of j cycles ends up times d^(j-1).
+    total = LaurentPoly()
+    for j in range(max(by_cycles), 0, -1):
+        total = total * _D_POLY + _unpack(by_cycles.get(j, 0), width, -3 * c)
     return total
 
 
@@ -346,7 +346,8 @@ def writhe_corrected(
     """
     if convention not in ("paper", "standard"):
         raise ValueError(f"unknown Jones convention {convention!r}")
-    f = neg_a_power(-3 * writhe(k.braid)) * bracket
+    w = writhe(k.braid)
+    f = bracket.shifted(-3 * w, -1 if w % 2 else 1)
     return f if convention == "paper" else f.mirrored()
 
 
@@ -390,22 +391,15 @@ def verify_jones_skein(
     w_right: BraidWord,
     t: complex,
     closure: str = "plat",
-    form: str = "pinned",
-    tol: float = 1e-9,
 ) -> bool:
     """Check the skein identity on the closure triple built around position i.
 
     K+ inserts sigma_i between the halves, K- inserts sigma_i^{-1}, and
-    K0 inserts nothing; all three take the same closure.  form "pinned"
-    is the relation satisfied by this package's conventions,
+    K0 inserts nothing; all three take the same closure.  The relation is
+    the one satisfied by this package's conventions, to within 1e-9:
 
-        t^(1/2) V(K+) - t^(-1/2) V(K-) = (t^(1/2) - t^(-1/2)) V(K0);
-
-    form "flipped" negates the sign of the V(K-) term and is expected to
-    fail on generic triples.
+        t^(1/2) V(K+) - t^(-1/2) V(K-) = (t^(1/2) - t^(-1/2)) V(K0).
     """
-    if form not in ("pinned", "flipped"):
-        raise ValueError(f"unknown skein form {form!r}")
     n = w_left.n_strands
     body = compose(w_left, w_right)
     plus = BraidWord(n, w_left.generators + (Generator(i, 1),) + w_right.generators)
@@ -415,6 +409,5 @@ def verify_jones_skein(
     v_minus = jones_eval(close(minus, closure), t)
     v_zero = jones_eval(close(body, closure), t)
     root = _fourth_root(t) ** 2
-    sign = -1 if form == "pinned" else 1
-    residue = root * v_plus + sign / root * v_minus - (root - 1 / root) * v_zero
-    return abs(residue) < tol
+    residue = root * v_plus - 1 / root * v_minus - (root - 1 / root) * v_zero
+    return abs(residue) < 1e-9

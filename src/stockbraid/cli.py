@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -78,6 +79,8 @@ def _cmd_braid(args: argparse.Namespace) -> int:
     series = _load_series(args.csv, args.window_from, args.window_to)
     word, events = braid_with_events(series)
     if args.audit:
+        if os.path.exists(args.audit) and os.path.samefile(args.csv, args.audit):
+            raise ValueError(f"audit path {args.audit} is the input CSV")
         # Written before the word, so an unwritable path leaves stdout empty.
         with open(args.audit, "w", encoding="utf-8") as fh:
             write_audit(fh, events, word)
@@ -206,6 +209,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "prob" and not args.stats and not args.source:
         parser.error("prob needs a braid word, a CSV path, or --stats")
+    if args.command == "prob" and args.stats and (args.source or args.gamma):
+        parser.error("prob --stats takes no braid word, CSV path or --gamma")
     try:
         return args.func(args)
     except CrossingCapExceeded as exc:

@@ -32,16 +32,8 @@ class LaurentPoly:
         self._terms = acc
 
     @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "LaurentPoly":
         return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient} if coefficient else {})
 
     @property
     def terms(self) -> dict[int, int]:
@@ -49,9 +41,6 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -78,14 +67,6 @@ class LaurentPoly:
         out._terms = merged
         return out
 
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e: -c for e, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
             out = LaurentPoly.__new__(LaurentPoly)
@@ -106,18 +87,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are defined only for monomials; use shifted()")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def shifted(self, exponent: int, coefficient: int = 1) -> "LaurentPoly":
         """Multiply by the monomial coefficient * x^exponent (exponent may be negative)."""
         out = LaurentPoly.__new__(LaurentPoly)
@@ -134,16 +103,6 @@ class LaurentPoly:
         """Value of the polynomial at a nonzero complex point."""
         return sum((c * x ** e for e, c in self._terms.items()), complex(0))
 
-    def min_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return min(self._terms)
-
-    def max_exponent(self) -> int:
-        if not self._terms:
-            raise ValueError("the zero polynomial has no exponents")
-        return max(self._terms)
-
     def __repr__(self) -> str:
         if not self._terms:
             return "LaurentPoly(0)"
@@ -154,11 +113,6 @@ class LaurentPoly:
             else:
                 parts.append(f"{c}*x^{e}" if c != 1 else f"x^{e}")
         return "LaurentPoly(" + " + ".join(parts).replace("+ -", "- ") + ")"
-
-
-def neg_a_power(k: int) -> LaurentPoly:
-    """The signed monomial (-x)^k for any integer k, as a Laurent polynomial."""
-    return LaurentPoly.monomial(k, -1 if k % 2 else 1)
 
 
 def poly_to_json(poly: LaurentPoly, variable: str, convention: str | None = None) -> dict:

@@ -1,9 +1,10 @@
+import cmath
 import random
 from pathlib import Path
 
 import pytest
 
-from stockbraid import BraidWord, parse_csv
+from stockbraid import BraidWord, jones_eval, parse_csv, plat_close
 
 DATA_DIR = Path(__file__).parent / "data"
 DOW4_CSV = DATA_DIR / "dow4_2013.csv"
@@ -33,3 +34,21 @@ def rand_word():
         return BraidWord.from_ints(n, ints)
 
     return make
+
+
+@pytest.fixture()
+def flipped_skein_residue():
+    """The residue of verify_jones_skein's relation on plat closures with
+    the sign of the V(K-) term flipped, from jones_eval: the negative
+    control for the pinned skein form."""
+
+    def residue(wl: BraidWord, i: int, wr: BraidWord, t: complex) -> complex:
+        n = wl.n_strands
+        v_plus, v_minus, v_zero = (
+            jones_eval(plat_close(BraidWord.from_ints(n, wl.to_ints() + mid + wr.to_ints())), t)
+            for mid in ([i], [-i], [])
+        )
+        root = cmath.sqrt(t)
+        return root * v_plus + v_minus / root - (root - 1 / root) * v_zero
+
+    return residue

@@ -21,7 +21,7 @@ from stockbraid import (
     writhe,
 )
 from stockbraid.bracket import smoothing_states, writhe_corrected
-from stockbraid.laurent import LaurentPoly, neg_a_power
+from stockbraid.laurent import LaurentPoly
 
 D_POLY = LaurentPoly({2: -1, -2: -1})
 FIB_A = cmath.exp(1j * math.pi / 10)
@@ -170,7 +170,7 @@ def test_eq10_shape_between_bracket_and_jones(rand_word):
         k = _random_closure(rng, rand_word, max_len=8)
         w = writhe(k.braid)
         v = jones_from_bracket(k)
-        assert bracket_poly(k) == neg_a_power(3 * w) * v
+        assert bracket_poly(k) == LaurentPoly({3 * w: (-1) ** (w % 2)}) * v
 
 
 # --- skein relation ---------------------------------------------------------
@@ -193,13 +193,12 @@ def test_skein_pinned_form_holds_on_random_triples(rand_word):
         assert verify_jones_skein(wl, rng.randrange(1, n), wr, FIB_T, closure="trace")
 
 
-def test_skein_flipped_form_fails_negative_control():
+def test_skein_flipped_form_fails_negative_control(flipped_skein_residue):
     # V+ = V- = V0 = 1 here, so the flipped form misses by 2 t^{-1/2}
     wl, wr = parse_word("2: 1"), parse_word("2:")
-    assert verify_jones_skein(wl, 1, wr, FIB_T, form="pinned")
-    assert not verify_jones_skein(wl, 1, wr, FIB_T, form="flipped", tol=1e-6)
-    with pytest.raises(ValueError):
-        verify_jones_skein(wl, 1, wr, FIB_T, form="sideways")
+    assert verify_jones_skein(wl, 1, wr, FIB_T)
+    residue = flipped_skein_residue(wl, 1, wr, FIB_T)
+    assert abs(residue - 2 / cmath.sqrt(FIB_T)) < 1e-9
 
 
 # --- regular isotopy properties ---------------------------------------------

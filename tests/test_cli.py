@@ -356,6 +356,24 @@ def test_point_is_a_usage_error(capsys, argv):
     assert "unrecognized arguments: --point" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "3: 1", "--gamma", "4: 1 -3", "--stats", "1,1,1,0"],
+        ["prob", "3: 1", "--stats", "1,1,1,0"],
+        ["prob", "--gamma", "4: 1 -3", "--stats", "1,1,1,0"],
+    ],
+)
+def test_stats_with_a_source_or_gamma_is_a_usage_error(capsys, argv):
+    # --stats probes the bare formula; a word it would ignore is refused.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: stockbraid")
+    assert "prob --stats takes no braid word, CSV path or --gamma" in err
+
+
 def test_invariant_runs_one_bracket_sweep(capsys, monkeypatch):
     calls = []
     original = cli.bracket_poly
@@ -451,6 +469,18 @@ def test_unwritable_audit_path_leaves_stdout_empty(capsys, tmp_path, where):
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(audit) in err
+
+
+@pytest.mark.parametrize("spelling", ["same", "dot-relative"])
+def test_audit_path_that_is_the_input_csv_is_refused(capsys, monkeypatch, tmp_path, spelling):
+    csv = tmp_path / "prices.csv"
+    csv.write_bytes(DOW4_CSV.read_bytes())
+    monkeypatch.chdir(tmp_path)
+    audit = "prices.csv" if spelling == "same" else "./prices.csv"
+    code, out, err = run_cli(capsys, "braid", "prices.csv", "--audit", audit)
+    assert (code, out) == (1, "")
+    assert err == f"error: audit path {audit} is the input CSV\n"
+    assert csv.read_bytes() == DOW4_CSV.read_bytes()
 
 
 def test_ingest_and_detection_never_look_dates_up(capsys, monkeypatch, tmp_path):

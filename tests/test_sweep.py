@@ -72,7 +72,7 @@ def numeric_ring(a: complex) -> dict:
 
 
 # Exact Laurent-polynomial weights: the reference for bracket_poly's packed ring.
-A, A_INV = LaurentPoly.monomial(1), LaurentPoly.monomial(-1)
+A, A_INV = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
 EXACT_RING = {
     "one": LaurentPoly.one(),
     "weight_pos": (A, A_INV, A),
@@ -181,9 +181,11 @@ def test_comparison_tells_signed_zeros_apart():
 def laurent_bracket(k: ClosedBraid) -> LaurentPoly:
     """The bracket from the sweep on the Laurent-polynomial ring."""
     states, close = bracket._sweep(k, **EXACT_RING)
-    total = LaurentPoly.zero()
+    total = LaurentPoly()
     for m, coeff in states.items():
-        total = total + coeff * EXACT_RING["d"] ** (_cycles(m, close) - 1)
+        for _ in range(_cycles(m, close) - 1):
+            coeff = coeff * EXACT_RING["d"]
+        total = total + coeff
     return total
 
 
@@ -230,7 +232,7 @@ def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch):
         want = sweep(k, **EXACT_RING)[0]
         c = len(k.braid)
         assert list(packed) == list(want)
-        decoded = [bracket._unpack(p, 2 * c + 4, 0) for p in packed.values()]
+        decoded = [bracket._unpack(p, (3 ** c).bit_length() + 1, 0) for p in packed.values()]
         assert decoded == [coeff.shifted(3 * c) for coeff in want.values()]
 
 
@@ -240,7 +242,7 @@ def test_a_narrower_digit_width_is_caught():
     # overflow into their neighbours only on some words: wide strand
     # counts at few crossings.
     source = inspect.getsource(bracket.bracket_poly)
-    width = "width = 2 * c + 4"
+    width = "width = (3 ** c).bit_length() + 1"
     assert source.count(width) == 1
     namespace = dict(vars(bracket))
     exec(source.replace(width, "width = c // 2"), namespace)
