@@ -9,14 +9,19 @@ The bracket is computed two ways, cross-checked in the tests:
   crossing count; this is the reference oracle.
 * one Temperley-Lieb sweep over non-crossing perfect matchings,
   polynomial time in crossings for a fixed strand count and generic over
-  the coefficient ring: ``bracket_poly`` runs it on packed integers, each
-  a polynomial in A^2 with one signed coefficient per W-bit field,
-  W = bitlength(3^c) + 1 for c crossings (Kronecker substitution), and
-  ``bracket_eval`` on complex numbers at a point A = a.
-  Plat closures sweep the n-point module (dimension Catalan(n/2)) from
-  the bottom caps and close it with the top caps; trace closures sweep
-  the 2n-point module from the identity tangle and close it by joining
-  bottom point i to top point i.
+  the coefficient ring.  Plat closures sweep the n-point module
+  (dimension Catalan(n/2)) from the bottom caps and are closed by the top
+  caps; trace closures sweep the 2n-point module from the identity tangle
+  and are closed by joining bottom point i to top point i.
+  ``bracket_poly`` runs it on packed integers, each a polynomial in A^2
+  with one signed coefficient per W-bit field (Kronecker substitution),
+  and closes each closure arc but the last right after the last crossing
+  that touches it, so that the sweep ends in one state, decoded once; W =
+  bitlength(3^c 2^(k-1)) + 1 for c crossings and k closure arcs.  It starts
+  an expensive trace word at its cheapest cyclic rotation
+  (``_cheapest_rotation``), since a trace closure does not change under
+  conjugation.  ``bracket_eval`` runs the sweep on complex numbers at a
+  point A = a, on the word as given, and closes it at the end.
 
 Crossing-sign convention, pinned once for the whole package: the positive
 generator weights its cap-cup smoothing with A and its vertical smoothing
@@ -53,6 +58,9 @@ from .closure import ClosedBraid, _cycles, _involution, closure_arcs
 from .laurent import LaurentPoly
 
 CROSSING_CAP = 24
+# The least average score per crossing at which bracket_poly rotates a
+# trace word (see _cheapest_rotation).
+ROTATE_SCORE = 64
 
 _D_POLY = LaurentPoly({2: -1, -2: -1})
 
@@ -167,7 +175,8 @@ def bracket_poly_state_sum(k: ClosedBraid) -> LaurentPoly:
 # A state is a non-crossing perfect matching of the module's points, stored
 # as an involution m (m[x] is the partner of x).  Each generator branches a
 # state into its two smoothings; a loop closed by a cap-cup smoothing
-# contributes a factor d as it appears.
+# contributes a factor d as it appears.  A closure arc closed during the
+# sweep pairs its two points for good; no later step touches them.
 
 def _module(k: ClosedBraid) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     """Start matching, generator offset and closing involution of the
@@ -184,14 +193,16 @@ def _module(k: ClosedBraid) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
     return identity, n, identity
 
 
-def _cupcap(m: tuple[int, ...], a: int) -> tuple[int, ...]:
-    """The matching left by the cap-cup smoothing at points a, a+1 of m.
+def _cupcap(m: tuple[int, ...], a: int, b: int | None = None) -> tuple[int, ...]:
+    """The matching left by the cap-cup smoothing at points a, a+1 of m,
+    or, given b, by closing the closure arc that joins a to b.
 
-    When a and a+1 are already paired the smoothing closes a loop and m
-    is returned unchanged; otherwise their partners are joined and a,
-    a+1 become a pair.
+    When a and b are already paired the cap closes a loop and m is
+    returned unchanged; otherwise their partners are joined and a, b
+    become a pair.
     """
-    b = a + 1
+    if b is None:
+        b = a + 1
     if m[a] == b:
         return m
     j, kk = m[a], m[b]
@@ -201,52 +212,110 @@ def _cupcap(m: tuple[int, ...], a: int) -> tuple[int, ...]:
     return tuple(m2)
 
 
-def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d):
+def _closing_schedule(k: ClosedBraid, offset: int, close: tuple[int, ...]) -> list:
+    """k's generators cut into runs, each followed by the closure arcs
+    (x, close[x]), x < close[x], that no later crossing touches: an arc is
+    closed right after the last crossing that touches either of its
+    points, or before the first crossing if none does.
+
+    The arc that would be closed last is left out.  It always closes the
+    final loop, which weighs 1, and every other point is paired for good
+    by then, so the sweep already ends in the one state that pairs it:
+    the closing involution itself.
+    """
+    gens = k.braid.generators
+    last = {}
+    for j, g in enumerate(gens):
+        a = offset + g.index - 1
+        last[a] = last[a + 1] = j
+    after: list[list[int]] = [[] for _ in range(len(gens) + 1)]
+    for x, y in enumerate(close):
+        if x < y:
+            after[max(last.get(x, -1), last.get(y, -1)) + 1].append(x)
+    runs = []
+    start = 0
+    for j, arcs in enumerate(after):
+        if arcs:
+            runs.append((gens[start:j], arcs))
+            start = j
+    runs[-1][1].pop()
+    return runs
+
+
+def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d, closing=None):
     """The state vector of k's braid word, with ring-generic coefficients,
     and the involution that closes it.
 
     weight_pos / weight_neg are (cupcap, vertical, loop) weight triples
     for the two generator signs: a cap-cup smoothing that closes a loop
     is weighted ``loop * d`` instead of ``cupcap``.  Coefficients only
-    need ``*`` and ``+``.
+    need ``*`` and ``+``.  With a ``closing`` weight pair (join, loop) the
+    sweep also closes the closure arcs as ``_closing_schedule`` says, a
+    closing that joins two open ends weighted ``join`` and one that closes
+    a loop ``loop``, and ends in one state, the closing involution.
 
     States are interned: ``matchings[s]`` is the matching with id s and
     ``index`` maps it back, and ``moves[a][s]`` memoizes the id of the
     cap-cup smoothing of state s at point a, so each distinct move builds
-    its tuple once however often the sweep takes it.  A move closes a loop
-    exactly when it maps a state to itself.  Ids stand one-to-one for
-    matchings, so every state vector is filled in the same insertion
-    order, with the same multiplications and the same first-assignment-
-    then-``+`` accumulation, as a sweep keyed by the matchings themselves:
-    floating-point coefficients come out bit-identical, signed zeros
-    included.
+    its tuple once however often the sweep takes it.  Closing the arc
+    (a, close[a]) is memoized the same way: for plat a is even and the
+    move is the cap-cup move at a, and for trace a < n, where no crossing
+    acts.  A move closes a loop exactly when it maps a state to itself.
+    Ids stand one-to-one for matchings, so every state vector is filled in
+    the same insertion order, with the same multiplications and the same
+    first-assignment-then-``+`` accumulation, as a sweep keyed by the
+    matchings themselves: floating-point coefficients come out
+    bit-identical, signed zeros included.
     """
     start, offset, close = _module(k)
+    if closing is None:
+        runs = [(k.braid.generators, ())]
+    else:
+        runs = _closing_schedule(k, offset, close)
+        w_join, w_close = closing
     matchings = [start]
     index = {start: 0}
     moves: dict[int, dict[int, int]] = {}
     states = {0: one}
-    for g in k.braid.generators:
-        a = offset + g.index - 1
-        w_cup, w_vert, w_loop = weight_pos if g.exponent > 0 else weight_neg
-        move = moves.setdefault(a, {})
-        nxt: dict[int, object] = {}
-        for s, coeff in states.items():
-            vert_coeff = coeff * w_vert
-            prev = nxt.get(s)
-            nxt[s] = vert_coeff if prev is None else prev + vert_coeff
-            t = move.get(s)
-            if t is None:
-                m2 = _cupcap(matchings[s], a)
-                t = index.get(m2)
+    for run, arcs in runs:
+        for g in run:
+            a = offset + g.index - 1
+            w_cup, w_vert, w_loop = weight_pos if g.exponent > 0 else weight_neg
+            move = moves.setdefault(a, {})
+            nxt: dict[int, object] = {}
+            for s, coeff in states.items():
+                vert_coeff = coeff * w_vert
+                prev = nxt.get(s)
+                nxt[s] = vert_coeff if prev is None else prev + vert_coeff
+                t = move.get(s)
                 if t is None:
-                    t = index[m2] = len(matchings)
-                    matchings.append(m2)
-                move[s] = t
-            cup_coeff = coeff * w_loop * d if t == s else coeff * w_cup
-            prev = nxt.get(t)
-            nxt[t] = cup_coeff if prev is None else prev + cup_coeff
-        states = nxt
+                    m2 = _cupcap(matchings[s], a)
+                    t = index.get(m2)
+                    if t is None:
+                        t = index[m2] = len(matchings)
+                        matchings.append(m2)
+                    move[s] = t
+                cup_coeff = coeff * w_loop * d if t == s else coeff * w_cup
+                prev = nxt.get(t)
+                nxt[t] = cup_coeff if prev is None else prev + cup_coeff
+            states = nxt
+        for a in arcs:
+            b = close[a]
+            move = moves.setdefault(a, {})
+            nxt = {}
+            for s, coeff in states.items():
+                t = move.get(s)
+                if t is None:
+                    m2 = _cupcap(matchings[s], a, b)
+                    t = index.get(m2)
+                    if t is None:
+                        t = index[m2] = len(matchings)
+                        matchings.append(m2)
+                    move[s] = t
+                coeff = coeff * w_close if t == s else coeff * w_join
+                prev = nxt.get(t)
+                nxt[t] = coeff if prev is None else prev + coeff
+            states = nxt
     return {matchings[s]: coeff for s, coeff in states.items()}, close
 
 
@@ -267,6 +336,76 @@ def _unpack(packed: int, width: int, shift: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
+def _cheapest_rotation(word: BraidWord) -> int:
+    """The rotation r, 0 <= r < c, that the exact sweep of word's trace
+    closure starts at: word.generators[r:] + word.generators[:r].
+
+    Each rotation is scored by its sum over crossings j of 2^open_j, where
+    open_j counts the top points touched at or before crossing j and again
+    after it: the points whose closure arcs the sweep holds open across j.
+    Crossing j touches points i - 1 and i of its sigma_i.  The word is
+    rotated only when its own score averages at least ROTATE_SCORE per
+    crossing: on a sweep that holds fewer states the choice costs more
+    than it saves.  Then r is the rotation of least score, ties to the
+    smallest; otherwise r = 0.
+
+    For the cut before crossing r, a point touched more than once is shut
+    on the gap between its touches that holds the cut, and open on every
+    other crossing.  The values 2^open_j are the fields of one integer, w
+    bits per crossing, so a gap opens or shuts with one mask and one
+    product sums the fields.  The gaps are found once; then the cut moves
+    one crossing at a time, and the two points crossing r touches open on
+    their gaps that end at r and shut on their gaps that start at r.
+    """
+    n = word.n_strands
+    c = len(word.generators)
+    if 1 << n <= ROTATE_SCORE or c < 2:  # no word on n strands scores that high
+        return 0
+    idx = [g.index for g in word.generators]
+    # A field holds at most 2^n, and a sum of c fields fits in w bits.
+    w = n + c.bit_length() + 1
+    pos = [1 << w * x for x in range(c + 1)]
+    full = pos[c] - 1
+    ones = full // ((1 << w) - 1)
+    first = [-1] * n
+    for x in range(c - 1, -1, -1):
+        i = idx[x]
+        first[i - 1] = first[i] = x
+    last = [-1] * n
+    for x, i in enumerate(idx):
+        last[i - 1] = last[i] = x
+    powers = ones
+    for a, b in zip(first, last):
+        if a < b:
+            powers += powers & (pos[b] - pos[a])
+    shift = w * (c - 1)
+    field = (1 << w) - 1
+    best_score = (powers * ones >> shift) & field
+    if best_score < ROTATE_SCORE * c:
+        return 0
+    opens: list[list[int]] = [[] for _ in range(c)]
+    shuts: list[list[int]] = [[] for _ in range(c)]
+    for x, i in enumerate(idx):
+        for p in (i - 1, i):
+            y = last[p]
+            if y != x:  # a point touched once is shut at every cut
+                # the gap from y to x, around the end of the word if y > x
+                gap = pos[x] - pos[y] if y < x else full - pos[y] + pos[x]
+                opens[x].append(gap)
+                shuts[y].append(gap)
+                last[p] = x
+    best = 0
+    for r in range(c - 1):
+        for gap in opens[r]:
+            powers += powers & gap
+        for gap in shuts[r]:
+            powers -= (powers & gap) >> 1
+        score = (powers * ones >> shift) & field
+        if score < best_score:
+            best_score, best = score, r + 1
+    return best
+
+
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """The Kauffman bracket of a braid closure, exact in the variable A.
 
@@ -276,23 +415,39 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     which sets how many matchings a state vector can hold.
     """
     _check_cap(k)
-    # The sweep runs on packed integers.  Each generator's weights are
-    # taken times A^3, so every weight is a non-negative power of A^2
-    # (positive generator: cap-cup A^4, vertical A^2, loop A^4 d =
-    # -(A^6 + A^2); negative: A^2, A^4 and A^2 d = -(A^4 + 1)), and a
-    # coefficient sum_i a_i A^(2i) is held as the integer sum_i a_i 2^(W i):
-    # polynomial products and sums become integer ones, and the result is
-    # shifted back by A^(-3c) once decoded.
-    #
-    # The digits decode exactly while every |a_i| < 2^(W-1).  Call the sum
-    # of |a_i| over all states and digits the mass of a state vector; the
-    # start has mass 1.  A generator maps a coefficient of mass M to a
-    # vertical term of mass M and a cap-cup term of mass M, or 2M when it
-    # closes a loop, so the mass grows at most 3x per crossing.  Every
-    # digit of a state, or of a sum of states, is then at most 3^c, and
-    # 3^c < 2^bitlength(3^c) = 2^(W-1) for W = bitlength(3^c) + 1.
     c = len(k.braid)
-    width = (3 ** c).bit_length() + 1
+    n = k.braid.n_strands
+    if k.closure == "trace":
+        arcs = n
+        r = _cheapest_rotation(k.braid)
+        if r:
+            gens = k.braid.generators
+            k = ClosedBraid(BraidWord(n, gens[r:] + gens[:r]), "trace")
+    else:
+        arcs = n // 2
+    # The sweep runs on packed integers.  Each generator's weights are
+    # taken times A^3 and each closing's times A^2, so every weight is a
+    # non-negative power of A^2 (positive generator: cap-cup A^4, vertical
+    # A^2, loop A^4 d = -(A^6 + A^2); negative: A^2, A^4 and A^2 d =
+    # -(A^4 + 1); closing: join A^2, loop A^2 d = -(A^4 + 1)), and a
+    # coefficient sum_i a_i A^(2i) is held as the integer sum_i a_i 2^(W i):
+    # polynomial products and sums become integer ones.  Of the k closure
+    # arcs the sweep closes k - 1 (the last one closes the final loop, which
+    # weighs 1) and ends in one state, decoded once and shifted back by
+    # A^(-3c - 2(k - 1)).
+    #
+    # Packed sums and products are exact integers at any width, so only the
+    # digits of the final state must fit: they decode exactly while every
+    # |a_i| < 2^(W-1).  Call the sum of |a_i| over all states and digits
+    # the mass of a state vector; the start has mass 1.  A generator maps a
+    # coefficient of mass M to a vertical term of mass M and a cap-cup term
+    # of mass M, or 2M when it closes a loop, so the mass grows at most 3x
+    # per crossing; a closing maps it to mass M, or 2M when it closes a
+    # loop, so at most 2x per closed arc.  Every digit is then at most
+    # 3^c 2^(k-1) < 2^bitlength(3^c 2^(k-1)) = 2^(W-1) for
+    # W = bitlength(3^c 2^(k-1)) + 1.
+    closed = arcs - 1
+    width = (3 ** c << closed).bit_length() + 1
     a2, a4, a6 = 1 << width, 1 << 2 * width, 1 << 3 * width
     states, close = _sweep(
         k,
@@ -300,16 +455,9 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
         weight_pos=(a4, a2, -(a6 + a2)),
         weight_neg=(a2, a4, -(a4 + 1)),
         d=1,
+        closing=(a2, -(a4 + 1)),
     )
-    by_cycles: dict[int, int] = {}
-    for m, coeff in states.items():
-        cycles = _cycles(m, close)
-        by_cycles[cycles] = by_cycles.get(cycles, 0) + coeff
-    # Horner in d: the bucket of j cycles ends up times d^(j-1).
-    total = LaurentPoly()
-    for j in range(max(by_cycles), 0, -1):
-        total = total * _D_POLY + _unpack(by_cycles.get(j, 0), width, -3 * c)
-    return total
+    return _unpack(states[close], width, -3 * c - 2 * closed)
 
 
 def bracket_eval(k: ClosedBraid, a: complex) -> complex:

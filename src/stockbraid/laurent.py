@@ -37,7 +37,8 @@ class LaurentPoly:
 
     @property
     def terms(self) -> dict[int, int]:
-        return dict(self._terms)
+        """The nonzero coefficients by exponent, in increasing exponent order."""
+        return dict(sorted(self._terms.items()))
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(sorted(self._terms.items()))
@@ -53,6 +54,9 @@ class LaurentPoly:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant polynomial equals its int, so it must hash as that int.
+        if self._terms.keys() <= {0}:
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -90,7 +94,9 @@ class LaurentPoly:
     def shifted(self, exponent: int, coefficient: int = 1) -> "LaurentPoly":
         """Multiply by the monomial coefficient * x^exponent (exponent may be negative)."""
         out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = {e + exponent: c * coefficient for e, c in self._terms.items()}
+        out._terms = (
+            {e + exponent: c * coefficient for e, c in self._terms.items()} if coefficient else {}
+        )
         return out
 
     def mirrored(self) -> "LaurentPoly":

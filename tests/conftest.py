@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from stockbraid import BraidWord, jones_eval, parse_csv, plat_close
+from stockbraid import BraidWord, bracket, jones_eval, parse_csv, plat_close
 
 DATA_DIR = Path(__file__).parent / "data"
 DOW4_CSV = DATA_DIR / "dow4_2013.csv"
@@ -52,3 +52,42 @@ def flipped_skein_residue():
         return root * v_plus + v_minus / root - (root - 1 / root) * v_zero
 
     return residue
+
+
+@pytest.fixture()
+def sweep_steps(monkeypatch):
+    """The state vectors of a closing sweep after each of its steps.
+
+    steps(sweep, k, ring) runs sweep(k, **ring), where ring passes closing
+    weights, once on every prefix of bracket._closing_schedule's runs and
+    returns one (kind, state vector) pair per step, kind "crossing" or
+    "arc"."""
+    schedule = bracket._closing_schedule
+
+    def prefix(runs, j):
+        out = []
+        for run, arcs in runs:
+            if j <= 0:
+                break
+            out.append((run[:j], arcs[: max(j - len(run), 0)]))
+            j -= len(run) + len(arcs)
+        return out
+
+    def steps(sweep, k, ring: dict) -> list:
+        runs = []
+
+        def recorded(*args):
+            runs[:] = schedule(*args)
+            return runs
+
+        monkeypatch.setattr(bracket, "_closing_schedule", recorded)
+        sweep(k, **ring)
+        kinds = [kind for run, arcs in runs for kind in ["crossing"] * len(run) + ["arc"] * len(arcs)]
+        out = []
+        for j in range(1, len(kinds) + 1):
+            monkeypatch.setattr(bracket, "_closing_schedule", lambda *args, j=j: prefix(schedule(*args), j))
+            out.append((kinds[j - 1], sweep(k, **ring)[0]))
+        monkeypatch.setattr(bracket, "_closing_schedule", schedule)
+        return out
+
+    return steps

@@ -284,3 +284,23 @@ def test_three_paths_agree(rand_word):
         assert bracket_poly_state_sum(k) == exact
         a = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
         assert abs(exact.evaluate(a) - bracket_eval(k, a)) < 1e-9
+
+
+def test_bracket_poly_does_no_laurent_arithmetic(monkeypatch):
+    # The exact path packs its ring into integers and decodes once: no
+    # LaurentPoly product or sum, on rotated trace words too.
+    def refuse(*args):
+        raise AssertionError("LaurentPoly arithmetic in bracket_poly")
+
+    rng = random.Random(21)
+    words = [
+        (n, [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(c)])
+        for n in (2, 4, 8)
+        for c in (0, 5, 24)
+    ]
+    want = [bracket_poly(close(BraidWord.from_ints(n, g))) for n, g in words for close in (plat_close, trace_close)]
+    for name in ("__mul__", "__rmul__", "__add__"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    monkeypatch.setattr(bracket, "ROTATE_SCORE", 0)
+    got = [bracket_poly(close(BraidWord.from_ints(n, g))) for n, g in words for close in (plat_close, trace_close)]
+    assert got == want

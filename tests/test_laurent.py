@@ -14,6 +14,15 @@ def test_equality_is_term_set_equality():
     assert LaurentPoly({1: 1}) != LaurentPoly({-1: 1})
 
 
+def test_hash_agrees_with_equality():
+    # A constant polynomial equals its int, so the two must hash alike.
+    assert LaurentPoly({0: 2}) == 2 and hash(LaurentPoly({0: 2})) == hash(2)
+    assert len({LaurentPoly({0: 2}), 2}) == 1
+    assert len({LaurentPoly(), 0}) == 1 and hash(LaurentPoly()) == 0
+    assert len({LaurentPoly({0: -1}), -1}) == 1
+    assert len({LaurentPoly({1: 2}), LaurentPoly({1: 2}), LaurentPoly({-1: 2})}) == 2
+
+
 def test_arithmetic():
     a = LaurentPoly({1: 1, -1: 1})  # A + A^-1
     square = a * a
@@ -35,6 +44,15 @@ def test_shifted_and_mirrored():
     # shifted is multiplication by the monomial it names
     assert p.shifted(-3, -1) == p * LaurentPoly({-3: -1})
     assert LaurentPoly.one().shifted(-6) == LaurentPoly({-6: 1})
+    # a zero coefficient gives the zero polynomial, with no zero term stored
+    zero = LaurentPoly({1: 3}).shifted(2, 0)
+    assert not zero and zero == LaurentPoly() and zero.terms == {}
+
+
+def test_terms_are_in_exponent_order():
+    p = LaurentPoly({4: -1, -4: -1, 0: 2})
+    assert list(p.terms) == [-4, 0, 4]
+    assert list((LaurentPoly({3: 1}) + LaurentPoly({-3: 1})).terms) == [-3, 3]
 
 
 def test_evaluate():

@@ -67,4 +67,4 @@ def test_readme_library_example(capsys, monkeypatch, tmp_path):
     source = "\n".join(_block("Library", "python")).replace(SAMPLE, str(ROOT / SAMPLE))
     exec(compile(source, "README.md", "exec"), {})
     out = capsys.readouterr().out
-    assert out.splitlines()[0] == "{4: -1, -4: -1}"
+    assert out.splitlines()[0] == "{-4: -1, 4: -1}"

@@ -148,10 +148,11 @@ def seeded_words(seed: int, count: int) -> list[ClosedBraid]:
 
 def test_a_sweep_in_sorted_state_order_is_caught():
     # The same sweep, but visiting each step's states in id order instead
-    # of insertion order: the same states, filled in another order.
+    # of insertion order: the same states, filled in another order.  The
+    # sweep has one state loop for crossings and one for closing arcs.
     source = inspect.getsource(bracket._sweep)
     loop = "for s, coeff in states.items():"
-    assert source.count(loop) == 1
+    assert source.count(loop) == 2
     namespace = dict(vars(bracket))
     exec(source.replace(loop, "for s, coeff in sorted(states.items()):"), namespace)
     sorted_sweep = namespace["_sweep"]
@@ -214,45 +215,75 @@ def test_packed_bracket_matches_the_laurent_ring_above_the_cap(monkeypatch):
         assert bracket_poly(k) == laurent_bracket(k)
 
 
-def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch):
-    # Every state's packed coefficient decodes to its Laurent coefficient
-    # times the global factor A^3 per crossing, in the same state order.
-    sweeps = []
+# The sweep on the Laurent ring closed on bracket_poly's schedule: a join
+# weighs 1 and a loop d.
+LAURENT_CLOSING = (LaurentPoly.one(), EXACT_RING["d"])
+
+
+def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_steps):
+    # After every step of bracket_poly's closing schedule, every state's
+    # packed coefficient decodes to its Laurent coefficient times A^3 per
+    # crossing and A^2 per closed arc so far, in the same state order, and
+    # the one final state decodes to the bracket.
+    calls = []
     sweep = bracket._sweep
 
     def recorded(k, **ring):
-        result = sweep(k, **ring)
-        sweeps.append(result[0])
-        return result
+        calls.append((k, ring))
+        return sweep(k, **ring)
 
     monkeypatch.setattr(bracket, "_sweep", recorded)
     for k in words_of(seed=10, count=12, strands=[2, 3, 4, 6], crossings=range(0, 25)):
-        bracket_poly(k)
-        packed = sweeps.pop()
-        want = sweep(k, **EXACT_RING)[0]
-        c = len(k.braid)
-        assert list(packed) == list(want)
-        decoded = [bracket._unpack(p, (3 ** c).bit_length() + 1, 0) for p in packed.values()]
-        assert decoded == [coeff.shifted(3 * c) for coeff in want.values()]
+        want = bracket_poly(k)
+        (swept, ring), = calls
+        calls.clear()
+        width = ring["weight_pos"][1].bit_length() - 1
+        packed = sweep_steps(sweep, swept, ring)
+        laurent = sweep_steps(sweep, swept, dict(EXACT_RING, closing=LAURENT_CLOSING))
+        # every crossing once, and every closure arc but the last once
+        assert len(packed) == len(swept.braid) + len(bracket._module(swept)[2]) // 2 - 1
+        shift = 0
+        for (kind, p_states), (_, l_states) in zip(packed, laurent):
+            shift += 3 if kind == "crossing" else 2
+            assert list(p_states) == list(l_states)
+            decoded = [bracket._unpack(p, width, 0) for p in p_states.values()]
+            assert decoded == [coeff.shifted(shift) for coeff in l_states.values()]
+        (final,) = packed[-1][1].values() if packed else (1,)
+        assert bracket._unpack(final, width, -shift) == want
+
+
+def _narrowed(width: str):
+    """bracket_poly with its digit width expression replaced by width."""
+    source = inspect.getsource(bracket.bracket_poly)
+    exact = "width = (3 ** c << closed).bit_length() + 1"
+    assert source.count(exact) == 1
+    namespace = dict(vars(bracket))
+    exec(source.replace(exact, width), namespace)
+    return namespace["bracket_poly"]
 
 
 def test_a_narrower_digit_width_is_caught():
-    # The same bracket_poly with W = c // 2 bits per digit.  Bracket
-    # coefficients stay far below the 3^c bound, so the narrow digits
-    # overflow into their neighbours only on some words: wide strand
-    # counts at few crossings.
-    source = inspect.getsource(bracket.bracket_poly)
-    width = "width = (3 ** c).bit_length() + 1"
-    assert source.count(width) == 1
-    namespace = dict(vars(bracket))
-    exec(source.replace(width, "width = c // 2"), namespace)
-    narrow_bracket = namespace["bracket_poly"]
-
+    # The same bracket_poly with W = c // 2 bits per digit.  The packed
+    # sums are exact integers at any width, and only the one final state is
+    # decoded, so the narrow digits overflow into their neighbours only
+    # where the bracket's own coefficients need more than c // 2 bits:
+    # wide strand counts at few crossings.
+    narrow_bracket = _narrowed("width = c // 2")
     caught = 0
-    for k in words_of(seed=11, count=40, strands=[6, 8], crossings=range(8, 17)):
+    for k in words_of(seed=11, count=40, strands=[8, 10, 12], crossings=range(4, 9)):
         if narrow_bracket(k) != laurent_bracket(k):
             caught += 1
     assert caught > 0
+
+
+def test_a_width_without_the_arc_factor_is_caught():
+    # W = bitlength(3^c) + 1 leaves out the 2^(k-1) that closing k - 1
+    # arcs can multiply a digit by: the unlinked circles of an empty trace
+    # word on 8 strands already need 7-bit digits, where it gives 2.
+    short_bracket = _narrowed("width = (3 ** c).bit_length() + 1")
+    empty = [ClosedBraid(BraidWord(n), "trace") for n in range(1, 13)]
+    caught = [k.braid.n_strands for k in empty if short_bracket(k) != laurent_bracket(k)]
+    assert 8 in caught
 
 
 def interference_case():
