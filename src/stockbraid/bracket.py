@@ -18,10 +18,11 @@ The bracket is computed two ways, cross-checked in the tests:
   and closes each closure arc but the last right after the last crossing
   that touches it, so that the sweep ends in one state, decoded once; W =
   bitlength(3^c 2^(k-1)) + 1 for c crossings and k closure arcs.  It starts
-  an expensive trace word at its cheapest cyclic rotation
-  (``_cheapest_rotation``), since a trace closure does not change under
-  conjugation.  ``bracket_eval`` runs the sweep on complex numbers at a
-  point A = a, on the word as given, and closes it at the end.
+  a trace word at the cyclic rotation that holds the fewest closure arcs
+  open, summed over its crossings (``_cheapest_rotation``), since a trace
+  closure does not change under conjugation.  ``bracket_eval`` runs the
+  sweep on complex numbers at a point A = a, on the word as given, and
+  closes it at the end.
 
 Crossing-sign convention, pinned once for the whole package: the positive
 generator weights its cap-cup smoothing with A and its vertical smoothing
@@ -51,6 +52,7 @@ across calls.
 from __future__ import annotations
 
 import cmath
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, Generator, compose, writhe
@@ -58,9 +60,6 @@ from .closure import ClosedBraid, _cycles, _involution, closure_arcs
 from .laurent import LaurentPoly
 
 CROSSING_CAP = 24
-# The least average score per crossing at which bracket_poly rotates a
-# trace word (see _cheapest_rotation).
-ROTATE_SCORE = 64
 
 _D_POLY = LaurentPoly({2: -1, -2: -1})
 
@@ -337,73 +336,38 @@ def _unpack(packed: int, width: int, shift: int) -> LaurentPoly:
 
 
 def _cheapest_rotation(word: BraidWord) -> int:
-    """The rotation r, 0 <= r < c, that the exact sweep of word's trace
-    closure starts at: word.generators[r:] + word.generators[:r].
+    """The rotation r, 0 <= r < c, of least sum over crossings j of open_j,
+    ties to the smallest: the exact sweep of word's trace closure starts
+    at word.generators[r:] + word.generators[:r].  open_j counts the top
+    points touched at or before crossing j and again after it, whose
+    closure arcs the sweep holds open across j; the crossing of sigma_i
+    touches points i - 1 and i.
 
-    Each rotation is scored by its sum over crossings j of 2^open_j, where
-    open_j counts the top points touched at or before crossing j and again
-    after it: the points whose closure arcs the sweep holds open across j.
-    Crossing j touches points i - 1 and i of its sigma_i.  The word is
-    rotated only when its own score averages at least ROTATE_SCORE per
-    crossing: on a sweep that holds fewer states the choice costs more
-    than it saves.  Then r is the rotation of least score, ties to the
-    smallest; otherwise r = 0.
-
-    For the cut before crossing r, a point touched more than once is shut
-    on the gap between its touches that holds the cut, and open on every
-    other crossing.  The values 2^open_j are the fields of one integer, w
-    bits per crossing, so a gap opens or shuts with one mask and one
-    product sums the fields.  The gaps are found once; then the cut moves
-    one crossing at a time, and the two points crossing r touches open on
-    their gaps that end at r and shut on their gaps that start at r.
+    A point's touches cut the cycle of c crossings into gaps (a, b], from
+    one touch a to the next, b, counted past c around the end of the word.
+    A cut before crossing r in the gap shuts the point there and holds it
+    open on the other c - (b - a) crossings, so r is the cut of greatest
+    total shut length.  Each gap adds b - a to its cuts on a difference
+    array over 2c slots, where cut r stands at slots r and r + c.
     """
-    n = word.n_strands
-    c = len(word.generators)
-    if 1 << n <= ROTATE_SCORE or c < 2:  # no word on n strands scores that high
+    gens = word.generators
+    c = len(gens)
+    if c < 2:
         return 0
-    idx = [g.index for g in word.generators]
-    # A field holds at most 2^n, and a sum of c fields fits in w bits.
-    w = n + c.bit_length() + 1
-    pos = [1 << w * x for x in range(c + 1)]
-    full = pos[c] - 1
-    ones = full // ((1 << w) - 1)
-    first = [-1] * n
-    for x in range(c - 1, -1, -1):
-        i = idx[x]
-        first[i - 1] = first[i] = x
-    last = [-1] * n
-    for x, i in enumerate(idx):
-        last[i - 1] = last[i] = x
-    powers = ones
-    for a, b in zip(first, last):
-        if a < b:
-            powers += powers & (pos[b] - pos[a])
-    shift = w * (c - 1)
-    field = (1 << w) - 1
-    best_score = (powers * ones >> shift) & field
-    if best_score < ROTATE_SCORE * c:
-        return 0
-    opens: list[list[int]] = [[] for _ in range(c)]
-    shuts: list[list[int]] = [[] for _ in range(c)]
-    for x, i in enumerate(idx):
-        for p in (i - 1, i):
-            y = last[p]
-            if y != x:  # a point touched once is shut at every cut
-                # the gap from y to x, around the end of the word if y > x
-                gap = pos[x] - pos[y] if y < x else full - pos[y] + pos[x]
-                opens[x].append(gap)
-                shuts[y].append(gap)
-                last[p] = x
-    best = 0
-    for r in range(c - 1):
-        for gap in opens[r]:
-            powers += powers & gap
-        for gap in shuts[r]:
-            powers -= (powers & gap) >> 1
-        score = (powers * ones >> shift) & field
-        if score < best_score:
-            best_score, best = score, r + 1
-    return best
+    last = {}
+    for x, g in enumerate(gens):
+        last[g.index - 1] = last[g.index] = x
+    diff = [0] * (2 * c + 1)
+    for x, g in enumerate(gens):
+        for p in (g.index - 1, g.index):
+            a = last[p]
+            b = x if a < x else x + c  # a point touched once has one gap of c
+            diff[a + 1] += b - a
+            diff[b + 1] -= b - a
+            last[p] = x
+    run = list(accumulate(diff))
+    shut = [x + y for x, y in zip(run[:c], run[c:])]
+    return shut.index(max(shut))
 
 
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
@@ -419,6 +383,7 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     n = k.braid.n_strands
     if k.closure == "trace":
         arcs = n
+        # Every rotation has this trace closure; start at the cheapest.
         r = _cheapest_rotation(k.braid)
         if r:
             gens = k.braid.generators

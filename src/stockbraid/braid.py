@@ -142,29 +142,41 @@ def format_word(w: BraidWord) -> str:
     return f"{w.n_strands}:" + (f" {body}" if body else "")
 
 
+def _ascii_int(text: str) -> int:
+    # int() also reads non-ASCII digits and underscores; word text takes neither.
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_word(text: str) -> BraidWord:
     """Parse the ``n: g1 g2 ...`` form produced by format_word."""
     head, sep, tail = text.partition(":")
     if not sep:
         raise WordFormatError(f"missing ':' strand-count prefix in {text!r}")
     try:
-        n = int(head.strip())
+        n = _ascii_int(head.strip())
     except ValueError:
         raise WordFormatError(f"bad strand count {head.strip()!r}") from None
-    # Each distinct generator is checked and built once, then shared.
+    # Each distinct token is read once, and each distinct generator checked
+    # and built once, then shared.
+    by_token: dict[str, Generator] = {}
     by_value: dict[int, Generator] = {}
     gens = []
     for token in tail.split():
-        try:
-            value = int(token)
-        except ValueError:
-            raise WordFormatError(f"bad generator token {token!r}") from None
-        g = by_value.get(value)
+        g = by_token.get(token)
         if g is None:
-            if value == 0:
-                raise WordFormatError("generator 0 is not defined")
-            if abs(value) >= n:
-                raise WordFormatError(f"generator {value} out of range on {n} strands")
-            g = by_value[value] = Generator.from_int(value)
+            try:
+                value = _ascii_int(token)
+            except ValueError:
+                raise WordFormatError(f"bad generator token {token!r}") from None
+            g = by_value.get(value)
+            if g is None:
+                if value == 0:
+                    raise WordFormatError("generator 0 is not defined")
+                if abs(value) >= n:
+                    raise WordFormatError(f"generator {value} out of range on {n} strands")
+                g = by_value[value] = Generator.from_int(value)
+            by_token[token] = g
         gens.append(g)
     return BraidWord(n, tuple(gens))

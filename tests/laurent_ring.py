@@ -1,0 +1,29 @@
+"""The bracket from the Temperley-Lieb sweep on Laurent polynomials in A,
+closed at the end: the reference that the packed-integer ring of
+``bracket_poly``, its closing schedule and its rotation are checked
+against.  A plain module, not a fixture, so tests under ``@given`` can
+call it."""
+
+from stockbraid import ClosedBraid, bracket
+from stockbraid.closure import _cycles
+from stockbraid.laurent import LaurentPoly
+
+A, A_INV, D = LaurentPoly({1: 1}), LaurentPoly({-1: 1}), LaurentPoly({2: -1, -2: -1})
+EXACT_RING = {
+    "one": LaurentPoly.one(),
+    "weight_pos": (A, A_INV, A),
+    "weight_neg": (A_INV, A, A_INV),
+    "d": D,
+}
+
+
+def laurent_ring_bracket(k: ClosedBraid) -> LaurentPoly:
+    """The sweep of k's word as given on the Laurent ring, each final state
+    multiplied by d once per loop beyond the first."""
+    states, close = bracket._sweep(k, **EXACT_RING)
+    total = LaurentPoly()
+    for m, coeff in states.items():
+        for _ in range(_cycles(m, close) - 1):
+            coeff = coeff * D
+        total = total + coeff
+    return total

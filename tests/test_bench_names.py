@@ -1,10 +1,12 @@
-"""The package names that bench/spans.py wraps when it traces a run.
+"""The package names that the benchmark under bench/ uses.
 
-The tracer rebinds functions and LaurentPoly methods by name, so a
-rename or deletion in the package breaks `bench/run.py --trace 1`
-without failing any other test.
+The tracer in bench/spans.py rebinds functions and LaurentPoly methods
+by name, and the other bench modules import names from the package, so a
+rename or deletion in the package breaks `bench/run.py` without failing
+any other test.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -12,7 +14,8 @@ from pathlib import Path
 from stockbraid import bracket, cli, outcome
 from stockbraid.laurent import LaurentPoly
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+SPANS = BENCH / "spans.py"
 
 
 def _spans():
@@ -39,3 +42,25 @@ def test_patched_bindings_are_module_bindings():
     # bench/test_bench.py monkeypatches these names on the modules.
     assert vars(outcome)["bracket_eval"] is bracket.bracket_eval
     assert vars(cli)["bracket_poly"] is bracket.bracket_poly
+
+
+def test_every_imported_package_name_resolves():
+    imported = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported += [(path.name, alias.name, None) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported += [(path.name, node.module, alias.name) for alias in node.names]
+    imported = [entry for entry in imported if entry[1].split(".")[0] == "stockbraid"]
+    assert imported
+    missing = []
+    for file, module, name in imported:
+        target = importlib.import_module(module)
+        if name is None or hasattr(target, name):
+            continue
+        try:  # a submodule not yet imported
+            importlib.import_module(f"{module}.{name}")
+        except ImportError:
+            missing.append(f"{file}: from {module} import {name}")
+    assert not missing

@@ -3,14 +3,14 @@ against the state-sum oracle and against the sweep on the Laurent ring,
 the numeric sweep against the exact bracket evaluated at a point of the
 unit circle, and the Jones polynomial against the bracket times an
 explicit writhe monomial.  The exact sweep closes each closure arc as
-soon as it can and may start a trace word at another rotation, while the
+soon as it can and starts a trace word at its cheapest rotation, while the
 Laurent-ring reference sweeps the word as given and closes it at the end.
-Hypothesis runs derandomized, so every run tries the same examples."""
+Trace closures are also checked under the two Markov moves.  Hypothesis
+runs derandomized, so every run tries the same examples."""
 
 import cmath
 import math
 import random
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,11 +22,14 @@ from stockbraid import (
     bracket_eval,
     bracket_poly,
     bracket_poly_state_sum,
+    inverse,
     jones_from_bracket,
+    kauffman_invariant,
     writhe,
 )
-from stockbraid.closure import _cycles
 from stockbraid.laurent import LaurentPoly
+
+from laurent_ring import D, laurent_ring_bracket
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -52,23 +55,6 @@ def wide_closed_braids(draw) -> ClosedBraid:
     generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
     gens = draw(st.lists(generator, min_size=length, max_size=length))
     return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in gens]), closure)
-
-
-A, A_INV, D = LaurentPoly({1: 1}), LaurentPoly({-1: 1}), LaurentPoly({2: -1, -2: -1})
-
-
-def laurent_ring_bracket(k: ClosedBraid) -> LaurentPoly:
-    """The bracket from the sweep with LaurentPoly coefficients, each state
-    multiplied by d once per loop beyond the first."""
-    states, close = bracket._sweep(
-        k, one=LaurentPoly.one(), weight_pos=(A, A_INV, A), weight_neg=(A_INV, A, A_INV), d=D
-    )
-    total = LaurentPoly()
-    for m, coeff in states.items():
-        for _ in range(_cycles(m, close) - 1):
-            coeff = coeff * D
-        total = total + coeff
-    return total
 
 
 @SETTINGS
@@ -101,16 +87,18 @@ def test_jones_is_the_bracket_times_the_writhe_monomial(k):
     assert jones_from_bracket(k, "standard") == f.mirrored()
 
 
-def check_exact(k: ClosedBraid) -> None:
-    """bracket_poly(k), as it chooses a rotation and rotating every trace
-    word it can, against the state sum (up to 14 crossings) and the
-    Laurent-ring sweep closed at the end."""
-    want = laurent_ring_bracket(k)
+def check_bracket(k: ClosedBraid, want: LaurentPoly) -> None:
+    """bracket_poly(k), which starts a trace word at its cheapest rotation,
+    against want, and the state sum against want up to 14 crossings."""
     if len(k.braid) <= 14:
         assert bracket_poly_state_sum(k) == want
     assert bracket_poly(k) == want
-    with mock.patch.object(bracket, "ROTATE_SCORE", 0):
-        assert bracket_poly(k) == want
+
+
+def check_exact(k: ClosedBraid) -> None:
+    """bracket_poly(k) and the state sum against the Laurent-ring sweep
+    closed at the end."""
+    check_bracket(k, laurent_ring_bracket(k))
 
 
 def rotated(k: ClosedBraid, r: int) -> ClosedBraid:
@@ -169,30 +157,24 @@ def test_words_without_crossings():
 
 
 def score(gens: list[int]) -> int:
-    """sum over crossings j of 2^open_j, straight from the definition."""
+    """sum over crossings j of open_j, straight from the definition."""
     first: dict[int, int] = {}
     last: dict[int, int] = {}
     for j, i in enumerate(gens):
         for p in (i - 1, i):
             first.setdefault(p, j)
             last[p] = j
-    return sum(2 ** sum(first[p] <= j < last[p] for p in first) for j in range(len(gens)))
+    return sum(sum(first[p] <= j < last[p] for p in first) for j in range(len(gens)))
 
 
 def test_the_chosen_rotation_has_the_least_score():
     rng = random.Random(13)
     for _ in range(300):
-        n = rng.choice([2, 3, 5, 7, 8, 12, 30])
+        n = rng.randrange(2, 31)
         gens = [rng.randrange(1, n) for _ in range(rng.randrange(0, 25))]
         word = BraidWord.from_ints(n, gens)
         scores = [score(gens[r:] + gens[:r]) for r in range(len(gens))] or [0]
-        best = scores.index(min(scores))
-        with mock.patch.object(bracket, "ROTATE_SCORE", 0):
-            assert bracket._cheapest_rotation(word) == best
-        # Otherwise only a word whose own score averages ROTATE_SCORE per
-        # crossing is rotated.
-        expensive = scores[0] >= bracket.ROTATE_SCORE * len(gens) > 0
-        assert bracket._cheapest_rotation(word) == (best if expensive else 0)
+        assert bracket._cheapest_rotation(word) == scores.index(min(scores))
 
 
 def test_a_long_thin_trace_word_stays_small(sweep_steps, monkeypatch):
@@ -207,3 +189,34 @@ def test_a_long_thin_trace_word_stays_small(sweep_steps, monkeypatch):
     ((swept, ring),) = calls
     peak = max(len(states) for _, states in sweep_steps(sweep, swept, ring))
     assert peak <= 4
+
+
+@st.composite
+def words_on(draw, n: int, max_crossings: int) -> BraidWord:
+    """Words on n strands of up to max_crossings crossings."""
+    if n == 1:
+        return BraidWord(1)
+    generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
+    gens = draw(st.lists(generator, max_size=max_crossings))
+    return BraidWord.from_ints(n, [i * s for i, s in gens])
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(lambda m: words_on(m, 16)), st.sampled_from([1, -1]))
+def test_trace_stabilisation_multiplies_the_bracket_by_a_kink(beta, s):
+    # beta sigma_m^s on m + 1 strands is beta's trace closure with one kink
+    # more: the bracket takes a factor -A^(-3s).  The writhe read off the
+    # word grows by s, so f[K] moves by A^(-6s): it is not Markov-stable.
+    m = beta.n_strands
+    base = ClosedBraid(beta, "trace")
+    stabilised = ClosedBraid(BraidWord.from_ints(m + 1, beta.to_ints() + [s * m]), "trace")
+    check_bracket(stabilised, bracket_poly(base).shifted(-3 * s, -1))
+    assert kauffman_invariant(stabilised) == kauffman_invariant(base).shifted(-6 * s)
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(words_on(n, 12), words_on(n, 6))))
+def test_an_unreduced_conjugate_has_the_trace_bracket_of_the_word(words):
+    beta, g = words
+    conjugate = BraidWord(beta.n_strands, g.generators + beta.generators + inverse(g).generators)
+    check_bracket(ClosedBraid(conjugate, "trace"), bracket_poly(ClosedBraid(beta, "trace")))

@@ -134,7 +134,9 @@ def test_parse_and_format():
     assert format_word(BraidWord(2)) == "2:"
 
 
-@pytest.mark.parametrize("bad", ["3: 5", "3: 0", "3: -3", "3 1", "x: 1", "3: one"])
+@pytest.mark.parametrize(
+    "bad", ["3: 5", "3: 0", "3: -3", "3 1", "x: 1", "3: one", "2: ١", "١٢: 1", "12: 1_1"]
+)
 def test_parse_errors(bad):
     with pytest.raises(WordFormatError):
         parse_word(bad)

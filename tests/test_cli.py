@@ -105,6 +105,18 @@ def test_invariant_odd_strand_plat_fails(capsys):
     assert "2k" in err
 
 
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("2: ١", "bad generator token '١'"),
+        ("١٢: 1", "bad strand count '١٢'"),
+        ("12: 1_1", "bad generator token '1_1'"),
+    ],
+)
+def test_word_with_non_ascii_digits_or_underscores_is_an_input_error(capsys, word, message):
+    assert run_cli(capsys, "invariant", word) == (1, "", f"error: {message}\n")
+
+
 def test_invariant_jones_conventions_and_eval(capsys):
     code, out, _ = run_cli(
         capsys, "invariant", "4: 2 2", "--jones", "--eval", "0.951056516+0.309016994j"

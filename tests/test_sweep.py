@@ -27,9 +27,10 @@ from stockbraid import (
     free_reduce,
 )
 from stockbraid.cli import main
-from stockbraid.closure import _cycles
 from stockbraid.laurent import LaurentPoly
 from stockbraid.outcome import interference_braid
+
+from laurent_ring import D, EXACT_RING, laurent_ring_bracket
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 POINTS = (cmath.exp(1j * cmath.pi / 10), 1j, 0.7 + 0.2j, 1.3 - 0.4j)
@@ -70,15 +71,6 @@ def numeric_ring(a: complex) -> dict:
     d = -(a * a) - (a_inv * a_inv)
     return {"one": complex(1), "weight_pos": (a, a_inv, a), "weight_neg": (a_inv, a, a_inv), "d": d}
 
-
-# Exact Laurent-polynomial weights: the reference for bracket_poly's packed ring.
-A, A_INV = LaurentPoly({1: 1}), LaurentPoly({-1: 1})
-EXACT_RING = {
-    "one": LaurentPoly.one(),
-    "weight_pos": (A, A_INV, A),
-    "weight_neg": (A_INV, A, A_INV),
-    "d": LaurentPoly({2: -1, -2: -1}),
-}
 
 
 def parts(z: complex) -> tuple[str, str]:
@@ -179,17 +171,6 @@ def test_comparison_tells_signed_zeros_apart():
     assert zeros == {"0.0", "-0.0"}
 
 
-def laurent_bracket(k: ClosedBraid) -> LaurentPoly:
-    """The bracket from the sweep on the Laurent-polynomial ring."""
-    states, close = bracket._sweep(k, **EXACT_RING)
-    total = LaurentPoly()
-    for m, coeff in states.items():
-        for _ in range(_cycles(m, close) - 1):
-            coeff = coeff * EXACT_RING["d"]
-        total = total + coeff
-    return total
-
-
 def words_of(seed: int, count: int, strands, crossings) -> list[ClosedBraid]:
     """count seeded closures on strand counts drawn from strands and
     crossing counts drawn from crossings: plat and trace alternate, and an
@@ -206,18 +187,18 @@ def words_of(seed: int, count: int, strands, crossings) -> list[ClosedBraid]:
 
 def test_packed_bracket_matches_the_laurent_ring_at_the_cap():
     for k in words_of(seed=8, count=16, strands=[8], crossings=[24]):
-        assert bracket_poly(k) == laurent_bracket(k)
+        assert bracket_poly(k) == laurent_ring_bracket(k)
 
 
 def test_packed_bracket_matches_the_laurent_ring_above_the_cap(monkeypatch):
     monkeypatch.setattr(bracket, "CROSSING_CAP", 40)
     for k in words_of(seed=9, count=24, strands=[4, 5, 6], crossings=range(25, 41)):
-        assert bracket_poly(k) == laurent_bracket(k)
+        assert bracket_poly(k) == laurent_ring_bracket(k)
 
 
 # The sweep on the Laurent ring closed on bracket_poly's schedule: a join
 # weighs 1 and a loop d.
-LAURENT_CLOSING = (LaurentPoly.one(), EXACT_RING["d"])
+LAURENT_CLOSING = (LaurentPoly.one(), D)
 
 
 def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_steps):
@@ -271,7 +252,7 @@ def test_a_narrower_digit_width_is_caught():
     narrow_bracket = _narrowed("width = c // 2")
     caught = 0
     for k in words_of(seed=11, count=40, strands=[8, 10, 12], crossings=range(4, 9)):
-        if narrow_bracket(k) != laurent_bracket(k):
+        if narrow_bracket(k) != laurent_ring_bracket(k):
             caught += 1
     assert caught > 0
 
@@ -282,7 +263,7 @@ def test_a_width_without_the_arc_factor_is_caught():
     # word on 8 strands already need 7-bit digits, where it gives 2.
     short_bracket = _narrowed("width = (3 ** c).bit_length() + 1")
     empty = [ClosedBraid(BraidWord(n), "trace") for n in range(1, 13)]
-    caught = [k.braid.n_strands for k in empty if short_bracket(k) != laurent_bracket(k)]
+    caught = [k.braid.n_strands for k in empty if short_bracket(k) != laurent_ring_bracket(k)]
     assert 8 in caught
 
 
