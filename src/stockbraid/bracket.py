@@ -9,20 +9,27 @@ The bracket is computed two ways, cross-checked in the tests:
   crossing count; this is the reference oracle.
 * one Temperley-Lieb sweep over non-crossing perfect matchings,
   polynomial time in crossings for a fixed strand count and generic over
-  the coefficient ring.  Plat closures sweep the n-point module
-  (dimension Catalan(n/2)) from the bottom caps and are closed by the top
-  caps; trace closures sweep the 2n-point module from the identity tangle
-  and are closed by joining bottom point i to top point i.
+  the coefficient ring.  It runs a schedule: a start matching and a list
+  of steps, each a generator on two named points or the closing of an
+  arc.  In word order, plat closures sweep the n-point module (dimension
+  Catalan(n/2)) from the bottom caps and are closed by the top caps;
+  trace closures sweep the 2n-point module from the identity tangle and
+  are closed by joining bottom point i to top point i.  In radial order,
+  for trace closures only, the crossings are sorted by generator index
+  and then word position and swept outward through the annulus the
+  closed braid lives in, which holds only the crossings of one or two
+  indices open at a time (``_radial_schedule``).
   ``bracket_poly`` runs it on packed integers, each a polynomial in A^2
   with one signed coefficient per W-bit field (Kronecker substitution),
-  and closes each closure arc but the last right after the last crossing
-  that touches it, so that the sweep ends in one state, decoded once; W =
-  bitlength(3^c 2^(k-1)) + 1 for c crossings and k closure arcs.  It starts
-  a trace word at the cyclic rotation that holds the fewest closure arcs
-  open, summed over its crossings (``_cheapest_rotation``), since a trace
-  closure does not change under conjugation.  ``bracket_eval`` runs the
-  sweep on complex numbers at a point A = a, on the word as given, and
-  closes it at the end.
+  and makes each closing but the last right after the last crossing that
+  touches it, so that the sweep ends in one state, decoded once; W =
+  bitlength(3^c 2^k) + 1 for c crossings and the k closings it makes.  A
+  trace word is swept in radial order or in word order from the cyclic
+  rotation that holds the fewest closure arcs open, whichever has the
+  smaller sum over its crossings of Catalan(open / 2) (``_trace_plan``);
+  a trace closure does not change under conjugation.  ``bracket_eval``
+  runs the sweep on complex numbers at a point A = a, on the word as
+  given in word order, and closes it at the end.
 
 Crossing-sign convention, pinned once for the whole package: the positive
 generator weights its cap-cup smoothing with A and its vertical smoothing
@@ -52,7 +59,9 @@ across calls.
 from __future__ import annotations
 
 import cmath
+from bisect import bisect_left
 from itertools import accumulate
+from operator import add
 from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, Generator, compose, writhe
@@ -171,37 +180,140 @@ def bracket_poly_state_sum(k: ClosedBraid) -> LaurentPoly:
 # ---------------------------------------------------------------------------
 # The Temperley-Lieb sweep, shared by the exact and the numeric path.
 #
-# A state is a non-crossing perfect matching of the module's points, stored
-# as an involution m (m[x] is the partner of x).  Each generator branches a
-# state into its two smoothings; a loop closed by a cap-cup smoothing
-# contributes a factor d as it appears.  A closure arc closed during the
-# sweep pairs its two points for good; no later step touches them.
+# A state is a perfect matching of a schedule's points, stored as an
+# involution m (m[x] is the partner of x): the ends of the diagram's edges
+# that the steps so far join.  A generator step branches a state into its
+# two smoothings; a loop closed by a cap-cup smoothing contributes a factor
+# d as it appears.  A closing step joins two ends for good; no later step
+# touches them.
 
-def _module(k: ClosedBraid) -> tuple[tuple[int, ...], int, tuple[int, ...]]:
-    """Start matching, generator offset and closing involution of the
-    module k is swept on, from the closure's arcs: plat sweeps the n top
-    points from the bottom caps and closes with the top caps, the same
-    involution (0 1)(2 3)...; trace sweeps bottom anchors 0..n-1 and top
-    points n..2n-1 from the identity tangle."""
+
+class _Schedule:
+    """A sweep's plan: the start matching, the steps, and the involution
+    that closes the final states.
+
+    A step (a, b, s) with s = +1 or -1 is a Temperley-Lieb generator on
+    points a and b weighted like a crossing of sign s: its vertical
+    smoothing keeps every point, its cap-cup smoothing joins the partners
+    of a and b and pairs a with b.  A step (a, b, 0) closes the arc that
+    joins a to b.  (A plain class: a NamedTuple costs the CLI's start-up
+    about 0.2 ms to create.)
+    """
+
+    __slots__ = ("start", "steps", "close")
+
+    def __init__(
+        self, start: tuple[int, ...], steps: list[tuple[int, int, int]], close: tuple[int, ...]
+    ) -> None:
+        self.start = start
+        self.steps = steps
+        self.close = close
+
+
+def _word_schedule(k: ClosedBraid, closings: bool, rotation: int = 0) -> _Schedule:
+    """k's crossings in word order on the module of the closure's arcs:
+    plat sweeps the n top points from the bottom caps and closes with the
+    top caps, the same involution (0 1)(2 3)...; trace sweeps bottom
+    anchors 0..n-1 and top points n..2n-1 from the identity tangle.  A
+    trace word may start at generator ``rotation`` and run round from the
+    start, since a trace closure does not change under this conjugation.
+
+    With closings, each closure arc (x, close[x]), x < close[x], is closed
+    right after the last crossing that touches either of its points, or
+    before the first crossing if none does.  The arc that would be closed
+    last is left out.  It always closes the final loop, which weighs 1,
+    and every other point is paired for good by then, so the sweep already
+    ends in the one state that pairs it: the closing involution itself.
+    """
     n = k.braid.n_strands
+    gens = k.braid.generators
     arcs = closure_arcs(k)
     if k.closure == "plat":
-        caps = _involution(arcs[: n // 2], n)
-        return caps, 0, caps
-    identity = _involution(arcs, 2 * n)
-    return identity, n, identity
+        start = close = _involution(arcs[: n // 2], n)
+        offset = 0
+    else:
+        start = close = _involution(arcs, 2 * n)
+        offset = n
+    steps = [(offset + g.index - 1, offset + g.index, g.exponent) for g in gens]
+    if rotation:
+        steps = steps[rotation:] + steps[:rotation]
+    if closings:
+        last = [-1] * len(close)
+        for j, (a, b, _) in enumerate(steps):
+            last[a] = last[b] = j
+        arcs_after = sorted((max(last[x], last[y]), x, y) for x, y in enumerate(close) if x < y)
+        for j, x, y in reversed(arcs_after):
+            steps.insert(j + 1, (x, y, 0))
+        steps.pop()
+    return _Schedule(start, steps, close)
 
 
-def _cupcap(m: tuple[int, ...], a: int, b: int | None = None) -> tuple[int, ...]:
-    """The matching left by the cap-cup smoothing at points a, a+1 of m,
-    or, given b, by closing the closure arc that joins a to b.
+def _radial_schedule(word: BraidWord, tracks: tuple) -> _Schedule:
+    """The trace closure of word, whose tracks are ``_tracks(word)``,
+    swept outward through its annulus: the crossings in radial order.
+
+    The crossing of sigma_i touches track i - 1 with its two lower legs
+    and track i with its two upper legs; a generator step takes its
+    lower legs in and its upper legs out, the left leg as point a and the
+    right one as point b.  On each track an edge joins each touch to the
+    next, cyclically in word order:
+
+    * an edge between two lower legs is a pair of points of the start
+      matching (a cup no crossing has made yet);
+    * an edge between an upper leg and the lower leg of a later crossing
+      keeps its point;
+    * an edge between two upper legs is closed right after the later of
+      its two crossings;
+    * an untouched track is a pair of the start matching, closed before
+      the first crossing.
+
+    Turned this way a crossing's vertical smoothing is its word-order
+    cap-cup smoothing and the other way round, so sigma_i^s is weighted
+    like sigma_i^(-s).  The last closing is left out, as in word order.
+    """
+    gens = word.generators
+    index, touches, rank = tracks
+    left = [0] * len(gens)
+    right = [0] * len(gens)
+    pairs: list[tuple[int, int]] = []
+    steps: list[tuple[int, int, int]] = []
+    after: list[list[tuple[int, int, int]]] = [[] for _ in gens]
+    # Track p's lower legs belong to sigma_(p+1); the points of an upper
+    # leg were named on track p - 1.
+    for p, xs in enumerate(touches):
+        if not xs:
+            u = 2 * len(pairs)
+            pairs.append((u, u + 1))
+            steps.append((u, u + 1, 0))
+        for x, y in zip(xs, xs[1:] + xs[:1]):
+            if index[y] > p:
+                if index[x] > p:
+                    u = 2 * len(pairs)
+                    pairs.append((u, u + 1))
+                    right[x], left[y] = u, u + 1
+                else:
+                    left[y] = right[x]
+            elif index[x] > p:
+                right[x] = left[y]
+            else:
+                after[max(rank[x], rank[y])].append((right[x], left[y], 0))
+    for x in sorted(range(len(gens)), key=rank.__getitem__):
+        steps.append((left[x], right[x], -gens[x].exponent))
+        steps += after[rank[x]]
+    size = 2 * len(pairs)
+    close = _involution([(a, b) for a, b, s in steps if not s], size)
+    steps.pop()
+    return _Schedule(_involution(pairs, size), steps, close)
+
+
+def _cupcap(m: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """The matching left by the cap-cup smoothing at points a and b of m,
+    or by closing the arc that joins a to b.
 
     When a and b are already paired the cap closes a loop and m is
     returned unchanged; otherwise their partners are joined and a, b
     become a pair.
     """
-    if b is None:
-        b = a + 1
     if m[a] == b:
         return m
     j, kk = m[a], m[b]
@@ -211,97 +323,66 @@ def _cupcap(m: tuple[int, ...], a: int, b: int | None = None) -> tuple[int, ...]
     return tuple(m2)
 
 
-def _closing_schedule(k: ClosedBraid, offset: int, close: tuple[int, ...]) -> list:
-    """k's generators cut into runs, each followed by the closure arcs
-    (x, close[x]), x < close[x], that no later crossing touches: an arc is
-    closed right after the last crossing that touches either of its
-    points, or before the first crossing if none does.
-
-    The arc that would be closed last is left out.  It always closes the
-    final loop, which weighs 1, and every other point is paired for good
-    by then, so the sweep already ends in the one state that pairs it:
-    the closing involution itself.
-    """
-    gens = k.braid.generators
-    last = {}
-    for j, g in enumerate(gens):
-        a = offset + g.index - 1
-        last[a] = last[a + 1] = j
-    after: list[list[int]] = [[] for _ in range(len(gens) + 1)]
-    for x, y in enumerate(close):
-        if x < y:
-            after[max(last.get(x, -1), last.get(y, -1)) + 1].append(x)
-    runs = []
-    start = 0
-    for j, arcs in enumerate(after):
-        if arcs:
-            runs.append((gens[start:j], arcs))
-            start = j
-    runs[-1][1].pop()
-    return runs
-
-
-def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d, closing=None):
-    """The state vector of k's braid word, with ring-generic coefficients,
-    and the involution that closes it.
+def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) -> dict:
+    """The state vector left by schedule's steps, with ring-generic
+    coefficients, keyed by matching.
 
     weight_pos / weight_neg are (cupcap, vertical, loop) weight triples
     for the two generator signs: a cap-cup smoothing that closes a loop
     is weighted ``loop * d`` instead of ``cupcap``.  Coefficients only
-    need ``*`` and ``+``.  With a ``closing`` weight pair (join, loop) the
-    sweep also closes the closure arcs as ``_closing_schedule`` says, a
-    closing that joins two open ends weighted ``join`` and one that closes
-    a loop ``loop``, and ends in one state, the closing involution.
+    need ``*`` and ``+``.  ``closing`` is the weight pair (join, loop) of
+    the closing steps: a closing that joins two open ends is weighted
+    ``join`` and one that closes a loop ``loop``.
 
     States are interned: ``matchings[s]`` is the matching with id s and
-    ``index`` maps it back, and ``moves[a][s]`` memoizes the id of the
-    cap-cup smoothing of state s at point a, so each distinct move builds
-    its tuple once however often the sweep takes it.  Closing the arc
-    (a, close[a]) is memoized the same way: for plat a is even and the
-    move is the cap-cup move at a, and for trace a < n, where no crossing
-    acts.  A move closes a loop exactly when it maps a state to itself.
-    Ids stand one-to-one for matchings, so every state vector is filled in
-    the same insertion order, with the same multiplications and the same
+    ``index`` maps it back, and ``moves[a * size + b][s]`` memoizes the id
+    of the cap-cup smoothing (or the closing) of state s at points a and b
+    of the schedule's size points, so
+    each distinct move builds its tuple once however often the sweep takes
+    it.  A move closes a loop exactly when it maps a state to itself.  Ids
+    stand one-to-one for matchings, so every state vector is filled in the
+    same insertion order, with the same multiplications and the same
     first-assignment-then-``+`` accumulation, as a sweep keyed by the
     matchings themselves: floating-point coefficients come out
     bit-identical, signed zeros included.
+
+    A cap-cup target pairs a with b, so it is a state that maps to
+    itself.  A state that does not is therefore not yet in the next
+    vector when its vertical term is stored, and a state that does takes
+    its vertical and loop terms in one store.
     """
-    start, offset, close = _module(k)
-    if closing is None:
-        runs = [(k.braid.generators, ())]
-    else:
-        runs = _closing_schedule(k, offset, close)
-        w_join, w_close = closing
-    matchings = [start]
-    index = {start: 0}
+    matchings = [schedule.start]
+    index = {schedule.start: 0}
     moves: dict[int, dict[int, int]] = {}
     states = {0: one}
-    for run, arcs in runs:
-        for g in run:
-            a = offset + g.index - 1
-            w_cup, w_vert, w_loop = weight_pos if g.exponent > 0 else weight_neg
-            move = moves.setdefault(a, {})
-            nxt: dict[int, object] = {}
+    size = len(schedule.start)
+    for a, b, sign in schedule.steps:
+        move = moves.get(a * size + b)
+        if move is None:
+            move = moves[a * size + b] = {}
+        nxt: dict[int, object] = {}
+        if sign:
+            w_cup, w_vert, w_loop = weight_pos if sign > 0 else weight_neg
             for s, coeff in states.items():
-                vert_coeff = coeff * w_vert
-                prev = nxt.get(s)
-                nxt[s] = vert_coeff if prev is None else prev + vert_coeff
                 t = move.get(s)
                 if t is None:
-                    m2 = _cupcap(matchings[s], a)
+                    m2 = _cupcap(matchings[s], a, b)
                     t = index.get(m2)
                     if t is None:
                         t = index[m2] = len(matchings)
                         matchings.append(m2)
                     move[s] = t
-                cup_coeff = coeff * w_loop * d if t == s else coeff * w_cup
-                prev = nxt.get(t)
-                nxt[t] = cup_coeff if prev is None else prev + cup_coeff
-            states = nxt
-        for a in arcs:
-            b = close[a]
-            move = moves.setdefault(a, {})
-            nxt = {}
+                if t == s:
+                    prev = nxt.get(s)
+                    vert_coeff = coeff * w_vert
+                    nxt[s] = (vert_coeff if prev is None else prev + vert_coeff) + coeff * w_loop * d
+                else:
+                    nxt[s] = coeff * w_vert
+                    cup_coeff = coeff * w_cup
+                    prev = nxt.get(t)
+                    nxt[t] = cup_coeff if prev is None else prev + cup_coeff
+        else:
+            w_join, w_close = closing
             for s, coeff in states.items():
                 t = move.get(s)
                 if t is None:
@@ -314,92 +395,162 @@ def _sweep(k: ClosedBraid, one, weight_pos, weight_neg, d, closing=None):
                 coeff = coeff * w_close if t == s else coeff * w_join
                 prev = nxt.get(t)
                 nxt[t] = coeff if prev is None else prev + coeff
-            states = nxt
-    return {matchings[s]: coeff for s, coeff in states.items()}, close
+        states = nxt
+    return {matchings[s]: coeff for s, coeff in states.items()}
 
 
 def _unpack(packed: int, width: int, shift: int) -> LaurentPoly:
     """The Laurent polynomial in A whose A^(2i + shift) coefficient is the
     i-th signed width-bit digit of packed, lowest digit first.  Digits are
     balanced, in [-2^(width-1), 2^(width-1)), so negative coefficients
-    read back as they were packed."""
+    read back as they were packed: a low field of 2^(width-1) or more is
+    the digit minus 2^width, with a carry of 1 into the rest."""
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     terms = {}
     while packed:
-        digit = ((packed + half) & mask) - half
+        digit = packed & mask
+        packed >>= width
+        if digit >= half:
+            digit -= mask + 1
+            packed += 1
         if digit:
             terms[shift] = digit
-        packed = (packed - digit) >> width
         shift += 2
     return LaurentPoly(terms)
 
 
-def _cheapest_rotation(word: BraidWord) -> int:
-    """The rotation r, 0 <= r < c, of least sum over crossings j of open_j,
-    ties to the smallest: the exact sweep of word's trace closure starts
-    at word.generators[r:] + word.generators[:r].  open_j counts the top
-    points touched at or before crossing j and again after it, whose
-    closure arcs the sweep holds open across j; the crossing of sigma_i
-    touches points i - 1 and i.
+def _tracks(word: BraidWord) -> tuple[list[int], list[list[int]], list[int]]:
+    """Where word's crossings sit on the tracks of its trace closure:
+    (index, touches, rank).  Track p, 0 <= p < n, carries strand position
+    p around the closed braid, and the crossing of sigma_i touches tracks
+    i - 1 and i.
 
-    A point's touches cut the cycle of c crossings into gaps (a, b], from
-    one touch a to the next, b, counted past c around the end of the word.
-    A cut before crossing r in the gap shuts the point there and holds it
+    index[x] is the generator index of the crossing at word position x;
+    touches[p] lists the positions of the crossings that touch track p,
+    in word order, and around the closed braid an edge joins each touch
+    of a track to the next, the last to the first; rank[x] is x's place
+    in the radial order, which sorts the crossings by (generator index,
+    word position).
+    """
+    c = len(word)
+    index = [g.index for g in word.generators]
+    touches: list[list[int]] = [[] for _ in range(word.n_strands)]
+    for x, i in enumerate(index):
+        touches[i - 1].append(x)
+        touches[i].append(x)
+    rank = sorted(range(c), key=sorted(range(c), key=index.__getitem__).__getitem__)
+    return index, touches, rank
+
+
+def _catalan_by_open(size: int) -> list[int]:
+    """Catalan(o // 2) for each open count o < size: the number of
+    non-crossing matchings of o points, o even."""
+    catalan = [1]
+    for m in range(size // 2):
+        catalan.append(catalan[m] * (4 * m + 2) // (m + 2))
+    return [catalan[o // 2] for o in range(size)]
+
+
+# A diagram of c crossings has 2c edges, so at most 2c are open; the table
+# covers every word up to twice the crossing cap.
+_CATALAN_BY_OPEN = _catalan_by_open(4 * CROSSING_CAP + 1)
+
+
+def _trace_plan(tracks: tuple) -> tuple[int, bool]:
+    """How to sweep the trace closure of the word whose tracks are given:
+    the rotation r, 0 <= r < c, that the word-order schedule starts at,
+    generators[r:] + generators[:r], and whether the radial schedule is
+    cheaper than that word order.
+
+    r is the rotation of least sum over crossings j of open_j, ties to the
+    smallest; open_j counts the tracks touched at or before crossing j and
+    again after it, whose closure arcs the sweep holds open across j.  A
+    track's touches cut the cycle of c crossings into gaps (a, b], from one
+    touch a to the next, b, counted past c around the end of the word.  A
+    cut before crossing r in the gap shuts the track there and holds it
     open on the other c - (b - a) crossings, so r is the cut of greatest
     total shut length.  Each gap adds b - a to its cuts on a difference
     array over 2c slots, where cut r stands at slots r and r + c.
+
+    A schedule's cost is the sum over its crossings of Catalan(open / 2),
+    which bounds the states the sweep holds after the crossing: open
+    counts the edges with exactly one end at a crossing swept so far.  In
+    word order from r a track's two open edges run from its first touch
+    after the cut to its last touch before it.  In radial order the edge
+    of a gap is open from the earlier of its two touches up to, not
+    including, the later one, which a second difference array counts in
+    the same pass over the gaps.  Ties go to word order.
     """
-    gens = word.generators
-    c = len(gens)
-    if c < 2:
-        return 0
-    last = {}
-    for x, g in enumerate(gens):
-        last[g.index - 1] = last[g.index] = x
-    diff = [0] * (2 * c + 1)
-    for x, g in enumerate(gens):
-        for p in (g.index - 1, g.index):
-            a = last[p]
-            b = x if a < x else x + c  # a point touched once has one gap of c
-            diff[a + 1] += b - a
-            diff[b + 1] -= b - a
-            last[p] = x
-    run = list(accumulate(diff))
-    shut = [x + y for x, y in zip(run[:c], run[c:])]
-    return shut.index(max(shut))
+    _, touches, rank = tracks
+    c = len(rank)
+    shut = [0] * (2 * c + 1)
+    radial = [0] * (c + 1)
+    for xs in touches:
+        if not xs:
+            continue
+        a = xs[-1]
+        for b in xs:
+            lo, hi = rank[a], rank[b]
+            if lo > hi:
+                lo, hi = hi, lo
+            radial[lo] += 1
+            radial[hi] -= 1
+            gap = b - a if a < b else b - a + c  # a track touched once has one gap of c
+            shut[a + 1] += gap
+            shut[a + gap + 1] -= gap
+            a = b
+    run = list(accumulate(shut))
+    shut = list(map(add, run[:c], run[c:]))
+    r = shut.index(max(shut)) if c > 1 else 0
+    word = [0] * (c + 1)
+    for xs in touches:
+        if xs:
+            j = bisect_left(xs, r)
+            word[(xs[j % len(xs)] - r) % c] += 2
+            word[(xs[j - 1] - r) % c] -= 2
+    table = _CATALAN_BY_OPEN if 2 * c < len(_CATALAN_BY_OPEN) else _catalan_by_open(2 * c + 1)
+    cost = table.__getitem__
+    return r, sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
+
+
+def _trace_schedule(word: BraidWord) -> _Schedule:
+    """The schedule ``_trace_plan`` picks for word's trace closure: radial,
+    or word order from the cheapest rotation, closed as it goes."""
+    tracks = _tracks(word)
+    r, radial = _trace_plan(tracks)
+    if radial:
+        return _radial_schedule(word, tracks)
+    return _word_schedule(ClosedBraid(word, "trace"), closings=True, rotation=r)
 
 
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """The Kauffman bracket of a braid closure, exact in the variable A.
 
-    Normalized so a single circle evaluates to 1.  Raises
-    CrossingCapExceeded above CROSSING_CAP crossings.  The cap bounds
-    crossings only: the sweep's cost also grows with the strand count,
-    which sets how many matchings a state vector can hold.
+    Normalized so a single circle evaluates to 1.  A plat closure is swept
+    in word order; a trace closure in word order from its cheapest
+    rotation or outward through its annulus, whichever ``_trace_plan``
+    estimates holds fewer states.  Raises CrossingCapExceeded above
+    CROSSING_CAP crossings.  The cap bounds crossings only: the sweep's
+    cost also grows with the number of states a state vector can hold,
+    which the strand count and the crossings' order set.
     """
     _check_cap(k)
     c = len(k.braid)
-    n = k.braid.n_strands
     if k.closure == "trace":
-        arcs = n
-        # Every rotation has this trace closure; start at the cheapest.
-        r = _cheapest_rotation(k.braid)
-        if r:
-            gens = k.braid.generators
-            k = ClosedBraid(BraidWord(n, gens[r:] + gens[:r]), "trace")
+        schedule = _trace_schedule(k.braid)
     else:
-        arcs = n // 2
+        schedule = _word_schedule(k, closings=True)
     # The sweep runs on packed integers.  Each generator's weights are
     # taken times A^3 and each closing's times A^2, so every weight is a
-    # non-negative power of A^2 (positive generator: cap-cup A^4, vertical
-    # A^2, loop A^4 d = -(A^6 + A^2); negative: A^2, A^4 and A^2 d =
+    # non-negative power of A^2 (positive step: cap-cup A^4, vertical
+    # A^2, loop A^4 d = -(A^6 + A^2); negative step: A^2, A^4 and A^2 d =
     # -(A^4 + 1); closing: join A^2, loop A^2 d = -(A^4 + 1)), and a
     # coefficient sum_i a_i A^(2i) is held as the integer sum_i a_i 2^(W i):
-    # polynomial products and sums become integer ones.  Of the k closure
-    # arcs the sweep closes k - 1 (the last one closes the final loop, which
-    # weighs 1) and ends in one state, decoded once and shifted back by
-    # A^(-3c - 2(k - 1)).
+    # polynomial products and sums become integer ones.  The schedule makes
+    # k closings, all but the one that would close the final loop, which
+    # weighs 1, and ends in one state, decoded once and shifted back by
+    # A^(-3c - 2k).
     #
     # Packed sums and products are exact integers at any width, so only the
     # digits of the final state must fit: they decode exactly while every
@@ -408,32 +559,33 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     # coefficient of mass M to a vertical term of mass M and a cap-cup term
     # of mass M, or 2M when it closes a loop, so the mass grows at most 3x
     # per crossing; a closing maps it to mass M, or 2M when it closes a
-    # loop, so at most 2x per closed arc.  Every digit is then at most
-    # 3^c 2^(k-1) < 2^bitlength(3^c 2^(k-1)) = 2^(W-1) for
-    # W = bitlength(3^c 2^(k-1)) + 1.
-    closed = arcs - 1
+    # loop, so at most 2x per closing.  Every digit is then at most
+    # 3^c 2^k < 2^bitlength(3^c 2^k) = 2^(W-1) for W = bitlength(3^c 2^k) + 1.
+    closed = len(schedule.steps) - c
     width = (3 ** c << closed).bit_length() + 1
     a2, a4, a6 = 1 << width, 1 << 2 * width, 1 << 3 * width
-    states, close = _sweep(
-        k,
+    states = _sweep(
+        schedule,
         one=1,
         weight_pos=(a4, a2, -(a6 + a2)),
         weight_neg=(a2, a4, -(a4 + 1)),
         d=1,
         closing=(a2, -(a4 + 1)),
     )
-    return _unpack(states[close], width, -3 * c - 2 * closed)
+    return _unpack(states[schedule.close], width, -3 * c - 2 * closed)
 
 
 def bracket_eval(k: ClosedBraid, a: complex) -> complex:
-    """The bracket evaluated at A = a, polynomial time in crossings."""
+    """The bracket evaluated at A = a, polynomial time in crossings: the
+    sweep of k's word as given, closed at the end."""
     a = complex(a)
     if not cmath.isfinite(a) or a == 0:
         raise ValueError("evaluation point must be finite and nonzero")
     a_inv = 1 / a
     d = -(a * a) - (a_inv * a_inv)
-    states, close = _sweep(
-        k,
+    schedule = _word_schedule(k, closings=False)
+    states = _sweep(
+        schedule,
         one=complex(1),
         weight_pos=(a, a_inv, a),
         weight_neg=(a_inv, a, a_inv),
@@ -441,7 +593,7 @@ def bracket_eval(k: ClosedBraid, a: complex) -> complex:
     )
     total = 0j
     for m, coeff in states.items():
-        total += coeff * d ** (_cycles(m, close) - 1)
+        total += coeff * d ** (_cycles(m, schedule.close) - 1)
     return total
 
 

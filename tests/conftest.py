@@ -55,39 +55,20 @@ def flipped_skein_residue():
 
 
 @pytest.fixture()
-def sweep_steps(monkeypatch):
-    """The state vectors of a closing sweep after each of its steps.
+def sweep_steps():
+    """The state vectors of a sweep after each of its steps.
 
-    steps(sweep, k, ring) runs sweep(k, **ring), where ring passes closing
-    weights, once on every prefix of bracket._closing_schedule's runs and
-    returns one (kind, state vector) pair per step, kind "crossing" or
-    "arc"."""
-    schedule = bracket._closing_schedule
+    steps(schedule, ring) runs the package's bracket._sweep(schedule,
+    **ring), where ring passes closing weights, once on every prefix of the
+    schedule's steps and returns one (kind, state vector) pair per step,
+    kind "crossing" or "arc".  It keeps the sweep it found at setup, so a
+    test may wrap bracket._sweep to record the schedules it is given."""
+    sweep = bracket._sweep
 
-    def prefix(runs, j):
-        out = []
-        for run, arcs in runs:
-            if j <= 0:
-                break
-            out.append((run[:j], arcs[: max(j - len(run), 0)]))
-            j -= len(run) + len(arcs)
-        return out
-
-    def steps(sweep, k, ring: dict) -> list:
-        runs = []
-
-        def recorded(*args):
-            runs[:] = schedule(*args)
-            return runs
-
-        monkeypatch.setattr(bracket, "_closing_schedule", recorded)
-        sweep(k, **ring)
-        kinds = [kind for run, arcs in runs for kind in ["crossing"] * len(run) + ["arc"] * len(arcs)]
-        out = []
-        for j in range(1, len(kinds) + 1):
-            monkeypatch.setattr(bracket, "_closing_schedule", lambda *args, j=j: prefix(schedule(*args), j))
-            out.append((kinds[j - 1], sweep(k, **ring)[0]))
-        monkeypatch.setattr(bracket, "_closing_schedule", schedule)
-        return out
+    def steps(schedule, ring: dict) -> list:
+        return [
+            ("crossing" if sign else "arc", sweep(bracket._Schedule(schedule.start, schedule.steps[:j], schedule.close), **ring))
+            for j, (_, _, sign) in enumerate(schedule.steps, 1)
+        ]
 
     return steps

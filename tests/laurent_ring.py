@@ -1,8 +1,8 @@
 """The bracket from the Temperley-Lieb sweep on Laurent polynomials in A,
-closed at the end: the reference that the packed-integer ring of
-``bracket_poly``, its closing schedule and its rotation are checked
-against.  A plain module, not a fixture, so tests under ``@given`` can
-call it."""
+in word order and closed at the end: the reference that the packed-integer
+ring of ``bracket_poly``, its closing schedules, its rotation and its
+radial order are checked against.  A plain module, not a fixture, so
+tests under ``@given`` can call it."""
 
 from stockbraid import ClosedBraid, bracket
 from stockbraid.closure import _cycles
@@ -20,10 +20,10 @@ EXACT_RING = {
 def laurent_ring_bracket(k: ClosedBraid) -> LaurentPoly:
     """The sweep of k's word as given on the Laurent ring, each final state
     multiplied by d once per loop beyond the first."""
-    states, close = bracket._sweep(k, **EXACT_RING)
+    schedule = bracket._word_schedule(k, closings=False)
     total = LaurentPoly()
-    for m, coeff in states.items():
-        for _ in range(_cycles(m, close) - 1):
+    for m, coeff in bracket._sweep(schedule, **EXACT_RING).items():
+        for _ in range(_cycles(m, schedule.close) - 1):
             coeff = coeff * D
         total = total + coeff
     return total

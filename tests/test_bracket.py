@@ -288,7 +288,8 @@ def test_three_paths_agree(rand_word):
 
 def test_bracket_poly_does_no_laurent_arithmetic(monkeypatch):
     # The exact path packs its ring into integers and decodes once: no
-    # LaurentPoly product or sum, on rotated trace words too.
+    # LaurentPoly product or sum, on rotated and radially swept trace
+    # words too.
     def refuse(*args):
         raise AssertionError("LaurentPoly arithmetic in bracket_poly")
 
@@ -298,7 +299,9 @@ def test_bracket_poly_does_no_laurent_arithmetic(monkeypatch):
         for n in (2, 4, 8)
         for c in (0, 5, 24)
     ]
-    assert any(bracket._cheapest_rotation(BraidWord.from_ints(n, g)) for n, g in words)
+    plans = [bracket._trace_plan(bracket._tracks(BraidWord.from_ints(n, g))) for n, g in words]
+    assert any(r and not radial for r, radial in plans)
+    assert any(radial for _, radial in plans)
     want = [bracket_poly(close(BraidWord.from_ints(n, g))) for n, g in words for close in (plat_close, trace_close)]
     for name in ("__mul__", "__rmul__", "__add__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)

@@ -3,14 +3,18 @@ against the state-sum oracle and against the sweep on the Laurent ring,
 the numeric sweep against the exact bracket evaluated at a point of the
 unit circle, and the Jones polynomial against the bracket times an
 explicit writhe monomial.  The exact sweep closes each closure arc as
-soon as it can and starts a trace word at its cheapest rotation, while the
-Laurent-ring reference sweeps the word as given and closes it at the end.
-Trace closures are also checked under the two Markov moves.  Hypothesis
-runs derandomized, so every run tries the same examples."""
+soon as it can and sweeps a trace word either in word order from its
+cheapest rotation or outward through its annulus (radial order), while
+the Laurent-ring reference sweeps the word as given and closes it at the
+end.  Both trace schedules are also checked when forced, and under the
+two Markov moves.  Hypothesis runs derandomized, so every run tries the
+same examples."""
 
 import cmath
+import inspect
 import math
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -174,7 +178,18 @@ def test_the_chosen_rotation_has_the_least_score():
         gens = [rng.randrange(1, n) for _ in range(rng.randrange(0, 25))]
         word = BraidWord.from_ints(n, gens)
         scores = [score(gens[r:] + gens[:r]) for r in range(len(gens))] or [0]
-        assert bracket._cheapest_rotation(word) == scores.index(min(scores))
+        assert bracket._trace_plan(bracket._tracks(word))[0] == scores.index(min(scores))
+
+
+def peak_states(k: ClosedBraid, sweep_steps, monkeypatch) -> int:
+    """The most states bracket_poly's sweep of k holds after any step."""
+    calls = []
+    sweep = bracket._sweep
+    monkeypatch.setattr(bracket, "_sweep", lambda schedule, **ring: calls.append((schedule, ring)) or sweep(schedule, **ring))
+    bracket_poly(k)
+    monkeypatch.setattr(bracket, "_sweep", sweep)
+    ((schedule, ring),) = calls
+    return max(len(states) for _, states in sweep_steps(schedule, ring))
 
 
 def test_a_long_thin_trace_word_stays_small(sweep_steps, monkeypatch):
@@ -182,13 +197,7 @@ def test_a_long_thin_trace_word_stays_small(sweep_steps, monkeypatch):
     # sweep passed 4 million states; closing each arc after its last
     # crossing keeps it at a handful.
     k = ClosedBraid(BraidWord.from_ints(23, [1, *range(1, 23), 22]), "trace")
-    calls = []
-    sweep = bracket._sweep
-    monkeypatch.setattr(bracket, "_sweep", lambda k, **ring: calls.append((k, ring)) or sweep(k, **ring))
-    bracket_poly(k)
-    ((swept, ring),) = calls
-    peak = max(len(states) for _, states in sweep_steps(sweep, swept, ring))
-    assert peak <= 4
+    assert peak_states(k, sweep_steps, monkeypatch) <= 4
 
 
 @st.composite
@@ -220,3 +229,83 @@ def test_an_unreduced_conjugate_has_the_trace_bracket_of_the_word(words):
     beta, g = words
     conjugate = BraidWord(beta.n_strands, g.generators + beta.generators + inverse(g).generators)
     check_bracket(ClosedBraid(conjugate, "trace"), bracket_poly(ClosedBraid(beta, "trace")))
+
+
+def bracket_in(k: ClosedBraid, radial: bool) -> LaurentPoly:
+    """bracket_poly(k) with its trace schedule forced: radial, or word order
+    from the cheapest rotation."""
+    plan = bracket._trace_plan
+    with mock.patch.object(bracket, "_trace_plan", lambda tracks: (plan(tracks)[0], radial)):
+        return bracket_poly(k)
+
+
+@st.composite
+def annulus_words(draw) -> ClosedBraid:
+    """Trace closures on 1-12 strands of up to 24 crossings, each index
+    used 0-4 times: absent indices, tracks no crossing touches, tracks
+    touched once (kinks) and the empty word all come up."""
+    n = draw(st.integers(1, 12))
+    counts = draw(st.lists(st.sampled_from([0, 0, 1, 2, 3, 4]), min_size=n - 1, max_size=n - 1))
+    indices = [i for i, m in enumerate(counts, 1) for _ in range(m)][:24]
+    order = draw(st.permutations(indices))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(order), max_size=len(order)))
+    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in zip(order, signs)]), "trace")
+
+
+@SETTINGS
+@given(annulus_words())
+def test_the_radial_schedule_gives_the_bracket(k):
+    got = bracket_in(k, radial=True)
+    if len(k.braid) <= 14:
+        assert got == bracket_poly_state_sum(k)
+    assert got == bracket_in(k, radial=False)
+
+
+def test_a_radial_schedule_without_the_weight_swap_is_caught():
+    # Turned to sweep outward, sigma_i^s is weighted like sigma_i^(-s).
+    # The same schedule with the word's own signs gives other brackets.
+    source = inspect.getsource(bracket._radial_schedule)
+    swapped = "-gens[x].exponent"
+    assert source.count(swapped) == 1
+    namespace = dict(vars(bracket))
+    exec(source.replace(swapped, "gens[x].exponent"), namespace)
+    rng = random.Random(17)
+    caught = 0
+    for _ in range(30):
+        n = rng.randrange(2, 9)
+        k = ClosedBraid(BraidWord.from_ints(n, [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(8)]), "trace")
+        with mock.patch.object(bracket, "_radial_schedule", namespace["_radial_schedule"]):
+            if bracket_in(k, radial=True) != bracket_poly_state_sum(k):
+                caught += 1
+    assert caught > 0
+
+
+def pool_word(rng: random.Random, n: int, c: int) -> BraidWord:
+    """A word of the benchmark pool's shape: c generators whose indices
+    repeat one seeded order of 1..n-1, with seeded signs."""
+    order = list(range(1, n))
+    rng.shuffle(order)
+    return BraidWord.from_ints(n, [rng.choice([1, -1]) * order[j % len(order)] for j in range(c)])
+
+
+def test_the_planner_sweeps_wide_words_radially_and_narrow_ones_in_word_order():
+    def radial(word: BraidWord) -> bool:
+        return bracket._trace_plan(bracket._tracks(word))[1]
+
+    rng = random.Random(15)
+    for c in range(20, 25):
+        for _ in range(4):
+            assert radial(pool_word(rng, 8, c))
+            assert not radial(pool_word(rng, 4, c))
+    # Ties go to word order: both schedules cost one state per crossing.
+    for n in range(1, 13):
+        assert not radial(BraidWord(n))
+        assert not radial(BraidWord.from_ints(n + 1, [-n]))
+
+
+def test_an_interleaved_wide_word_stays_small(sweep_steps, monkeypatch):
+    # 30: 1 3 5 ... 29 2 4 ... 18, 24 crossings.  In word order from its
+    # cheapest rotation the sweep peaks at 1024 states; outward through the
+    # annulus it holds one state at a time.
+    k = ClosedBraid(BraidWord.from_ints(30, [*range(1, 30, 2), *range(2, 19, 2)]), "trace")
+    assert peak_states(k, sweep_steps, monkeypatch) <= 2

@@ -27,6 +27,7 @@ from stockbraid import (
     free_reduce,
 )
 from stockbraid.cli import main
+from stockbraid.closure import _involution
 from stockbraid.laurent import LaurentPoly
 from stockbraid.outcome import interference_braid
 
@@ -36,15 +37,13 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 POINTS = (cmath.exp(1j * cmath.pi / 10), 1j, 0.7 + 0.2j, 1.3 - 0.4j)
 
 
-def tuple_keyed_sweep(k, one, weight_pos, weight_neg, d):
-    """The sweep as it was before interning: states keyed by their
-    matchings, the cap-cup smoothing rebuilt for every state and step."""
-    start, offset, close = bracket._module(k)
-    states = {start: one}
-    for g in k.braid.generators:
-        a = offset + g.index - 1
-        b = a + 1
-        w_cup, w_vert, w_loop = weight_pos if g.exponent > 0 else weight_neg
+def tuple_keyed_sweep(schedule, one, weight_pos, weight_neg, d):
+    """The sweep as it was before interning, on a schedule of generator
+    steps only: states keyed by their matchings, the cap-cup smoothing
+    rebuilt for every state and step."""
+    states = {schedule.start: one}
+    for a, b, sign in schedule.steps:
+        w_cup, w_vert, w_loop = weight_pos if sign > 0 else weight_neg
         nxt = {}
         for m, coeff in states.items():
             vert_coeff = coeff * w_vert
@@ -63,7 +62,7 @@ def tuple_keyed_sweep(k, one, weight_pos, weight_neg, d):
             prev = nxt.get(key)
             nxt[key] = cup_coeff if prev is None else prev + cup_coeff
         states = nxt
-    return states, close
+    return states
 
 
 def numeric_ring(a: complex) -> dict:
@@ -84,10 +83,8 @@ def numeric_items(states: dict) -> list:
 def assert_bit_identical(sweep, k: ClosedBraid, a: complex) -> None:
     """sweep gives the reference's state vector and bracket value at A = a."""
     ring = numeric_ring(a)
-    got, got_close = sweep(k, **ring)
-    want, want_close = tuple_keyed_sweep(k, **ring)
-    assert got_close == want_close
-    assert numeric_items(got) == numeric_items(want)
+    schedule = bracket._word_schedule(k, closings=False)
+    assert numeric_items(sweep(schedule, **ring)) == numeric_items(tuple_keyed_sweep(schedule, **ring))
     with mock.patch.object(bracket, "_sweep", sweep):
         value = bracket_eval(k, a)
     with mock.patch.object(bracket, "_sweep", tuple_keyed_sweep):
@@ -121,10 +118,9 @@ def test_numeric_sweep_is_bit_identical(k):
 @SETTINGS
 @given(closed_braids(max_crossings=14))
 def test_exact_sweep_is_identical(k):
-    got, got_close = bracket._sweep(k, **EXACT_RING)
-    want, want_close = tuple_keyed_sweep(k, **EXACT_RING)
-    assert got_close == want_close
-    assert list(got.items()) == list(want.items())
+    schedule = bracket._word_schedule(k, closings=False)
+    got = bracket._sweep(schedule, **EXACT_RING)
+    assert list(got.items()) == list(tuple_keyed_sweep(schedule, **EXACT_RING).items())
 
 
 def seeded_words(seed: int, count: int) -> list[ClosedBraid]:
@@ -136,6 +132,20 @@ def seeded_words(seed: int, count: int) -> list[ClosedBraid]:
         ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.randrange(20, 120))]
         words.append(ClosedBraid(BraidWord.from_ints(n, ints), closure))
     return words
+
+
+def test_the_word_schedule_is_the_word():
+    # The reference above sweeps whatever generator steps it is given, so
+    # pin them: bracket_eval's schedule is the word as given, plat on the
+    # n top points from the bottom caps, trace on the top points n..2n-1
+    # from the identity tangle.
+    for k in seeded_words(seed=4, count=12):
+        n = k.braid.n_strands
+        offset = 0 if k.closure == "plat" else n
+        schedule = bracket._word_schedule(k, closings=False)
+        assert schedule.steps == [(offset + g.index - 1, offset + g.index, g.exponent) for g in k.braid.generators]
+        pairs = [(i, i + 1) for i in range(0, n, 2)] if k.closure == "plat" else [(i, n + i) for i in range(n)]
+        assert schedule.start == schedule.close == _involution(pairs, len(schedule.start))
 
 
 def test_a_sweep_in_sorted_state_order_is_caught():
@@ -152,7 +162,8 @@ def test_a_sweep_in_sorted_state_order_is_caught():
     caught = 0
     for k in seeded_words(seed=3, count=12):
         ring = numeric_ring(POINTS[0])
-        assert set(sorted_sweep(k, **ring)[0]) == set(bracket._sweep(k, **ring)[0])
+        schedule = bracket._word_schedule(k, closings=False)
+        assert set(sorted_sweep(schedule, **ring)) == set(bracket._sweep(schedule, **ring))
         try:
             assert_bit_identical(sorted_sweep, k, POINTS[0])
         except AssertionError:
@@ -166,7 +177,7 @@ def test_comparison_tells_signed_zeros_apart():
     # zeros, some of them negative: the bit-identity check sees their signs.
     zeros = set()
     for k in seeded_words(seed=5, count=12):
-        for coeff in bracket._sweep(k, **numeric_ring(1j))[0].values():
+        for coeff in bracket._sweep(bracket._word_schedule(k, closings=False), **numeric_ring(1j)).values():
             zeros.update(repr(x) for x in (coeff.real, coeff.imag) if x == 0)
     assert zeros == {"0.0", "-0.0"}
 
@@ -202,35 +213,43 @@ LAURENT_CLOSING = (LaurentPoly.one(), D)
 
 
 def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_steps):
-    # After every step of bracket_poly's closing schedule, every state's
-    # packed coefficient decodes to its Laurent coefficient times A^3 per
-    # crossing and A^2 per closed arc so far, in the same state order, and
-    # the one final state decodes to the bracket.
+    # After every step of bracket_poly's schedule, word order or radial,
+    # every state's packed coefficient decodes to its Laurent coefficient
+    # times A^3 per crossing and A^2 per closed arc so far, in the same
+    # state order, and the one final state, the schedule's closing
+    # involution, decodes to the bracket.
     calls = []
     sweep = bracket._sweep
+    plan = bracket._trace_plan
 
-    def recorded(k, **ring):
-        calls.append((k, ring))
-        return sweep(k, **ring)
+    def recorded(schedule, **ring):
+        calls.append((schedule, ring))
+        return sweep(schedule, **ring)
 
     monkeypatch.setattr(bracket, "_sweep", recorded)
     for k in words_of(seed=10, count=12, strands=[2, 3, 4, 6], crossings=range(0, 25)):
-        want = bracket_poly(k)
-        (swept, ring), = calls
-        calls.clear()
-        width = ring["weight_pos"][1].bit_length() - 1
-        packed = sweep_steps(sweep, swept, ring)
-        laurent = sweep_steps(sweep, swept, dict(EXACT_RING, closing=LAURENT_CLOSING))
-        # every crossing once, and every closure arc but the last once
-        assert len(packed) == len(swept.braid) + len(bracket._module(swept)[2]) // 2 - 1
-        shift = 0
-        for (kind, p_states), (_, l_states) in zip(packed, laurent):
-            shift += 3 if kind == "crossing" else 2
-            assert list(p_states) == list(l_states)
-            decoded = [bracket._unpack(p, width, 0) for p in p_states.values()]
-            assert decoded == [coeff.shifted(shift) for coeff in l_states.values()]
-        (final,) = packed[-1][1].values() if packed else (1,)
-        assert bracket._unpack(final, width, -shift) == want
+        for radial in (False, True) if k.closure == "trace" else (False,):
+            monkeypatch.setattr(bracket, "_trace_plan", lambda tracks, radial=radial: (plan(tracks)[0], radial))
+            want = bracket_poly(k)
+            (schedule, ring), = calls
+            assert want == laurent_ring_bracket(k)
+            calls.clear()
+            width = ring["weight_pos"][1].bit_length() - 1
+            packed = sweep_steps(schedule, ring)
+            laurent = sweep_steps(schedule, dict(EXACT_RING, closing=LAURENT_CLOSING))
+            # every crossing once, and every closing but the last once
+            kinds = [kind for kind, _ in packed]
+            assert kinds.count("crossing") == len(k.braid)
+            assert kinds.count("arc") == len(schedule.close) // 2 - 1
+            shift = 0
+            for (kind, p_states), (_, l_states) in zip(packed, laurent):
+                shift += 3 if kind == "crossing" else 2
+                assert list(p_states) == list(l_states)
+                decoded = [bracket._unpack(p, width, 0) for p in p_states.values()]
+                assert decoded == [coeff.shifted(shift) for coeff in l_states.values()]
+            final = packed[-1][1] if packed else {schedule.start: 1}
+            assert list(final) == [schedule.close]
+            assert bracket._unpack(final[schedule.close], width, -shift) == want
 
 
 def _narrowed(width: str):
@@ -287,9 +306,9 @@ def test_prob_builds_each_cupcap_move_once(capsys, monkeypatch):
     calls = []
     cupcap = bracket._cupcap
 
-    def counted(m, a):
+    def counted(m, a, b):
         calls.append(a)
-        return cupcap(m, a)
+        return cupcap(m, a, b)
 
     monkeypatch.setattr(bracket, "_cupcap", counted)
     assert main(argv) == 0
