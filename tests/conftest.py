@@ -66,9 +66,10 @@ def sweep_steps():
     sweep = bracket._sweep
 
     def steps(schedule, ring: dict) -> list:
-        return [
-            ("crossing" if sign else "arc", sweep(bracket._Schedule(schedule.start, schedule.steps[:j], schedule.close), **ring))
-            for j, (_, _, sign) in enumerate(schedule.steps, 1)
-        ]
+        out = []
+        for j, (_, _, sign) in enumerate(schedule.steps, 1):
+            prefix = bracket._Schedule(schedule.start, schedule.steps[:j], schedule.close)
+            out.append(("crossing" if sign else "arc", sweep(prefix, **ring)))
+        return out
 
     return steps

@@ -6,9 +6,9 @@ explicit writhe monomial.  The exact sweep closes each closure arc as
 soon as it can and sweeps a trace word either in word order from its
 cheapest rotation or outward through its annulus (radial order), while
 the Laurent-ring reference sweeps the word as given and closes it at the
-end.  Both trace schedules are also checked when forced, and under the
-two Markov moves.  Hypothesis runs derandomized, so every run tries the
-same examples."""
+end.  Both trace schedules are also checked when forced, and trace
+closures under the two Markov moves.  Hypothesis runs derandomized, so
+every run tries the same examples."""
 
 import cmath
 import inspect
