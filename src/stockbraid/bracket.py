@@ -9,27 +9,27 @@ The bracket is computed two ways, cross-checked in the tests:
   crossing count; this is the reference oracle.
 * one Temperley-Lieb sweep over non-crossing perfect matchings,
   polynomial time in crossings for a fixed strand count and generic over
-  the coefficient ring.  It runs a schedule: a start matching and a list
-  of steps, each a generator on two named points or the closing of an
-  arc.  In word order, plat closures sweep the n-point module (dimension
-  Catalan(n/2)) from the bottom caps and are closed by the top caps;
-  trace closures sweep the 2n-point module from the identity tangle and
-  are closed by joining bottom point i to top point i.  In radial order,
-  for trace closures only, the crossings are sorted by generator index
-  and then word position and swept outward through the annulus the
-  closed braid lives in, which holds only the crossings of one or two
-  indices open at a time (``_radial_schedule``).
+  the coefficient ring.  It runs a schedule that describes the closed
+  diagram: a start matching, generator steps on named points and the
+  involution that closes it.  In word order, plat closures sweep the
+  n-point module (dimension Catalan(n/2)) from the bottom caps and are
+  closed by the top caps; trace closures sweep the 2n-point module from
+  the identity tangle and are closed by joining bottom point i to top
+  point i.  In radial order, for trace closures only, the crossings are
+  sorted by generator index and then word position and swept outward
+  through the annulus the closed braid lives in, which holds only the
+  crossings of one or two indices open at a time (``_radial_schedule``).
   ``bracket_poly`` runs it on packed integers, each a polynomial in A^2
   with one signed coefficient per W-bit field (Kronecker substitution),
-  and makes each closing but the last right after the last crossing that
-  touches it, so that the sweep ends in one state, decoded once; W =
-  bitlength(3^c 2^k) + 1 for c crossings and the k closings it makes.  A
-  trace word is swept in radial order or in word order from the cyclic
-  rotation that holds the fewest closure arcs open, whichever has the
-  smaller sum over its crossings of Catalan(open / 2) (``_trace_plan``);
-  a trace closure does not change under conjugation.  ``bracket_eval``
-  runs the sweep on complex numbers at a point A = a, on the word as
-  given in word order, and closes it at the end.
+  and one rule (``_closing``) closes each arc but the last right after
+  the last step that touches it, so that the sweep ends in one state,
+  decoded once; W = bitlength(3^c 2^k) + 1 for c crossings and the k
+  closings it makes.  A trace word is swept in radial order or in word
+  order from the cyclic rotation that holds the fewest closure arcs open,
+  whichever has the smaller sum over its crossings of Catalan(open / 2)
+  (``_trace_plan``); a trace closure does not change under conjugation.
+  ``bracket_eval`` runs the sweep on complex numbers at a point A = a, on
+  the word as given in word order, and closes it at the end.
 
 Crossing-sign convention, pinned once for the whole package: the positive
 generator weights its cap-cup smoothing with A and its vertical smoothing
@@ -195,9 +195,9 @@ class _Schedule:
     A step (a, b, s) with s = +1 or -1 is a Temperley-Lieb generator on
     points a and b weighted like a crossing of sign s: its vertical
     smoothing keeps every point, its cap-cup smoothing joins the partners
-    of a and b and pairs a with b.  A step (a, b, 0) closes the arc that
-    joins a to b.  (A plain class: a NamedTuple costs the CLI's start-up
-    about 0.2 ms to create.)
+    of a and b and pairs a with b.  A step (a, b, 0), which only
+    ``_closing`` makes, closes the arc that joins a to b.  (A plain class:
+    a NamedTuple costs the CLI's start-up about 0.2 ms to create.)
     """
 
     __slots__ = ("start", "steps", "close")
@@ -210,23 +210,15 @@ class _Schedule:
         self.close = close
 
 
-def _word_schedule(k: ClosedBraid, closings: bool, rotation: int = 0) -> _Schedule:
+def _word_schedule(k: ClosedBraid, rotation: int = 0) -> _Schedule:
     """k's crossings in word order on the module of the closure's arcs:
     plat sweeps the n top points from the bottom caps and closes with the
     top caps, the same involution (0 1)(2 3)...; trace sweeps bottom
     anchors 0..n-1 and top points n..2n-1 from the identity tangle.  A
     trace word may start at generator ``rotation`` and run round from the
     start, since a trace closure does not change under this conjugation.
-
-    With closings, each closure arc (x, close[x]), x < close[x], is closed
-    right after the last crossing that touches either of its points, or
-    before the first crossing if none does.  The arc that would be closed
-    last is left out.  It always closes the final loop, which weighs 1,
-    and every other point is paired for good by then, so the sweep already
-    ends in the one state that pairs it: the closing involution itself.
     """
     n = k.braid.n_strands
-    gens = k.braid.generators
     arcs = closure_arcs(k)
     if k.closure == "plat":
         start = close = _involution(arcs[: n // 2], n)
@@ -234,17 +226,9 @@ def _word_schedule(k: ClosedBraid, closings: bool, rotation: int = 0) -> _Schedu
     else:
         start = close = _involution(arcs, 2 * n)
         offset = n
-    steps = [(offset + g.index - 1, offset + g.index, g.exponent) for g in gens]
+    steps = [(offset + g.index - 1, offset + g.index, g.exponent) for g in k.braid.generators]
     if rotation:
         steps = steps[rotation:] + steps[:rotation]
-    if closings:
-        last = [-1] * len(close)
-        for j, (a, b, _) in enumerate(steps):
-            last[a] = last[b] = j
-        arcs_after = sorted((max(last[x], last[y]), x, y) for x, y in enumerate(close) if x < y)
-        for j, x, y in reversed(arcs_after):
-            steps.insert(j + 1, (x, y, 0))
-        steps.pop()
     return _Schedule(start, steps, close)
 
 
@@ -262,29 +246,26 @@ def _radial_schedule(word: BraidWord, tracks: tuple) -> _Schedule:
       matching (a cup no crossing has made yet);
     * an edge between an upper leg and the lower leg of a later crossing
       keeps its point;
-    * an edge between two upper legs is closed right after the later of
-      its two crossings;
-    * an untouched track is a pair of the start matching, closed before
-      the first crossing.
+    * an edge between two upper legs is a pair of the closing involution;
+    * an untouched track is a pair of both.
 
     Turned this way a crossing's vertical smoothing is its word-order
     cap-cup smoothing and the other way round, so sigma_i^s is weighted
-    like sigma_i^(-s).  The last closing is left out, as in word order.
+    like sigma_i^(-s).
     """
     gens = word.generators
-    index, touches, rank = tracks
+    index, touches, order, _ = tracks
     left = [0] * len(gens)
     right = [0] * len(gens)
     pairs: list[tuple[int, int]] = []
-    steps: list[tuple[int, int, int]] = []
-    after: list[list[tuple[int, int, int]]] = [[] for _ in gens]
+    arcs: list[tuple[int, int]] = []
     # Track p's lower legs belong to sigma_(p+1); the points of an upper
     # leg were named on track p - 1.
     for p, xs in enumerate(touches):
         if not xs:
             u = 2 * len(pairs)
             pairs.append((u, u + 1))
-            steps.append((u, u + 1, 0))
+            arcs.append((u, u + 1))
         for x, y in zip(xs, xs[1:] + xs[:1]):
             if index[y] > p:
                 if index[x] > p:
@@ -296,14 +277,34 @@ def _radial_schedule(word: BraidWord, tracks: tuple) -> _Schedule:
             elif index[x] > p:
                 right[x] = left[y]
             else:
-                after[max(rank[x], rank[y])].append((right[x], left[y], 0))
-    for x in sorted(range(len(gens)), key=rank.__getitem__):
-        steps.append((left[x], right[x], -gens[x].exponent))
-        steps += after[rank[x]]
+                arcs.append((right[x], left[y]))
     size = 2 * len(pairs)
-    close = _involution([(a, b) for a, b, s in steps if not s], size)
-    steps.pop()
-    return _Schedule(_involution(pairs, size), steps, close)
+    steps = [(left[x], right[x], -gens[x].exponent) for x in order]
+    return _Schedule(_involution(pairs, size), steps, _involution(arcs, size))
+
+
+def _closing(schedule: _Schedule) -> _Schedule:
+    """schedule with each arc (x, close[x]), x < close[x], of its closing
+    involution closed as soon as no later step touches it: right after the
+    last step that touches either of its points, or before the first step
+    if none does, arcs of one slot in order of x.
+
+    The arc that would be closed last is left out.  It always closes the
+    final loop, which weighs 1, and every other point is paired for good
+    by then, so the sweep already ends in the one state that pairs it: the
+    closing involution itself.
+    """
+    steps, close = schedule.steps, schedule.close
+    # after[x]: the number of steps up to the last one that touches x
+    after = [0] * len(close)
+    for j, (a, b, _) in enumerate(steps, 1):
+        after[a] = after[b] = j
+    slots = ((max(after[x], after[y]), x, y) for x, y in enumerate(close) if x < y)
+    closed = list(steps)
+    for j, x, y in sorted(slots, reverse=True):
+        closed.insert(j, (x, y, 0))
+    closed.pop()
+    return _Schedule(schedule.start, closed, close)
 
 
 def _cupcap(m: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
@@ -420,18 +421,18 @@ def _unpack(packed: int, width: int, shift: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-def _tracks(word: BraidWord) -> tuple[list[int], list[list[int]], list[int]]:
+def _tracks(word: BraidWord) -> tuple[list[int], list[list[int]], list[int], list[int]]:
     """Where word's crossings sit on the tracks of its trace closure:
-    (index, touches, rank).  Track p, 0 <= p < n, carries strand position
-    p around the closed braid, and the crossing of sigma_i touches tracks
-    i - 1 and i.
+    (index, touches, order, rank).  Track p, 0 <= p < n, carries strand
+    position p around the closed braid, and the crossing of sigma_i
+    touches tracks i - 1 and i.
 
     index[x] is the generator index of the crossing at word position x;
     touches[p] lists the positions of the crossings that touch track p,
     in word order, and around the closed braid an edge joins each touch
-    of a track to the next, the last to the first; rank[x] is x's place
-    in the radial order, which sorts the crossings by (generator index,
-    word position).
+    of a track to the next, the last to the first.  order lists the
+    positions in radial order, which sorts the crossings by (generator
+    index, word position), and rank[x] is x's place in it.
     """
     c = len(word)
     index = [g.index for g in word.generators]
@@ -439,8 +440,8 @@ def _tracks(word: BraidWord) -> tuple[list[int], list[list[int]], list[int]]:
     for x, i in enumerate(index):
         touches[i - 1].append(x)
         touches[i].append(x)
-    rank = sorted(range(c), key=sorted(range(c), key=index.__getitem__).__getitem__)
-    return index, touches, rank
+    order = sorted(range(c), key=index.__getitem__)
+    return index, touches, order, sorted(range(c), key=order.__getitem__)
 
 
 def _catalan_by_open(size: int) -> list[int]:
@@ -482,7 +483,7 @@ def _trace_plan(tracks: tuple) -> tuple[int, bool]:
     including, the later one, which a second difference array counts in
     the same pass over the gaps.  Ties go to word order.
     """
-    _, touches, rank = tracks
+    _, touches, _, rank = tracks
     c = len(rank)
     shut = [0] * (2 * c + 1)
     radial = [0] * (c + 1)
@@ -514,16 +515,6 @@ def _trace_plan(tracks: tuple) -> tuple[int, bool]:
     return r, sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
 
 
-def _trace_schedule(word: BraidWord) -> _Schedule:
-    """The schedule ``_trace_plan`` picks for word's trace closure: radial,
-    or word order from the cheapest rotation, closed as it goes."""
-    tracks = _tracks(word)
-    r, radial = _trace_plan(tracks)
-    if radial:
-        return _radial_schedule(word, tracks)
-    return _word_schedule(ClosedBraid(word, "trace"), closings=True, rotation=r)
-
-
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """The Kauffman bracket of a braid closure, exact in the variable A.
 
@@ -538,9 +529,12 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     _check_cap(k)
     c = len(k.braid)
     if k.closure == "trace":
-        schedule = _trace_schedule(k.braid)
+        tracks = _tracks(k.braid)
+        r, radial = _trace_plan(tracks)
+        schedule = _radial_schedule(k.braid, tracks) if radial else _word_schedule(k, r)
     else:
-        schedule = _word_schedule(k, closings=True)
+        schedule = _word_schedule(k)
+    schedule = _closing(schedule)
     # The sweep runs on packed integers.  Each generator's weights are
     # taken times A^3 and each closing's times A^2, so every weight is a
     # non-negative power of A^2 (positive step: cap-cup A^4, vertical
@@ -583,7 +577,7 @@ def bracket_eval(k: ClosedBraid, a: complex) -> complex:
         raise ValueError("evaluation point must be finite and nonzero")
     a_inv = 1 / a
     d = -(a * a) - (a_inv * a_inv)
-    schedule = _word_schedule(k, closings=False)
+    schedule = _word_schedule(k)
     states = _sweep(
         schedule,
         one=complex(1),
@@ -617,8 +611,9 @@ def writhe_corrected(
 
 
 def kauffman_invariant(k: ClosedBraid) -> LaurentPoly:
-    """f[K] = (-A)^(-3 Wr(K)) <K>, with the writhe taken from the word."""
-    return writhe_corrected(bracket_poly(k), k)
+    """f[K] = (-A)^(-3 Wr(K)) <K>, with the writhe taken from the word:
+    the Jones polynomial under the "paper" convention."""
+    return jones_from_bracket(k)
 
 
 def jones_from_bracket(k: ClosedBraid, convention: str = "paper") -> LaurentPoly:

@@ -1,8 +1,8 @@
 """The bracket from the Temperley-Lieb sweep on Laurent polynomials in A,
-in word order and closed at the end: the reference that the packed-integer
-ring of ``bracket_poly``, its closing schedules, its rotation and its
-radial order are checked against.  A plain module, not a fixture, so
-tests under ``@given`` can call it."""
+closed at the end, by default in word order: the reference that the
+packed-integer ring of ``bracket_poly``, its closing schedules, its
+rotation and its radial order are checked against.  A plain module, not
+a fixture, so tests under ``@given`` can call it."""
 
 from stockbraid import ClosedBraid, bracket
 from stockbraid.closure import _cycles
@@ -17,10 +17,12 @@ EXACT_RING = {
 }
 
 
-def laurent_ring_bracket(k: ClosedBraid) -> LaurentPoly:
-    """The sweep of k's word as given on the Laurent ring, each final state
-    multiplied by d once per loop beyond the first."""
-    schedule = bracket._word_schedule(k, closings=False)
+def laurent_ring_bracket(k: ClosedBraid, schedule=None) -> LaurentPoly:
+    """The sweep of schedule, by default k's word as given, on the Laurent
+    ring, each final state multiplied by d once per loop beyond the first
+    that its closing involution makes."""
+    if schedule is None:
+        schedule = bracket._word_schedule(k)
     total = LaurentPoly()
     for m, coeff in bracket._sweep(schedule, **EXACT_RING).items():
         for _ in range(_cycles(m, schedule.close) - 1):

@@ -261,6 +261,18 @@ def test_the_radial_schedule_gives_the_bracket(k):
     assert got == bracket_in(k, radial=False)
 
 
+@SETTINGS
+@given(annulus_words())
+def test_the_unclosed_radial_schedule_gives_the_bracket(k):
+    # The radial schedule describes the closed diagram on its own: swept on
+    # the Laurent ring with no closing steps and closed at the end by its
+    # involution, it gives the bracket.
+    got = laurent_ring_bracket(k, bracket._radial_schedule(k.braid, bracket._tracks(k.braid)))
+    if len(k.braid) <= 14:
+        assert got == bracket_poly_state_sum(k)
+    assert got == bracket_poly(k)
+
+
 def test_a_radial_schedule_without_the_weight_swap_is_caught():
     # Turned to sweep outward, sigma_i^s is weighted like sigma_i^(-s).
     # The same schedule with the word's own signs gives other brackets.

@@ -83,7 +83,7 @@ def numeric_items(states: dict) -> list:
 def assert_bit_identical(sweep, k: ClosedBraid, a: complex) -> None:
     """sweep gives the reference's state vector and bracket value at A = a."""
     ring = numeric_ring(a)
-    schedule = bracket._word_schedule(k, closings=False)
+    schedule = bracket._word_schedule(k)
     assert numeric_items(sweep(schedule, **ring)) == numeric_items(tuple_keyed_sweep(schedule, **ring))
     with mock.patch.object(bracket, "_sweep", sweep):
         value = bracket_eval(k, a)
@@ -118,7 +118,7 @@ def test_numeric_sweep_is_bit_identical(k):
 @SETTINGS
 @given(closed_braids(max_crossings=14))
 def test_exact_sweep_is_identical(k):
-    schedule = bracket._word_schedule(k, closings=False)
+    schedule = bracket._word_schedule(k)
     got = bracket._sweep(schedule, **EXACT_RING)
     assert list(got.items()) == list(tuple_keyed_sweep(schedule, **EXACT_RING).items())
 
@@ -142,7 +142,7 @@ def test_the_word_schedule_is_the_word():
     for k in seeded_words(seed=4, count=12):
         n = k.braid.n_strands
         offset = 0 if k.closure == "plat" else n
-        schedule = bracket._word_schedule(k, closings=False)
+        schedule = bracket._word_schedule(k)
         assert schedule.steps == [(offset + g.index - 1, offset + g.index, g.exponent) for g in k.braid.generators]
         pairs = [(i, i + 1) for i in range(0, n, 2)] if k.closure == "plat" else [(i, n + i) for i in range(n)]
         assert schedule.start == schedule.close == _involution(pairs, len(schedule.start))
@@ -162,7 +162,7 @@ def test_a_sweep_in_sorted_state_order_is_caught():
     caught = 0
     for k in seeded_words(seed=3, count=12):
         ring = numeric_ring(POINTS[0])
-        schedule = bracket._word_schedule(k, closings=False)
+        schedule = bracket._word_schedule(k)
         assert set(sorted_sweep(schedule, **ring)) == set(bracket._sweep(schedule, **ring))
         try:
             assert_bit_identical(sorted_sweep, k, POINTS[0])
@@ -177,7 +177,7 @@ def test_comparison_tells_signed_zeros_apart():
     # zeros, some of them negative: the bit-identity check sees their signs.
     zeros = set()
     for k in seeded_words(seed=5, count=12):
-        for coeff in bracket._sweep(bracket._word_schedule(k, closings=False), **numeric_ring(1j)).values():
+        for coeff in bracket._sweep(bracket._word_schedule(k), **numeric_ring(1j)).values():
             zeros.update(repr(x) for x in (coeff.real, coeff.imag) if x == 0)
     assert zeros == {"0.0", "-0.0"}
 
@@ -237,10 +237,20 @@ def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_s
             width = ring["weight_pos"][1].bit_length() - 1
             packed = sweep_steps(schedule, ring)
             laurent = sweep_steps(schedule, dict(EXACT_RING, closing=LAURENT_CLOSING))
-            # every crossing once, and every closing but the last once
+            # every crossing once, and every closing but the last once,
+            # each right after the last crossing that touches either of its
+            # points (before the first if none does) and only past other
+            # closings
             kinds = [kind for kind, _ in packed]
             assert kinds.count("crossing") == len(k.braid)
             assert kinds.count("arc") == len(schedule.close) // 2 - 1
+            for j, (x, y, sign) in enumerate(schedule.steps):
+                if not sign:
+                    assert schedule.close[x] == y
+                    touching = [i for i, (a, b, s) in enumerate(schedule.steps) if s and {a, b} & {x, y}]
+                    last = touching[-1] if touching else -1
+                    assert last < j
+                    assert all(kind == "arc" for kind in kinds[last + 1 : j])
             shift = 0
             for (kind, p_states), (_, l_states) in zip(packed, laurent):
                 shift += 3 if kind == "crossing" else 2
