@@ -38,7 +38,7 @@ from .bracket import (
 from .closure import ClosedBraid, diagram_stats
 from .crossings import braid_with_events, build_braid, write_audit
 from .laurent import poly_to_json
-from .market import WindowError, parse_csv, parse_price_date, select_window
+from .market import WindowError, parse_csv, parse_price_date, window_bounds
 from .outcome import _complex_json, interference_braid, outcome_from_stats, outcome_probability
 from .render import render_ascii, render_svg
 
@@ -54,14 +54,20 @@ def _parse_complex(text: str) -> complex:
 
 def _load_series(path: str, start: str | None, end: str | None):
     with open(path, encoding="utf-8") as fh:
-        series = parse_csv(fh.read())
-    if start is not None or end is not None:
-        if not series.dates:
+        text = fh.read()
+    if start is None and end is None:
+        return parse_csv(text)
+
+    def window(dates):
+        # Called only once the whole document has validated, so a CSV error
+        # is reported before anything about the window.
+        if not dates:
             raise WindowError(f"{path} has no dates to window")
-        lo = series.dates[0] if start is None else parse_price_date(start)
-        hi = series.dates[-1] if end is None else parse_price_date(end)
-        series = select_window(series, lo, hi)
-    return series
+        lo = dates[0] if start is None else parse_price_date(start)
+        hi = dates[-1] if end is None else parse_price_date(end)
+        return window_bounds(dates, lo, hi)
+
+    return parse_csv(text, window=window)
 
 
 def _load_word(source: str, start: str | None, end: str | None) -> BraidWord:

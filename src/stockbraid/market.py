@@ -5,10 +5,12 @@ rule downstream compares price differences as small as one cent, and a
 rounding error there could flip a generator sign.  Missing cells are
 rejected rather than filled; a fabricated price can fabricate a crossing.
 
-Ingest is one csv.reader pass over the document.  A row of plain prices
-(ASCII digits, at most two decimals) is checked by one regex match and
-read with int(), other rows cell by cell with Decimal; dates are read by
-one ASCII regex, and validation takes one pass per row.
+Ingest is one csv.reader pass over the document, and it validates every
+row whatever the date window.  A row of plain, positive prices (ASCII
+digits, at most two decimals) is checked by one regex match and kept as
+its text; other rows are read cell by cell with Decimal; dates are read
+by one ASCII regex.  Only the rows inside the window are then converted
+to cents, so a window over a long history does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import io
 import re
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from datetime import date
 from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
@@ -54,10 +57,7 @@ class PriceSeries:
     prices_cents: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if any(not t for t in self.tickers):
-            raise CsvFormatError("ticker symbols must be non-empty")
-        if len(set(self.tickers)) != len(self.tickers):
-            raise CsvFormatError("tickers must be pairwise distinct")
+        _check_tickers(self.tickers)
         if len(self.prices_cents) != len(self.dates):
             raise CsvFormatError("price matrix and date list disagree")
         for earlier, later in zip(self.dates, self.dates[1:]):
@@ -87,6 +87,13 @@ class PriceSeries:
             return self.tickers.index(ticker)
         except ValueError:
             raise CsvFormatError(f"unknown ticker {ticker!r}") from None
+
+
+def _check_tickers(tickers: tuple[str, ...]) -> None:
+    if any(not t for t in tickers):
+        raise CsvFormatError("ticker symbols must be non-empty")
+    if len(set(tickers)) != len(tickers):
+        raise CsvFormatError("tickers must be pairwise distinct")
 
 
 def parse_price_date(text: str) -> date:
@@ -132,25 +139,28 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
 
 
 # A row of plain prices: ASCII digits with at most two decimals and no
-# sign, space or exponent, as in the Dow sample.  Any other row, and every
+# sign, space or exponent, as in the Dow sample; the lookahead refuses a
+# cell of zeros, so a plain cell is positive.  Any other row, and every
 # error message, goes cell by cell through _parse_cents.  The digit bound
 # keeps int() far below its string-length limit.
-_PLAIN_ROW = re.compile(r"[0-9]{1,15}(?:\.[0-9]{1,2})?(?:,[0-9]{1,15}(?:\.[0-9]{1,2})?)*")
+_PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
+_PLAIN_ROW = re.compile(_PLAIN_CELL + "(?:," + _PLAIN_CELL + ")*")
 
 
-def _plain_row_cents(cells: list[str]) -> tuple[int, ...] | None:
-    """The cents of a row of plain, positive prices, or None for any other row."""
+def _plain_row(cells: list[str]) -> str | None:
+    """The comma-joined text of a row of plain prices, or None for any other row."""
     joined = ",".join(cells)
-    if not _PLAIN_ROW.fullmatch(joined):
-        return None
-    prices = joined.split(",")
-    if len(prices) != len(cells):  # a quoted cell held a comma
-        return None
-    cents = tuple(
+    if not _PLAIN_ROW.fullmatch(joined) or joined.count(",") != len(cells) - 1:
+        return None  # the count differs when a quoted cell held a comma
+    return joined
+
+
+def _plain_cents(joined: str) -> tuple[int, ...]:
+    """The cents of a row that _plain_row accepted."""
+    return tuple(
         int(whole + frac.ljust(2, "0"))
-        for whole, _, frac in (price.partition(".") for price in prices)
+        for whole, _, frac in (price.partition(".") for price in joined.split(","))
     )
-    return cents if all(cents) else None
 
 
 def _records(text: str):
@@ -168,7 +178,9 @@ def _records(text: str):
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def parse_csv(text: str) -> PriceSeries:
+def parse_csv(
+    text: str, window: Callable[[tuple[date, ...]], tuple[int, int]] | None = None
+) -> PriceSeries:
     """Parse a price document: header ``Date,T1,T2,...`` then one row per
     trading day, in ascending or descending date order.
 
@@ -176,6 +188,11 @@ def parse_csv(text: str) -> PriceSeries:
     non-positive, or over-precise cell rejects the whole document with
     the offending date and ticker named: the first such cell in document
     order.
+
+    window, if given, is called once the whole document has validated,
+    with the ascending dates, and returns the (lo, hi) slice of them to
+    keep; only the rows of that slice are converted to cents.  Whatever
+    it raises propagates.
     """
     reader = _records(text)
     try:
@@ -185,7 +202,8 @@ def parse_csv(text: str) -> PriceSeries:
     if len(header) < 2:
         raise CsvFormatError("header must name a date column and at least one ticker")
     tickers = tuple(h.strip() for h in header[1:])
-    rows: list[tuple[date, tuple[int, ...]]] = []
+    # Each row is kept as the text of its plain prices or as its cents.
+    rows: list[tuple[date, str | tuple[int, ...]]] = []
     seen: set[date] = set()
     for lineno, row in reader:
         if not "".join(row).strip():
@@ -199,16 +217,24 @@ def parse_csv(text: str) -> PriceSeries:
             raise CsvFormatError(f"duplicate date {row_date.isoformat()}")
         seen.add(row_date)
         cells = row[1:]
-        cents = _plain_row_cents(cells) or tuple(
+        prices = _plain_row(cells) or tuple(
             _parse_cents(cell, row_date, ticker)
             for cell, ticker in zip(cells, tickers)
         )
-        rows.append((row_date, cents))
+        rows.append((row_date, prices))
     rows.sort(key=lambda item: item[0])
+    # Checked before the window, so a bad header is reported before a bad window.
+    _check_tickers(tickers)
+    dates = tuple(d for d, _ in rows)
+    if window is not None:
+        lo, hi = window(dates)
+        dates, rows = dates[lo:hi], rows[lo:hi]
     return PriceSeries(
         tickers=tickers,
-        dates=tuple(d for d, _ in rows),
-        prices_cents=tuple(p for _, p in rows),
+        dates=dates,
+        prices_cents=tuple(
+            _plain_cents(p) if isinstance(p, str) else p for _, p in rows
+        ),
     )
 
 
@@ -222,17 +248,24 @@ def format_csv(series: PriceSeries) -> str:
     return out.getvalue()
 
 
-def select_window(series: PriceSeries, start: date, end: date) -> PriceSeries:
-    """The sub-series of dates d with start <= d <= end, bounds inclusive."""
+def window_bounds(dates: Sequence[date], start: date, end: date) -> tuple[int, int]:
+    """The slice dates[lo:hi] of ascending dates d with start <= d <= end,
+    bounds inclusive; WindowError if start is after end or the slice is empty."""
     if start > end:
         raise WindowError(f"window start {start} is after end {end}")
-    # Dates are strictly increasing, so the window is one contiguous slice.
-    lo = bisect_left(series.dates, start)
-    hi = bisect_right(series.dates, end)
+    lo = bisect_left(dates, start)
+    hi = bisect_right(dates, end)
     if lo == hi:
         raise WindowError(
             f"window {start.isoformat()}..{end.isoformat()} selects no dates"
         )
+    return lo, hi
+
+
+def select_window(series: PriceSeries, start: date, end: date) -> PriceSeries:
+    """The sub-series of dates d with start <= d <= end, bounds inclusive."""
+    # Dates are strictly increasing, so the window is one contiguous slice.
+    lo, hi = window_bounds(series.dates, start, end)
     return PriceSeries(
         tickers=series.tickers,
         dates=series.dates[lo:hi],

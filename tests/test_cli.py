@@ -5,6 +5,9 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_fuzz import csv_documents
 
 from stockbraid import (
     ClosedBraid,
@@ -18,7 +21,7 @@ from stockbraid import (
     writhe,
 )
 from stockbraid.cli import main
-from stockbraid.market import PriceSeries
+from stockbraid.market import PriceSeries, WindowError, parse_price_date, select_window
 
 DOW4_CSV = Path(__file__).parent / "data" / "dow4_2013.csv"
 
@@ -556,3 +559,83 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     assert [proc.returncode for proc in alone] == [0, 0, 0, 0, 1, 2]
     assert len(calls) == 1
     assert build() is not build()
+
+
+def _parse_then_select(path, start, end):
+    """The CLI's ingest as parse_csv of the whole file, then select_window."""
+    with open(path, encoding="utf-8") as fh:
+        series = parse_csv(fh.read())
+    if start is not None or end is not None:
+        if not series.dates:
+            raise WindowError(f"{path} has no dates to window")
+        lo = series.dates[0] if start is None else parse_price_date(start)
+        hi = series.dates[-1] if end is None else parse_price_date(end)
+        series = select_window(series, lo, hi)
+    return series
+
+
+_FUZZ_WINDOWS = [[], ["--from=2013-05-16"], ["--to=5/17/2013"],
+                 ["--from=2013-05-17", "--to=2013-05-16"], ["--from=soon"]]
+
+
+def test_windowed_ingest_matches_parse_then_select(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "prices.csv"
+    seen = {"word": 0, "csv error": 0, "window error": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(st.data())
+    def check(data):
+        text = data.draw(csv_documents())
+        path.write_text(text, encoding="utf-8", newline="")
+        # The document's own first fields, good dates and odd ones, as bounds.
+        own = [line.split(",")[0].strip('"') for line in text.splitlines()[1:]]
+        bound = st.sampled_from(own) if own else st.just("2013-05-16")
+        window = data.draw(st.one_of(
+            st.sampled_from(_FUZZ_WINDOWS),
+            st.builds(lambda a: [f"--from={a}"], bound),
+            st.builds(lambda b: [f"--to={b}"], bound),
+            st.builds(lambda a, b: [f"--from={a}", f"--to={b}"], bound, bound),
+        ))
+        argv = ["braid", *window, "--", str(path)]
+        got = run_cli(capsys, *argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_load_series", _parse_then_select)
+            assert got == run_cli(capsys, *argv), argv
+        if got[0] == 0:
+            seen["word"] += 1
+        elif window and any(k in got[2] for k in ("window", "selects no", "is after", "date '")):
+            seen["window error"] += 1
+        else:
+            seen["csv error"] += 1
+
+    check()
+    assert all(v >= 10 for v in seen.values()), seen
+
+
+@pytest.mark.parametrize(
+    "text,window,message",
+    [
+        # A bad cell outside the window names its own date and ticker.
+        ("Date,A,B\n2013-05-15,1.00,2.00\n2013-05-16,1.10,x\n", ["--to", "2013-05-15"],
+         "unparseable price 'x' for B on 2013-05-16"),
+        ("Date,A,B\n2013-05-15,1.00,2.00\n2013-05-16,0.00,2.10\n", ["--to", "2013-05-15"],
+         "non-positive price '0.00' for A on 2013-05-16"),
+        # 1. A CSV error comes before anything about the window, a bad header included.
+        ("Date,A,B\n2013-05-15,1.00,\n", ["--from", "soon"], "missing price for B on 2013-05-15"),
+        ("Date,A,A\n2013-05-15,1.00,2.00\n", ["--from", "soon"], "tickers must be pairwise distinct"),
+        # 2. No dates to window, then 3. an unparseable bound, the start first.
+        ("Date,A,B\n", ["--from", "soon"], "{path} has no dates to window"),
+        ("Date,A\n2013-05-15,1.00\n", ["--from", "soon", "--to", "later"], "unparseable date 'soon'"),
+        ("Date,A\n2013-05-15,1.00\n", ["--to", "later"], "unparseable date 'later'"),
+        # 4. Start after end, then 5. an empty window.
+        ("Date,A\n2013-05-15,1.00\n", ["--from", "2013-06-01", "--to", "2013-05-01"],
+         "window start 2013-06-01 is after end 2013-05-01"),
+        ("Date,A\n2013-05-15,1.00\n", ["--from", "2013-05-16", "--to", "2013-05-20"],
+         "window 2013-05-16..2013-05-20 selects no dates"),
+    ],
+)
+def test_windowed_ingest_error_order(capsys, tmp_path, text, window, message):
+    csv = tmp_path / "prices.csv"
+    csv.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "braid", str(csv), *window)
+    assert (code, out, err) == (1, "", f"error: {message.format(path=csv)}\n")

@@ -1,3 +1,4 @@
+import re
 from datetime import date, datetime, timedelta
 from decimal import Decimal
 
@@ -12,6 +13,7 @@ from stockbraid import (
     market,
     parse_csv,
     select_window,
+    window_bounds,
 )
 from stockbraid.market import PriceSeries, parse_price_date
 
@@ -206,6 +208,12 @@ def test_select_window_matches_the_comprehension(dow4_series):
                 _window_by_comprehension, dow4_series, start, end), (start, end)
 
 
+def _plain_row_cents(cells):
+    """The cents of a row that is plain, or None: the regex match, then the conversion."""
+    joined = market._plain_row(cells)
+    return None if joined is None else market._plain_cents(joined)
+
+
 def test_plain_rows_match_the_per_cell_parser():
     # Every plain form (up to 15 whole digits, up to two decimals) reads as
     # _parse_cents reads it; a zero, a 16th digit or a third decimal is not plain.
@@ -218,9 +226,16 @@ def test_plain_rows_match_the_per_cell_parser():
             except CsvFormatError:
                 expected = None
             plain = len(whole) <= 15 and len(frac) <= 3
-            assert market._plain_row_cents([cell]) == (expected if plain else None), cell
+            assert _plain_row_cents([cell]) == (expected if plain else None), cell
     for cells in (["1,5", "2"], ["1", " 2"], ["+1"], ["1."], [".5"], ["1e2"], ["١"], ["1_0"], []):
-        assert market._plain_row_cents(cells) is None, cells
+        assert _plain_row_cents(cells) is None, cells
+
+
+def test_a_zero_cell_anywhere_makes_a_row_not_plain():
+    for zero in ["0", "00", "0.0", "0.00", "000.00"]:
+        for cells in ([zero], [zero, "1"], ["1", zero], ["1", zero, "2.50"]):
+            assert market._plain_row(cells) is None, cells
+    assert _plain_row_cents(["0.01", "10", "01", "1.00"]) == (1, 1000, 100, 100)
 
 
 def test_only_rows_that_are_not_plain_reach_the_per_cell_parser(monkeypatch):
@@ -302,3 +317,103 @@ def test_plain_rows_match_the_per_cell_reference():
 
     check()
     assert all(seen.values()), seen
+
+
+def _window(start, end):
+    return lambda dates: window_bounds(dates, start, end)
+
+
+def _parse_then_select(text, start, end):
+    return select_window(parse_csv(text), start, end)
+
+
+def test_windowed_parse_matches_parse_then_select():
+    seen = {"valid": 0, "bad price": 0, "empty window": 0}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(price_documents(), st.data())
+    def check(text, data):
+        # Window bounds among and around the dates the documents draw.
+        days = st.dates(date(2012, 12, 30), date(2013, 2, 12))
+        start, end = sorted([data.draw(days), data.draw(days)], reverse=data.draw(st.booleans()))
+        got = _outcome(parse_csv, text, _window(start, end))
+        assert got == _outcome(_parse_then_select, text, start, end)
+        if isinstance(got, PriceSeries):
+            seen["valid"] += 1
+        elif "price" in got[1]:
+            seen["bad price"] += 1
+        elif "selects no dates" in got[1]:
+            seen["empty window"] += 1
+
+    check()
+    assert all(seen.values()), seen
+
+
+_FOUR_DAYS = "Date,A,B\n2013-05-15,1.00,2.00\n2013-05-16,1.10,2.10\n{row}\n2013-05-20,1.30,2.30\n"
+
+
+@pytest.mark.parametrize(
+    "row,message",
+    [
+        ("2013-05-17,1.20,", "missing price for B on 2013-05-17"),
+        ("2013-05-17,1.20,oops", "unparseable price 'oops' for B on 2013-05-17"),
+        ("2013-05-17,1.20,0.00", "non-positive price '0.00' for B on 2013-05-17"),
+        ("2013-05-17,0,2.20", "non-positive price '0' for A on 2013-05-17"),
+        ("2013-05-17,1.20,2.201", "price '2.201' for B on 2013-05-17 has more than cent precision"),
+        ("2013-05-15,1.20,2.20", "duplicate date 2013-05-15"),
+    ],
+)
+def test_a_bad_row_outside_the_window_rejects_the_document(row, message):
+    text = _FOUR_DAYS.format(row=row)
+    calls = []
+
+    def window(dates):
+        calls.append(dates)
+        return window_bounds(dates, date(2013, 5, 15), date(2013, 5, 16))
+
+    with pytest.raises(CsvFormatError, match=f"^{re.escape(message)}$"):
+        parse_csv(text, window=window)
+    assert calls == []
+
+
+def test_the_window_is_asked_only_after_the_header_validates():
+    def refuse(dates):
+        raise AssertionError("window called")
+
+    with pytest.raises(CsvFormatError, match="^tickers must be pairwise distinct$"):
+        parse_csv("Date,A,A\n2013-05-15,1.00,2.00\n", window=refuse)
+
+
+def test_only_the_rows_in_the_window_are_converted(monkeypatch):
+    converted = []
+
+    def counting(joined):
+        converted.append(joined)
+        return plain_cents(joined)
+
+    plain_cents = market._plain_cents
+    monkeypatch.setattr(market, "_plain_cents", counting)
+    # Descending, with one row that is not plain: the window sees ascending dates.
+    text = ("Date,A,B\n2013-05-20,1.30,2.30\n2013-05-17,1.20, 2.20\n"
+            "2013-05-16,1.10,2.10\n2013-05-15,1.00,2.00\n")
+    seen = []
+
+    def window(dates):
+        seen.append(dates)
+        return window_bounds(dates, date(2013, 5, 16), date(2013, 5, 17))
+
+    series = parse_csv(text, window=window)
+    assert seen == [(date(2013, 5, 15), date(2013, 5, 16), date(2013, 5, 17), date(2013, 5, 20))]
+    assert series.dates == (date(2013, 5, 16), date(2013, 5, 17))
+    assert series.prices_cents == ((110, 210), (120, 220))
+    assert converted == ["1.10,2.10"]
+
+
+def test_window_bounds_of_dates(dow4_series):
+    dates = dow4_series.dates
+    assert window_bounds(dates, date(2013, 5, 15), date(2013, 6, 5)) == (0, 15)
+    assert window_bounds(list(dates), date(2013, 5, 17), date(2013, 5, 20)) == (2, 4)
+    with pytest.raises(WindowError, match="^window 2013-05-18..2013-05-19 selects no dates$"):
+        window_bounds(dates, date(2013, 5, 18), date(2013, 5, 19))
+    with pytest.raises(WindowError, match="^window start 2013-05-20 is after end 2013-05-17$"):
+        window_bounds((), date(2013, 5, 20), date(2013, 5, 17))
