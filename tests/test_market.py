@@ -319,14 +319,6 @@ def test_plain_rows_match_the_per_cell_reference():
     assert all(seen.values()), seen
 
 
-def _window(start, end):
-    return lambda dates: window_bounds(dates, start, end)
-
-
-def _parse_then_select(text, start, end):
-    return select_window(parse_csv(text), start, end)
-
-
 def test_windowed_parse_matches_parse_then_select():
     seen = {"valid": 0, "bad price": 0, "empty window": 0}
 
@@ -336,8 +328,8 @@ def test_windowed_parse_matches_parse_then_select():
         # Window bounds among and around the dates the documents draw.
         days = st.dates(date(2012, 12, 30), date(2013, 2, 12))
         start, end = sorted([data.draw(days), data.draw(days)], reverse=data.draw(st.booleans()))
-        got = _outcome(parse_csv, text, _window(start, end))
-        assert got == _outcome(_parse_then_select, text, start, end)
+        got = _outcome(parse_csv, text, lambda dates: window_bounds(dates, start, end))
+        assert got == _outcome(lambda: select_window(parse_csv(text), start, end))
         if isinstance(got, PriceSeries):
             seen["valid"] += 1
         elif "price" in got[1]:
