@@ -627,8 +627,15 @@ def jones_from_bracket(k: ClosedBraid, convention: str = "paper") -> LaurentPoly
 
 def _writhe_corrected_value(bracket_value: complex, a: complex, w: int) -> complex:
     """(-a)^(-3 w) <K>(a): the numeric f[K], that is the Jones value with
-    t^(1/4) = a, from the bracket value at A = a and the writhe w."""
-    return (-complex(a)) ** (-3 * w) * bracket_value
+    t^(1/4) = a, from the bracket value at A = a and the writhe w.
+
+    At a tiny |a| the power (-a)^(3 w) underflows to 0, and its reciprocal
+    is an OverflowError, as any other overflowing power is.
+    """
+    try:
+        return (-complex(a)) ** (-3 * w) * bracket_value
+    except ZeroDivisionError:
+        raise OverflowError(f"(-A)^(-3 Wr) overflows at A = {a} for writhe {w}") from None
 
 
 def _fourth_root(t: complex) -> complex:

@@ -12,10 +12,12 @@ Subcommands:
   e^(i pi/10) only; or probe the bare formula with ``--stats``.
 * ``render WORD``: ASCII or SVG diagram of a braid word.
 
-``invariant`` and ``prob`` print one strict-JSON document.  Exit codes:
-0 success, 1 input error, 2 exact-path crossing cap exceeded or usage
-error.  Identical invocations produce byte-identical output; nothing
-here depends on clocks, locales, or iteration order of unordered sets.
+``invariant`` and ``prob`` print one strict-JSON document: the bytes of
+``json.dumps(doc, indent=2)``, ASCII with ``\\uXXXX`` escapes, and a final
+newline.  Exit codes: 0 success, 1 input error, 2 exact-path crossing cap
+exceeded or usage error.  Identical invocations produce byte-identical
+output; nothing here depends on clocks, locales, or iteration order of
+unordered sets.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import json
 import os
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from . import __version__
 from .braid import BraidWord, format_word, free_reduce, parse_word, writhe
@@ -76,9 +80,51 @@ def _load_word(source: str, start: str | None, end: str | None) -> BraidWord:
     return build_braid(_load_series(source, start, end))
 
 
+# Other scalars (bools, infinities, NaN) go through json's own indent-2
+# encoder, so their text and the non-finite refusal are json's.
+_scalar_json = json.JSONEncoder(indent=2, allow_nan=False).encode
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """The text json.dumps(value, indent=2, allow_nan=False) writes for a
+    value nested where `newline` (a newline plus its indent) starts a line.
+
+    Containers must be dicts with str keys and lists.  Strings are quoted
+    by json's ASCII escaper, ints and finite floats are their repr, and a
+    list of [int, int] rows, such as a polynomial's terms, fills one
+    template per row.
+    """
+    kind = type(value)
+    if kind is str:
+        return _quote(value)
+    if kind is int or (kind is float and isfinite(value)):
+        # json writes both with their type's repr.
+        return repr(value)
+    if value is None:
+        return "null"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_quote(key) + ": " + _json_text(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(row) is list and len(row) == 2 and type(row[0]) is int
+               and type(row[1]) is int for row in value):
+            pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            items = [pair % (e, c) for e, c in value]
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return _scalar_json(value)
+
+
 def _emit_json(doc: dict) -> None:
-    # Dumped before printing, so a non-finite value is an error with nothing on stdout.
-    print(json.dumps(doc, indent=2, allow_nan=False))
+    # Written out before printing, so a non-finite value is an error with nothing on stdout.
+    print(_json_text(doc))
 
 
 def _cmd_braid(args: argparse.Namespace) -> int:

@@ -88,6 +88,19 @@ def test_bracket_eval_rejects_non_finite():
         jones_eval(plat_close(BraidWord(2)), complex("nan"))
 
 
+def test_jones_eval_at_a_tiny_point_is_an_overflow():
+    # t^(1/4) = 1e-75, so (-A)^(3 Wr) = A^6 underflows to 0 and its reciprocal overflows.
+    with pytest.raises(OverflowError, match=r"overflows at A = \(1\.0+6e-75\+0j\) for writhe 2"):
+        jones_eval(plat_close(BraidWord.from_ints(2, [1, 1])), 1e-300)
+    with pytest.raises(OverflowError):
+        bracket._writhe_corrected_value(1.0, 1e-120, 1)
+
+
+def test_writhe_corrected_value_is_the_plain_power_where_it_is_finite():
+    for a, w in [(1e-100, 1), (1e-30, 3), (0.3 + 0.9j, -2), (1e30, -3), (2.0, 0)]:
+        assert bracket._writhe_corrected_value(0.5 - 1j, a, w) == (-complex(a)) ** (-3 * w) * (0.5 - 1j)
+
+
 def test_eval_agrees_with_exact_polynomial(rand_word):
     rng = random.Random(31)
     for _ in range(60):

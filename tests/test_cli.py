@@ -5,11 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_fuzz import csv_documents
 
 from stockbraid import (
+    BraidWord,
     ClosedBraid,
     bracket,
     cli,
@@ -344,6 +345,97 @@ def test_non_finite_output_is_an_error(capsys):
     code, out, err = run_cli(capsys, "invariant", "2: 1", "--eval", "1e-320")
     assert (code, out) == (1, "")
     assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+@pytest.mark.parametrize(
+    "point,shown",
+    [(["--eval", "1e-120"], "(1e-120+0j)"), (["--eval=1e-160j"], "1e-160j"),
+     (["--eval=-1e-160"], "(-1e-160+0j)")],
+)
+def test_tiny_eval_point_with_jones_is_a_numeric_overflow(capsys, point, shown):
+    # (-A)^(3 Wr) underflows to 0, so (-A)^(-3 Wr) overflows.
+    code, out, err = run_cli(capsys, "invariant", "2: 1", *point, "--jones")
+    assert (code, out) == (1, "")
+    assert err == f"error: numeric overflow: (-A)^(-3 Wr) overflows at A = {shown} for writhe 1\n"
+
+
+_JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "a\nb", '\\"\t', "\u00e9", "\u2028", "\udc80"])
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers() | st.sampled_from([10**40, -(2**100)]),
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e300, 5e-324]),
+    _JSON_STRINGS,
+)
+_INT_PAIRS = st.lists(st.integers(), min_size=2, max_size=2)
+# Rows the pair template must leave to the general path.
+_OTHER_ROWS = st.one_of(
+    st.tuples(st.booleans(), st.integers()).map(list),
+    st.tuples(st.integers(), st.floats(allow_nan=False, allow_infinity=False)).map(list),
+    st.lists(st.integers(), min_size=3, max_size=3),
+)
+_JSON_DOCUMENTS = st.recursive(
+    _JSON_SCALARS | st.lists(_INT_PAIRS) | st.lists(_INT_PAIRS | _OTHER_ROWS),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_JSON_STRINGS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_JSON_DOCUMENTS)
+@example({"terms": [[1, 2], [True, 1]], "e": [], "d": {}})
+@example([[[-3, 1], [0, -(10**30)]], [[1, 2.5]], [[1, 2, 3]]])
+def test_json_writer_matches_json_dumps_indent_2(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "place", [lambda v: v, lambda v: {"a": [1, {"b": v}]}, lambda v: [[1, v]]],
+    ids=["alone", "nested", "in-a-pair"],
+)
+def test_json_writer_refuses_non_finite_floats_as_json_does(value, place):
+    doc = place(value)
+    with pytest.raises(ValueError) as expected:
+        json.dumps(doc, indent=2, allow_nan=False)
+    with pytest.raises(ValueError) as got:
+        cli._json_text(doc)
+    assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def _emitting_argvs(draw) -> list[str]:
+    """invariant and prob calls that print a document."""
+    command = draw(st.sampled_from(["invariant", "prob", "prob --stats"]))
+    if command == "prob --stats":
+        v = draw(st.complex_numbers(max_magnitude=1e6))
+        c, m, w = draw(st.integers(1, 4)), draw(st.integers(0, 12)), draw(st.integers(-30, 30))
+        return ["prob", f"--stats={v},{c},{m},{w}"]
+    closure = draw(st.sampled_from(["plat", "trace"])) if command == "invariant" else "plat"
+    # plat caps strand pairs: invariant needs an even count, prob an odd one (n + 1 with the test strand).
+    if closure == "trace":
+        n = draw(st.integers(1, 6))
+    else:
+        n = 2 * draw(st.integers(1, 3)) - (command == "prob")
+    gens = draw(st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+                         max_size=10)) if n > 1 else []
+    argv = [command, format_word(BraidWord.from_ints(n, gens))]
+    if command == "invariant":
+        argv += ["--closure", closure, "--bracket", "--jones"]
+        if draw(st.booleans()):
+            argv.append("--eval=" + str(draw(st.complex_numbers(min_magnitude=0.5, max_magnitude=2))))
+    return argv
+
+
+def test_documents_are_json_dumps_indent_2(capsys):
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(_emitting_argvs())
+    def check(argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
+
+    check()
 
 
 @pytest.mark.parametrize("argv", [["invariant", "2: 1 1"], ["prob", "--stats", "1,1,1,0"]])

@@ -137,7 +137,7 @@ def csv_paths(tmp_path_factory):
 
 
 _POINTS = st.one_of(
-    st.sampled_from(["0", "1", "-1", "1j", "inf", "nan", "1e-320", "1e300", "2", "0.5+0.5j",
+    st.sampled_from(["0", "1", "-1", "1j", "inf", "nan", "1e-320", "1e-120", "1e-160j", "1e300", "2", "0.5+0.5j",
                      "(1+1j)", "1+", "abc", "-0.809017-0.587785j"]),
     st.complex_numbers(max_magnitude=1e6).map(str),
 )
