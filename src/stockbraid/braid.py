@@ -12,28 +12,71 @@ Words are immutable values and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import attrgetter
 
 
 class WordFormatError(ValueError):
     """Raised for malformed braid word text or invalid generator data."""
 
 
-@dataclass(frozen=True)
-class Generator:
+class _Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in __slots__ and sets each one in its own
+    __init__ with object.__setattr__.  Instances compare equal and hash
+    alike when they are of the same class with equal fields, print as
+    ClassName(field=value, ...), refuse assignment and deletion of fields
+    with AttributeError, and pickle and copy by calling __init__ again.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._key = attrgetter(*cls.__slots__)
+        cls.__match_args__ = cls.__slots__
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._fields()
+
+
+class Generator(_Value):
     """A single Artin generator sigma_index^exponent.
 
     index is 1-based; exponent is +1 (overcrossing) or -1 (undercrossing).
     """
 
+    __slots__ = ("index", "exponent")
     index: int
     exponent: int
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise WordFormatError(f"generator index must be >= 1, got {self.index}")
-        if self.exponent not in (1, -1):
-            raise WordFormatError(f"generator exponent must be +1 or -1, got {self.exponent}")
+    def __init__(self, index: int, exponent: int) -> None:
+        if index < 1:
+            raise WordFormatError(f"generator index must be >= 1, got {index}")
+        if exponent not in (1, -1):
+            raise WordFormatError(f"generator exponent must be +1 or -1, got {exponent}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "exponent", exponent)
 
     def inverse(self) -> "Generator":
         return Generator(self.index, -self.exponent)
@@ -48,21 +91,23 @@ class Generator:
         return self.index * self.exponent
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Value):
     """An element of the braid group B_n given as a word in the generators."""
 
+    __slots__ = ("n_strands", "generators")
     n_strands: int
-    generators: tuple[Generator, ...] = ()
+    generators: tuple[Generator, ...]
 
-    def __post_init__(self) -> None:
-        if self.n_strands < 1:
-            raise WordFormatError(f"strand count must be >= 1, got {self.n_strands}")
-        for g in self.generators:
-            if g.index > self.n_strands - 1:
+    def __init__(self, n_strands: int, generators: tuple[Generator, ...] = ()) -> None:
+        if n_strands < 1:
+            raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
+        for g in generators:
+            if g.index > n_strands - 1:
                 raise WordFormatError(
-                    f"generator index {g.index} out of range on {self.n_strands} strands"
+                    f"generator index {g.index} out of range on {n_strands} strands"
                 )
+        object.__setattr__(self, "n_strands", n_strands)
+        object.__setattr__(self, "generators", generators)
 
     @classmethod
     def from_ints(cls, n_strands: int, word: list[int] | tuple[int, ...]) -> "BraidWord":

@@ -13,10 +13,9 @@ arcs; no general planar-diagram machinery is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Literal
 
-from .braid import BraidWord, permutation, writhe
+from .braid import BraidWord, _Value, permutation, writhe
 
 Closure = Literal["plat", "trace"]
 
@@ -25,35 +24,43 @@ class ClosureError(ValueError):
     """Raised when a closure kind does not apply to a braid or operation."""
 
 
-@dataclass(frozen=True)
-class ClosedBraid:
+class ClosedBraid(_Value):
     """A braid word together with the closure kind that turns it into a link."""
 
+    __slots__ = ("braid", "closure")
     braid: BraidWord
     closure: Closure
 
-    def __post_init__(self) -> None:
-        if self.closure not in ("plat", "trace"):
-            raise ClosureError(f"unknown closure kind {self.closure!r}")
-        if self.closure == "plat" and self.braid.n_strands % 2:
+    def __init__(self, braid: BraidWord, closure: Closure) -> None:
+        if closure not in ("plat", "trace"):
+            raise ClosureError(f"unknown closure kind {closure!r}")
+        if closure == "plat" and braid.n_strands % 2:
             raise ClosureError(
                 "plat closure requires an even strand count (2k strands); "
-                f"got {self.braid.n_strands}"
+                f"got {braid.n_strands}"
             )
+        object.__setattr__(self, "braid", braid)
+        object.__setattr__(self, "closure", closure)
 
 
-@dataclass(frozen=True)
-class DiagramStats:
+class DiagramStats(_Value):
     """Counting data of a closed diagram.
 
     minima is the number of local minima of a plat closure (n/2); it is
     None for trace closures, where the notion is not used.
     """
 
+    __slots__ = ("components", "minima", "crossings", "writhe")
     components: int
     minima: int | None
     crossings: int
     writhe: int
+
+    def __init__(self, components: int, minima: int | None, crossings: int, writhe: int) -> None:
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "minima", minima)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "writhe", writhe)
 
     def to_json(self) -> dict:
         return {

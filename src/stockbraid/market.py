@@ -20,9 +20,10 @@ import io
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from datetime import date
 from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
+
+from .braid import _Value
 
 _EXACT = Context(prec=MAX_PREC)  # the default Emax still raises Overflow
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
@@ -42,8 +43,7 @@ class WindowError(ValueError):
     """Raised when a date window selects no rows."""
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+class PriceSeries(_Value):
     """Aligned closing prices: prices_cents[d][t] is the price of
     tickers[t] on dates[d], in integer cents.
 
@@ -52,23 +52,28 @@ class PriceSeries:
     share across threads.
     """
 
+    __slots__ = ("tickers", "dates", "prices_cents")
     tickers: tuple[str, ...]
     dates: tuple[date, ...]
     prices_cents: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        _check_tickers(self.tickers)
-        if len(self.prices_cents) != len(self.dates):
+    def __init__(self, tickers: tuple[str, ...], dates: tuple[date, ...],
+                 prices_cents: tuple[tuple[int, ...], ...]) -> None:
+        _check_tickers(tickers)
+        if len(prices_cents) != len(dates):
             raise CsvFormatError("price matrix and date list disagree")
-        for earlier, later in zip(self.dates, self.dates[1:]):
+        for earlier, later in zip(dates, dates[1:]):
             if earlier >= later:
                 raise CsvFormatError(f"dates not strictly increasing at {later}")
-        for d, row in zip(self.dates, self.prices_cents):
-            if len(row) != len(self.tickers):
-                raise CsvFormatError(f"row {d} has {len(row)} cells, expected {len(self.tickers)}")
+        for d, row in zip(dates, prices_cents):
+            if len(row) != len(tickers):
+                raise CsvFormatError(f"row {d} has {len(row)} cells, expected {len(tickers)}")
             if row and min(row) <= 0:
-                t = next(t for t, cents in zip(self.tickers, row) if cents <= 0)
+                t = next(t for t, cents in zip(tickers, row) if cents <= 0)
                 raise CsvFormatError(f"non-positive price for {t} on {d}")
+        object.__setattr__(self, "tickers", tickers)
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "prices_cents", prices_cents)
 
     def price_cents(self, on: date, ticker: str) -> int:
         return self.prices_cents[self.date_index(on)][self.ticker_index(ticker)]

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-
-from .braid import BraidWord, compose, inverse, writhe
+from .braid import BraidWord, _Value, compose, inverse, writhe
 from .bracket import _writhe_corrected_value, bracket_eval
 from .closure import ClosedBraid, ClosureError, component_count, minima_count
 
@@ -58,10 +56,11 @@ def _golden_power(k: int) -> float:
     return lucas / 2 + fib / 2 * math.sqrt(5.0)
 
 
-@dataclass(frozen=True)
-class OutcomeReport:
+class OutcomeReport(_Value):
     """The evaluation bundle of the outcome-probability formula."""
 
+    __slots__ = ("jones_value", "components", "minima", "writhe", "amplitude",
+                 "probability", "imag_residue", "in_range", "eval_point")
     jones_value: complex
     components: int
     minima: int
@@ -71,6 +70,19 @@ class OutcomeReport:
     imag_residue: float
     in_range: bool
     eval_point: complex
+
+    def __init__(self, jones_value: complex, components: int, minima: int, writhe: int,
+                 amplitude: complex, probability: float, imag_residue: float,
+                 in_range: bool, eval_point: complex) -> None:
+        object.__setattr__(self, "jones_value", jones_value)
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "minima", minima)
+        object.__setattr__(self, "writhe", writhe)
+        object.__setattr__(self, "amplitude", amplitude)
+        object.__setattr__(self, "probability", probability)
+        object.__setattr__(self, "imag_residue", imag_residue)
+        object.__setattr__(self, "in_range", in_range)
+        object.__setattr__(self, "eval_point", eval_point)
 
     def to_json(self) -> dict:
         return {

@@ -731,3 +731,22 @@ def test_windowed_ingest_error_order(capsys, tmp_path, text, window, message):
     csv.write_text(text, encoding="utf-8")
     code, out, err = run_cli(capsys, "braid", str(csv), *window)
     assert (code, out, err) == (1, "", f"error: {message.format(path=csv)}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prob", "3: 1", "--gamma", "4: 1", "--from", "x"],
+        ["prob", "3: 1", "--to", "2020-01-01"],
+        ["invariant", "4: 1 2", "--from", "2020-01-01"],
+        ["invariant", "4: 1 2", "--closure", "trace", "--to", ""],
+    ],
+)
+def test_window_on_a_braid_word_is_a_usage_error(capsys, argv):
+    # A window selects rows of a price CSV; on a word it would be ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.startswith("usage: stockbraid")
+    assert err.endswith(": error: --from/--to window a price CSV, not a braid word\n")

@@ -3,8 +3,10 @@
 Each parser either returns or raises its documented error.  The command
 line keeps its contract for every argv: exit code 0, 1 or 2, at most
 one line on stderr and never a traceback, and strict JSON on stdout for
-`invariant` and `prob`.  Hypothesis runs derandomized, so every run
-tries the same examples.
+`invariant` and `prob`.  The one usage error generated is a date window
+on a braid word, which exits 2 with argparse's usage text and nothing on
+stdout.  Hypothesis runs derandomized, so every run tries the same
+examples.
 """
 
 import json
@@ -25,7 +27,7 @@ from stockbraid import (
     parse_csv,
     parse_word,
 )
-from stockbraid.cli import main
+from stockbraid.cli import _WORD_RE, main
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -195,6 +197,13 @@ def test_main_keeps_the_cli_contract(capsys, monkeypatch, csv_paths):
         argv = data.draw(argvs([str(p) for p in csv_paths]))
         # A low crossing cap makes the exact path refuse (exit 2) now and then.
         monkeypatch.setattr(bracket, "CROSSING_CAP", data.draw(st.sampled_from([24, 4])))
+        if _WORD_RE.match(argv[-1]) and any(a.startswith(("--from=", "--to=")) for a in argv):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, ""), argv
+            assert err.endswith(": error: --from/--to window a price CSV, not a braid word\n"), argv
+            return
         code = main(argv)
         out, err = capsys.readouterr()
         assert code in (0, 1, 2), argv

@@ -1,0 +1,148 @@
+"""The package's value classes: immutable, comparable, hashable, picklable,
+and importable without dataclasses."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from datetime import date
+from pathlib import Path
+
+import pytest
+
+import stockbraid
+from stockbraid import (
+    BraidWord,
+    ClosedBraid,
+    DiagramStats,
+    Generator,
+    OutcomeReport,
+    PriceSeries,
+    diagram_stats,
+    outcome_probability,
+    parse_word,
+    plat_close,
+)
+
+
+def _values():
+    word = parse_word("4: 1 -2 3 2 -1")
+    link = plat_close(word)
+    return [
+        Generator(2, -1),
+        word,
+        link,
+        diagram_stats(link),
+        PriceSeries(("A", "B"), (date(2020, 1, 2), date(2020, 1, 3)), ((100, 250), (175, 90))),
+        outcome_probability(plat_close(parse_word("4: 1 -3 2"))),
+    ]
+
+
+VALUES = _values()
+IDS = [type(v).__name__ for v in VALUES]
+
+
+def test_every_value_class_is_covered():
+    assert {type(v) for v in VALUES} == {
+        Generator, BraidWord, ClosedBraid, DiagramStats, PriceSeries, OutcomeReport,
+    }
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+@pytest.mark.parametrize(
+    "clone",
+    [
+        lambda v: pickle.loads(pickle.dumps(v)),
+        lambda v: pickle.loads(pickle.dumps(v, protocol=0)),
+        copy.copy,
+        copy.deepcopy,
+    ],
+    ids=["pickle", "pickle-0", "copy", "deepcopy"],
+)
+def test_pickle_and_copy_round_trip(value, clone):
+    other = clone(value)
+    assert type(other) is type(value)
+    assert other == value
+    assert hash(other) == hash(value)
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_equal_values_are_equal_and_hash_alike(value):
+    twin = type(value)(*(getattr(value, name) for name in type(value).__slots__))
+    assert twin is not value
+    assert twin == value
+    assert not twin != value
+    assert hash(twin) == hash(value)
+    assert len({twin, value}) == 1
+
+
+def test_values_of_another_class_are_not_equal():
+    assert Generator(1, 1) != (1, 1)
+    assert (1, 1) != Generator(1, 1)
+    assert Generator(1, 1).__eq__((1, 1)) is NotImplemented
+    assert BraidWord(2) != ClosedBraid(BraidWord(2), "plat")
+    assert Generator(1, 1) != Generator(1, -1)
+    assert BraidWord(3) != BraidWord(4)
+
+
+def test_repr_text():
+    assert repr(Generator(1, 1)) == "Generator(index=1, exponent=1)"
+    assert repr(BraidWord(3, (Generator(2, -1),))) == (
+        "BraidWord(n_strands=3, generators=(Generator(index=2, exponent=-1),))"
+    )
+    assert repr(ClosedBraid(BraidWord(2), "plat")) == (
+        "ClosedBraid(braid=BraidWord(n_strands=2, generators=()), closure='plat')"
+    )
+    assert repr(DiagramStats(components=1, minima=None, crossings=0, writhe=0)) == (
+        "DiagramStats(components=1, minima=None, crossings=0, writhe=0)"
+    )
+
+
+def test_keyword_construction_and_defaults():
+    assert Generator(index=2, exponent=-1) == Generator(2, -1)
+    assert BraidWord(3).generators == ()
+    assert BraidWord(n_strands=3, generators=(Generator(1, 1),)) == parse_word("3: 1")
+    link = ClosedBraid(braid=BraidWord(4), closure="trace")
+    assert (link.braid, link.closure) == (BraidWord(4), "trace")
+    series = PriceSeries(tickers=("A",), dates=(date(2020, 1, 2),), prices_cents=((1,),))
+    assert series.price_cents(date(2020, 1, 2), "A") == 1
+
+
+def test_positional_class_patterns():
+    match Generator(2, -1):
+        case Generator(index, exponent):
+            assert (index, exponent) == (2, -1)
+        case _:
+            pytest.fail("no match")
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_fields_cannot_be_assigned_or_deleted(value):
+    name = type(value).__slots__[0]
+    before = getattr(value, name)
+    with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+        setattr(value, name, before)
+    with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert getattr(value, name) is before
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # Modules the bare interpreter (site included) already holds do not count.
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import stockbraid.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - bare)))\n"
+    )
+    src = str(Path(stockbraid.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", code, src],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert "stockbraid.cli" in out
+    assert "dataclasses" not in out
+    assert "inspect" not in out
