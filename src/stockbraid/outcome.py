@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+
 from .braid import BraidWord, _Value, compose, inverse, writhe
 from .bracket import _writhe_corrected_value, bracket_eval
 from .closure import ClosedBraid, ClosureError, component_count, minima_count
