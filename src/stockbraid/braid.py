@@ -32,11 +32,9 @@ class _Value:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
+        # attrgetter of two or more names returns the field tuple; every subclass has two or more.
         cls._key = attrgetter(*cls.__slots__)
         cls.__match_args__ = cls.__slots__
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -47,7 +45,7 @@ class _Value:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._key(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -57,7 +55,7 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self) -> tuple:
-        return type(self), self._fields()
+        return type(self), self._key(self)
 
 
 class Generator(_Value):
@@ -67,8 +65,6 @@ class Generator(_Value):
     """
 
     __slots__ = ("index", "exponent")
-    index: int
-    exponent: int
 
     def __init__(self, index: int, exponent: int) -> None:
         if index < 1:
@@ -95,8 +91,6 @@ class BraidWord(_Value):
     """An element of the braid group B_n given as a word in the generators."""
 
     __slots__ = ("n_strands", "generators")
-    n_strands: int
-    generators: tuple[Generator, ...]
 
     def __init__(self, n_strands: int, generators: tuple[Generator, ...] = ()) -> None:
         if n_strands < 1:

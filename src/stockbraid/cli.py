@@ -261,8 +261,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "prob" and not args.stats and not args.source:
         parser.error("prob needs a braid word, a CSV path, or --stats")
-    if args.command == "prob" and args.stats and (args.source or args.gamma):
-        parser.error("prob --stats takes no braid word, CSV path or --gamma")
+    if args.command == "prob" and args.stats and (args.source or args.gamma or args.window_from is not None
+                                                  or args.window_to is not None):
+        parser.error("prob --stats takes no braid word, CSV path, --gamma or --from/--to")
     if (args.command in ("invariant", "prob") and args.source and _WORD_RE.match(args.source)
             and (args.window_from is not None or args.window_to is not None)):
         parser.error("--from/--to window a price CSV, not a braid word")

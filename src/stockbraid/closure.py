@@ -28,8 +28,6 @@ class ClosedBraid(_Value):
     """A braid word together with the closure kind that turns it into a link."""
 
     __slots__ = ("braid", "closure")
-    braid: BraidWord
-    closure: Closure
 
     def __init__(self, braid: BraidWord, closure: Closure) -> None:
         if closure not in ("plat", "trace"):
@@ -51,10 +49,6 @@ class DiagramStats(_Value):
     """
 
     __slots__ = ("components", "minima", "crossings", "writhe")
-    components: int
-    minima: int | None
-    crossings: int
-    writhe: int
 
     def __init__(self, components: int, minima: int | None, crossings: int, writhe: int) -> None:
         object.__setattr__(self, "components", components)

@@ -53,9 +53,6 @@ class PriceSeries(_Value):
     """
 
     __slots__ = ("tickers", "dates", "prices_cents")
-    tickers: tuple[str, ...]
-    dates: tuple[date, ...]
-    prices_cents: tuple[tuple[int, ...], ...]
 
     def __init__(self, tickers: tuple[str, ...], dates: tuple[date, ...],
                  prices_cents: tuple[tuple[int, ...], ...]) -> None:

@@ -62,15 +62,6 @@ class OutcomeReport(_Value):
 
     __slots__ = ("jones_value", "components", "minima", "writhe", "amplitude",
                  "probability", "imag_residue", "in_range", "eval_point")
-    jones_value: complex
-    components: int
-    minima: int
-    writhe: int
-    amplitude: complex
-    probability: float
-    imag_residue: float
-    in_range: bool
-    eval_point: complex
 
     def __init__(self, jones_value: complex, components: int, minima: int, writhe: int,
                  amplitude: complex, probability: float, imag_residue: float,

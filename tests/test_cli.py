@@ -469,16 +469,18 @@ def test_point_is_a_usage_error(capsys, argv):
         ["prob", "3: 1", "--gamma", "4: 1 -3", "--stats", "1,1,1,0"],
         ["prob", "3: 1", "--stats", "1,1,1,0"],
         ["prob", "--gamma", "4: 1 -3", "--stats", "1,1,1,0"],
+        ["prob", "--stats", "1,1,1,0", "--from", "x"],
+        ["prob", "--stats", "1,1,1,0", "--to", "2020-01-01"],
     ],
 )
 def test_stats_with_a_source_or_gamma_is_a_usage_error(capsys, argv):
-    # --stats probes the bare formula; a word it would ignore is refused.
+    # --stats probes the bare formula; a word or window it would ignore is refused.
     with pytest.raises(SystemExit) as exc:
         main(argv)
     out, err = capsys.readouterr()
     assert (exc.value.code, out) == (2, "")
     assert err.startswith("usage: stockbraid")
-    assert "prob --stats takes no braid word, CSV path or --gamma" in err
+    assert err.endswith(": error: prob --stats takes no braid word, CSV path, --gamma or --from/--to\n")
 
 
 def test_invariant_runs_one_bracket_sweep(capsys, monkeypatch):
