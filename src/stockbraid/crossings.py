@@ -16,7 +16,9 @@ higher price on the later day, then to the lexicographically smaller
 ticker crossing over.
 
 Cost: detection walks the price rows by index and sorts each day's
-tickers once, so it is linear in days (times one sort of the tickers).
+tickers once, by price alone and stably over the tickers in
+lexicographic order, so no key is built per row; it is linear in days
+(times one sort of the tickers).
 Intervals whose rank order does not change are skipped; a changed one
 costs O(tickers^2) comparisons at most, and only between its first and
 last moved positions, plus one event per swap.  An event is a named
@@ -86,19 +88,15 @@ def _ranker(tickers: tuple[str, ...]) -> Callable[[tuple[int, ...]], list[int]]:
     indices sorted ascending by price, exact ties ranking the
     lexicographically smaller ticker lower.
 
-    Each index sorts on the single integer price * len(tickers) + its
-    ticker's place in lexicographic order, which orders exactly as the
-    pair (price, ticker).
+    The sort is by price alone, over the indices already in
+    lexicographic order of their tickers; it is stable, so tied prices
+    keep that order and the result is the order of the pair (price,
+    ticker), with no key list built per row.
     """
-    n = len(tickers)
-    tie = [0] * n
-    for place, t in enumerate(sorted(range(n), key=tickers.__getitem__)):
-        tie[t] = place
-    indices = range(n)
+    lexicographic = sorted(range(len(tickers)), key=tickers.__getitem__)
 
     def rank(row: tuple[int, ...]) -> list[int]:
-        keys = [price * n + place for price, place in zip(row, tie)]
-        return sorted(indices, key=keys.__getitem__)
+        return sorted(lexicographic, key=row.__getitem__)
 
     return rank
 

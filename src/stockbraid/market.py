@@ -5,12 +5,16 @@ rule downstream compares price differences as small as one cent, and a
 rounding error there could flip a generator sign.  Missing cells are
 rejected rather than filled; a fabricated price can fabricate a crossing.
 
-Ingest is one csv.reader pass over the document, and it validates every
-row whatever the date window.  A row of plain, positive prices (ASCII
-digits, at most two decimals) is checked by one regex match and kept as
-its text; other rows are read cell by cell with Decimal; dates are read
-by one ASCII regex.  Only the rows inside the window are then converted
-to cents, so a window over a long history does not pay for the rest.
+Ingest validates every row whatever the date window.  A plain document
+(a header with no quote, then lines of a date and plain, positive
+prices, ASCII digits with at most two decimals) is accepted by mapping
+one regex match and one date parse over its lines, with no Python loop
+per row.  Any other document is one csv.reader pass, row by row: a row
+of plain prices is checked by one regex match, other rows are read cell
+by cell with Decimal, and every error is raised there.  Dates are read
+by one ASCII regex, and a plain row is kept as its text.  Only the rows
+inside the window are then converted to cents, so a window over a long
+history does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
 from datetime import date
 from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
+from itertools import repeat
+from operator import itemgetter
 
 from .braid import _Value
 
@@ -142,11 +148,16 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
 
 # A row of plain prices: ASCII digits with at most two decimals and no
 # sign, space or exponent, as in the Dow sample; the lookahead refuses a
-# cell of zeros, so a plain cell is positive.  Any other row, and every
-# error message, goes cell by cell through _parse_cents.  The digit bound
-# keeps int() far below its string-length limit.
-_PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
+# cell of zeros, also at the end of a physical line, so a plain cell is
+# positive.  Any other row, and every error message, goes cell by cell
+# through _parse_cents.  The digit bound keeps int() far below its
+# string-length limit.
+_PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\r|\n|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
 _PLAIN_ROW = re.compile(_PLAIN_CELL + "(?:," + _PLAIN_CELL + ")*")
+# The date field of a plain line; parse_price_date decides if it is a date.
+_PLAIN_DATE = r"[0-9/-]{8,10}"
+# The longest field of a plain line: 15 whole digits, a point, two decimals.
+_PLAIN_FIELD_MAX = 18
 
 
 def _plain_row(cells: list[str]) -> str | None:
@@ -180,22 +191,55 @@ def _records(text: str):
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-def parse_csv(
-    text: str, window: Callable[[tuple[date, ...]], tuple[int, int]] | None = None
-) -> PriceSeries:
-    """Parse a price document: header ``Date,T1,T2,...`` then one row per
-    trading day, in ascending or descending date order.
+# A row is kept as the text of its plain prices or as its cents.
+_Rows = list[tuple[date, "str | tuple[int, ...]"]]
 
-    The result is normalized to ascending dates.  Any missing, blank,
-    non-positive, or over-precise cell rejects the whole document with
-    the offending date and ticker named: the first such cell in document
-    order.
 
-    window, if given, is called once the whole document has validated,
-    with the ascending dates, and returns the (lo, hi) slice of them to
-    keep; only the rows of that slice are converted to cents.  Whatever
-    it raises propagates.
+def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
+    """The tickers and rows of a plain document, or None for any other.
+
+    A document is plain when its header is one physical line with no
+    quote, no NUL, no CR but a CRLF ending and no field past the csv
+    field limit, and every later line (split on LF only; one final empty
+    piece is dropped) is a date and one plain cell per ticker, with an
+    optional CR at its end, and no date repeats.  csv.reader splits such
+    a document as this does and the row loop raises nothing on it.  The
+    lines are walked by map alone: each costs one regex match, one
+    partition and one parse_price_date call.  Everything else, and every
+    error, is left to _parse_records.
     """
+    # Not splitlines, which also splits on \x0b, \x1c, \u2028 and others
+    # that csv keeps inside a field.  A leading byte-order mark stays in
+    # the date column's name, which is never read.
+    head, *lines = text.split("\n")
+    head = head.removesuffix("\r")
+    header = head.split(",")
+    limit = csv.field_size_limit()
+    if (len(header) < 2 or '"' in head or "\0" in head or "\r" in head
+            or limit < _PLAIN_FIELD_MAX or max(map(len, header)) > limit):
+        return None
+    if lines and lines[-1] == "":
+        lines.pop()
+    line = re.compile(rf"{_PLAIN_DATE}(?:,{_PLAIN_CELL}){{{len(header) - 1}}}\r?")
+    if not all(map(line.fullmatch, lines)):
+        return None
+    fields = list(map(str.partition, lines, repeat(",")))
+    try:
+        dates = list(map(parse_price_date, map(itemgetter(0), fields)))
+    except CsvFormatError:
+        return None
+    if len(set(dates)) != len(dates):
+        return None
+    prices = map(itemgetter(2), fields)
+    if "\r" in text:
+        prices = map(str.rstrip, prices, repeat("\r"))
+    return tuple(h.strip() for h in header[1:]), list(zip(dates, prices))
+
+
+def _parse_records(text: str) -> tuple[tuple[str, ...], _Rows]:
+    """The tickers and rows of any document, read record by record with
+    csv.reader; the first bad row in document order raises, with its
+    line number where the shape of the record is at fault."""
     reader = _records(text)
     try:
         _, header = next(reader)
@@ -204,8 +248,7 @@ def parse_csv(
     if len(header) < 2:
         raise CsvFormatError("header must name a date column and at least one ticker")
     tickers = tuple(h.strip() for h in header[1:])
-    # Each row is kept as the text of its plain prices or as its cents.
-    rows: list[tuple[date, str | tuple[int, ...]]] = []
+    rows: _Rows = []
     seen: set[date] = set()
     for lineno, row in reader:
         if not "".join(row).strip():
@@ -224,10 +267,30 @@ def parse_csv(
             for cell, ticker in zip(cells, tickers)
         )
         rows.append((row_date, prices))
-    rows.sort(key=lambda item: item[0])
+    return tickers, rows
+
+
+def parse_csv(
+    text: str, window: Callable[[tuple[date, ...]], tuple[int, int]] | None = None
+) -> PriceSeries:
+    """Parse a price document: header ``Date,T1,T2,...`` then one row per
+    trading day, in ascending or descending date order.
+
+    The result is normalized to ascending dates.  Any missing, blank,
+    non-positive, or over-precise cell rejects the whole document with
+    the offending date and ticker named: the first such cell in document
+    order.
+
+    window, if given, is called once the whole document has validated,
+    with the ascending dates, and returns the (lo, hi) slice of them to
+    keep; only the rows of that slice are converted to cents.  Whatever
+    it raises propagates.
+    """
+    tickers, rows = _parse_plain(text) or _parse_records(text)
+    rows.sort(key=itemgetter(0))
     # Checked before the window, so a bad header is reported before a bad window.
     _check_tickers(tickers)
-    dates = tuple(d for d, _ in rows)
+    dates = tuple(map(itemgetter(0), rows))
     if window is not None:
         lo, hi = window(dates)
         dates, rows = dates[lo:hi], rows[lo:hi]

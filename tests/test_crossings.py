@@ -22,7 +22,7 @@ from stockbraid import (
     select_window,
 )
 from stockbraid.braid import BraidWord, Generator
-from stockbraid.crossings import _CHUNK, audit_entries, braid_with_events, write_audit
+from stockbraid.crossings import _CHUNK, _ranker, audit_entries, braid_with_events, write_audit
 from stockbraid.market import PriceSeries
 
 # the full crossing schedule of the 2013 sample data, tracked by hand from the
@@ -51,6 +51,19 @@ def test_rank_order_examples(dow4_series):
 def test_rank_order_tie_break():
     s = parse_csv("Date,ZZ,AA\n2013-05-15,50.00,50.00\n")
     assert rank_order(s, date(2013, 5, 15)) == ["AA", "ZZ"]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.data())
+def test_ranker_orders_by_price_then_ticker(data):
+    # Few distinct prices, so most rows have ties, some of them many-way.
+    tickers = data.draw(st.lists(st.text("ABZab", min_size=1, max_size=3),
+                                 min_size=1, max_size=12, unique=True))
+    rank = _ranker(tuple(tickers))
+    for row in data.draw(st.lists(st.lists(st.integers(1, 3), min_size=len(tickers),
+                                           max_size=len(tickers)), max_size=5)):
+        expected = sorted(range(len(tickers)), key=lambda t: (row[t], tickers[t]))
+        assert rank(tuple(row)) == expected, (tickers, row)
 
 
 def test_rank_order_missing_date(dow4_series):

@@ -1,3 +1,4 @@
+import csv
 import re
 from datetime import date, datetime, timedelta
 from decimal import Decimal
@@ -252,6 +253,60 @@ def test_only_rows_that_are_not_plain_reach_the_per_cell_parser(monkeypatch):
     assert calls == ["2", " 1.00", "1.5"]
 
 
+def test_plain_documents_skip_the_row_loop(monkeypatch, dow4_text, dow4_series):
+    def refuse(text):
+        raise AssertionError("row loop called")
+
+    monkeypatch.setattr(market, "_parse_records", refuse)
+    assert parse_csv(dow4_text) == dow4_series
+    crlf = "Date,A,B\r\n5/16/2013,1.5,2\r\n5/15/2013,1.00,2.25\r\n"
+    assert parse_csv(crlf) == PriceSeries(
+        ("A", "B"), (date(2013, 5, 15), date(2013, 5, 16)), ((100, 225), (150, 200)))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "Date,A\r\n2013-05-15,1.00\r\n2013-05-16,0.00\r\n",
+        "Date,A,B\r\n2013-05-15,1.00,0\r\n",
+        "Date,A\n2013-05-15,1.00\n2013-05-16,0\n",
+        "Date,A\r2013-05-15,1.00\r",
+        "Date,A\n2013-05-15,1.00\x0b2013-05-16,2.00\n",
+        "Date,A\n2013-05-15,1.00\u20282013-05-16,2.00\n",
+        "Date,A\n2013-05-15,\x1c1.00\n",
+        '"Date","A"\n2013-05-15,1.00\n',
+        '"Date,A"\n2013-05-15,1.00\n',
+        "Date,A\x00\n2013-05-15,1.00\n",
+        "Date,A\r\r\n2013-05-15,1.00\n",
+        "Date," + "A" * (csv.field_size_limit() + 1) + "\n2013-05-15,1.00\n",
+        "Date,A\n\n2013-05-15,1.00\n",
+        "Date,A\n2013-05-15,1.00\n\n",
+        "Date,A\n 2013-05-15,1.00\n",
+        "Date,A\n5/15/2013 ,1.00\n",
+        "Date,A\n2/30/2013,1.00\n",
+        "Date,A\n2013-02-30,1.00\n",
+        "Date,A\n2013-05-15,1.00\n5/15/2013,2.00\n",
+        "Date,A\n2013-05-15,1.00,2.00\n",
+        "Date\n2013-05-15\n",
+        "",
+    ],
+)
+def test_documents_off_the_plain_path_match_the_reference(text):
+    assert market._parse_plain(text) is None
+    assert _outcome(parse_csv, text) == _outcome(_reference_parse_csv, text)
+
+
+def test_a_lowered_field_limit_keeps_documents_off_the_plain_path():
+    text = "Date,A\n2013-05-15,1234567.50\n"
+    old = csv.field_size_limit(9)
+    try:
+        assert market._parse_plain(text) is None
+        with pytest.raises(CsvFormatError, match=r"^line 2: field larger than field limit \(9\)$"):
+            parse_csv(text)
+    finally:
+        csv.field_size_limit(old)
+
+
 def _reference_parse_csv(text):
     """parse_csv as it was before plain rows: every cell parsed in order."""
     reader = market._records(text)
@@ -285,35 +340,92 @@ _OTHER_GOOD_CELLS = [" 1.00", "1e2", "1.", ".5", "+2", "1.500", "123456789012345
 _BAD_CELLS = ["", " ", "0", "0.00", "-1", "1.001", "x", "nan", "1e999999", "١٢", "1_0", '"1,5"']
 
 
+# Edits that keep a document off the plain path: the plain path must
+# refuse each one and leave it to csv.reader and the row loop.
+_ODD_LINES = ("padded date", "impossible date", "field char", "field char for a break",
+              "blank line", "zero at the end")
+_ODD_HEADERS = ("quoted", "NUL", "past the field limit")
+# Characters that str.splitlines splits on and csv keeps inside a field.
+_FIELD_CHARS = ("\x0b", "\x1c", "\u2028")
+
+
 @st.composite
 def price_documents(draw):
     """Rows of plain cells, some of them with other good cells or with up to
-    two bad cells in place, maybe a blank row, and dates that may repeat."""
+    two bad cells in place, maybe a blank row, and dates that may repeat.
+
+    Dates are ISO or M/D/YYYY, the rows ascending, descending or in no
+    order, and lines end in LF, CRLF or a lone CR, the last maybe in
+    none; a byte-order mark may lead.  Now and then a date is padded or
+    impossible, a field holds a character that splitlines splits on, or
+    one stands in for a line break, a line is empty or ends in a zero
+    cell, or the header is quoted, holds a NUL or has a field past the
+    csv field limit."""
     n = draw(st.integers(1, 5))
     days = draw(st.integers(1, 12))
-    offsets = draw(st.lists(st.integers(0, 40), min_size=days, max_size=days))
-    rows = [[(date(2013, 1, 1) + timedelta(days=k)).isoformat()]
-            + draw(st.lists(st.sampled_from(_PLAIN_CELLS), min_size=n, max_size=n)) for k in offsets]
+    offsets = draw(st.lists(st.integers(0, 40), min_size=days, max_size=days,
+                            unique=draw(st.booleans())))
+    order = draw(st.sampled_from([None, False, True]))
+    if order is not None:
+        offsets.sort(reverse=order)
+    us = draw(st.booleans())
+    rows = [[f"{d.month}/{d.day}/{d.year}" if us else d.isoformat()]
+            + draw(st.lists(st.sampled_from(_PLAIN_CELLS), min_size=n, max_size=n))
+            for d in (date(2013, 1, 1) + timedelta(days=k) for k in offsets)]
     for cells in (_OTHER_GOOD_CELLS,) * draw(st.integers(0, 2)) + (_BAD_CELLS,) * draw(st.integers(0, 2)):
         rows[draw(st.integers(0, days - 1))][draw(st.integers(1, n))] = draw(st.sampled_from(cells))
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, days)), [" "] * draw(st.integers(1, n + 1)))
     header = ["Date"] + [f"T{k}" for k in range(n)]
-    return "\n".join(",".join(r) for r in [header] + rows) + "\n"
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    breaks = [ending] * len(rows) + [draw(st.sampled_from([ending, ""]))]
+    for odd in draw(st.lists(st.sampled_from(_ODD_LINES), max_size=2)):
+        at = draw(st.integers(0, len(rows) - 1))
+        row = rows[at]
+        if odd == "padded date":
+            row[0] = f" {row[0]} "
+        elif odd == "impossible date":
+            row[0] = draw(st.sampled_from(["2/30/2013", "2013-02-30"]))
+        elif odd == "field char":
+            k = draw(st.integers(0, len(row) - 1))
+            row[k] = draw(st.sampled_from(_FIELD_CHARS)) + row[k]
+        elif odd == "field char for a break":
+            breaks[at] = draw(st.sampled_from(_FIELD_CHARS))
+        elif odd == "zero at the end":
+            row[-1] = draw(st.sampled_from(["0", "0.00"]))
+        else:
+            rows.insert(at, [""])
+            breaks.insert(at, ending)
+    odd = draw(st.sampled_from((None,) * 3 + _ODD_HEADERS))
+    k = draw(st.integers(0, n))
+    if odd == "quoted":
+        header = [f'"{h}"' for h in header]
+    elif odd == "NUL":
+        header[k] += "\0"
+    elif odd == "past the field limit":
+        header[k] = "T" * (csv.field_size_limit() + 1)
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + "".join(",".join(r) + b for r, b in zip([header] + rows, breaks))
 
 
 def test_plain_rows_match_the_per_cell_reference():
-    seen = {"valid": 0, "bad price": 0}
+    seen = {"plain": 0, "plain, CRLF": 0, "valid, not plain": 0, "bad price": 0,
+            "unparseable date": 0}
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=400)
     @given(price_documents())
     def check(text):
         got = _outcome(parse_csv, text)
         assert got == _outcome(_reference_parse_csv, text)
         if isinstance(got, PriceSeries):
-            seen["valid"] += 1
+            if market._parse_plain(text) is None:
+                seen["valid, not plain"] += 1
+            else:
+                seen["plain, CRLF" if "\r\n" in text else "plain"] += 1
         elif "price" in got[1]:
             seen["bad price"] += 1
+        elif "unparseable date" in got[1]:
+            seen["unparseable date"] += 1
 
     check()
     assert all(seen.values()), seen
