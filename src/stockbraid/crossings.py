@@ -17,8 +17,8 @@ ticker crossing over.
 
 Cost: detection walks the price rows by index and sorts each day's
 tickers once, by price alone and stably over the tickers in
-lexicographic order, so no key is built per row; it is linear in days
-(times one sort of the tickers).
+lexicographic order, so no Python code runs per ticker; it is linear in
+days (times one sort of the tickers).
 Intervals whose rank order does not change are skipped; a changed one
 costs O(tickers^2) comparisons at most, and only between its first and
 last moved positions, plus one event per swap.  An event is a named
@@ -91,7 +91,7 @@ def _ranker(tickers: tuple[str, ...]) -> Callable[[tuple[int, ...]], list[int]]:
     The sort is by price alone, over the indices already in
     lexicographic order of their tickers; it is stable, so tied prices
     keep that order and the result is the order of the pair (price,
-    ticker), with no key list built per row.
+    ticker), with no Python code run per ticker.
     """
     lexicographic = sorted(range(len(tickers)), key=tickers.__getitem__)
 
