@@ -148,11 +148,10 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
 
 # A row of plain prices: ASCII digits with at most two decimals and no
 # sign, space or exponent, as in the Dow sample; the lookahead refuses a
-# cell of zeros, also at the end of a physical line, so a plain cell is
-# positive.  Any other row, and every error message, goes cell by cell
-# through _parse_cents.  The digit bound keeps int() far below its
-# string-length limit.
-_PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\r|\n|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
+# cell of zeros, so a plain cell is positive.  Any other row, and every
+# error message, goes cell by cell through _parse_cents.  The digit bound
+# keeps int() far below its string-length limit.
+_PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
 _PLAIN_ROW = re.compile(_PLAIN_CELL + "(?:," + _PLAIN_CELL + ")*")
 # The date field of a plain line; parse_price_date decides if it is a date.
 _PLAIN_DATE = r"[0-9/-]{8,10}"
@@ -199,20 +198,20 @@ def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
     """The tickers and rows of a plain document, or None for any other.
 
     A document is plain when its header is one physical line with no
-    quote, no NUL, no CR but a CRLF ending and no field past the csv
-    field limit, and every later line (split on LF only; one final empty
-    piece is dropped) is a date and one plain cell per ticker, with an
-    optional CR at its end, and no date repeats.  csv.reader splits such
-    a document as this does and the row loop raises nothing on it.  The
-    lines are walked by map alone: each costs one regex match, one
-    partition and one parse_price_date call.  Everything else, and every
-    error, is left to _parse_records.
+    quote, no NUL, no CR and no field past the csv field limit, and every
+    later line (split on LF only; one final empty piece is dropped) is a
+    date and one plain cell per ticker, and no date repeats.  A CR
+    anywhere keeps the document off this path; a file read with universal
+    newlines holds none.  csv.reader splits such a document as this does
+    and the row loop raises nothing on it.  The lines are walked by map
+    alone: each costs one regex match, one partition and one
+    parse_price_date call.  Everything else, and every error, is left to
+    _parse_records.
     """
     # Not splitlines, which also splits on \x0b, \x1c, \u2028 and others
     # that csv keeps inside a field.  A leading byte-order mark stays in
     # the date column's name, which is never read.
     head, *lines = text.split("\n")
-    head = head.removesuffix("\r")
     header = head.split(",")
     limit = csv.field_size_limit()
     if (len(header) < 2 or '"' in head or "\0" in head or "\r" in head
@@ -220,7 +219,7 @@ def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
         return None
     if lines and lines[-1] == "":
         lines.pop()
-    line = re.compile(rf"{_PLAIN_DATE}(?:,{_PLAIN_CELL}){{{len(header) - 1}}}\r?")
+    line = re.compile(rf"{_PLAIN_DATE}(?:,{_PLAIN_CELL}){{{len(header) - 1}}}")
     if not all(map(line.fullmatch, lines)):
         return None
     fields = list(map(str.partition, lines, repeat(",")))
@@ -230,10 +229,7 @@ def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
         return None
     if len(set(dates)) != len(dates):
         return None
-    prices = map(itemgetter(2), fields)
-    if "\r" in text:
-        prices = map(str.rstrip, prices, repeat("\r"))
-    return tuple(h.strip() for h in header[1:]), list(zip(dates, prices))
+    return tuple(h.strip() for h in header[1:]), list(zip(dates, map(itemgetter(2), fields)))
 
 
 def _parse_records(text: str) -> tuple[tuple[str, ...], _Rows]:

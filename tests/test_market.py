@@ -259,14 +259,16 @@ def test_plain_documents_skip_the_row_loop(monkeypatch, dow4_text, dow4_series):
 
     monkeypatch.setattr(market, "_parse_records", refuse)
     assert parse_csv(dow4_text) == dow4_series
-    crlf = "Date,A,B\r\n5/16/2013,1.5,2\r\n5/15/2013,1.00,2.25\r\n"
-    assert parse_csv(crlf) == PriceSeries(
+    us = "Date,A,B\n5/16/2013,1.5,2\n5/15/2013,1.00,2.25"
+    assert parse_csv(us) == PriceSeries(
         ("A", "B"), (date(2013, 5, 15), date(2013, 5, 16)), ((100, 225), (150, 200)))
 
 
 @pytest.mark.parametrize(
     "text",
     [
+        "Date,A,B\r\n5/16/2013,1.5,2\r\n5/15/2013,1.00,2.25\r\n",
+        "Date,A\n2013-05-15,1.00\r\n2013-05-16,2.00\n",
         "Date,A\r\n2013-05-15,1.00\r\n2013-05-16,0.00\r\n",
         "Date,A,B\r\n2013-05-15,1.00,0\r\n",
         "Date,A\n2013-05-15,1.00\n2013-05-16,0\n",
@@ -409,7 +411,7 @@ def price_documents(draw):
 
 
 def test_plain_rows_match_the_per_cell_reference():
-    seen = {"plain": 0, "plain, CRLF": 0, "valid, not plain": 0, "bad price": 0,
+    seen = {"plain": 0, "valid, not plain": 0, "valid, with CR": 0, "bad price": 0,
             "unparseable date": 0}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=400)
@@ -418,10 +420,11 @@ def test_plain_rows_match_the_per_cell_reference():
         got = _outcome(parse_csv, text)
         assert got == _outcome(_reference_parse_csv, text)
         if isinstance(got, PriceSeries):
-            if market._parse_plain(text) is None:
-                seen["valid, not plain"] += 1
+            if market._parse_plain(text) is not None:
+                assert "\r" not in text
+                seen["plain"] += 1
             else:
-                seen["plain, CRLF" if "\r\n" in text else "plain"] += 1
+                seen["valid, with CR" if "\r" in text else "valid, not plain"] += 1
         elif "price" in got[1]:
             seen["bad price"] += 1
         elif "unparseable date" in got[1]:
