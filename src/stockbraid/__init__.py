@@ -34,25 +34,7 @@ from .closure import (
     plat_close,
     trace_close,
 )
-from .crossings import (
-    CrossingEvent,
-    CrossingSign,
-    audit_log,
-    build_braid,
-    classify_crossing,
-    detect_crossings,
-    rank_order,
-)
 from .laurent import LaurentPoly, poly_from_json, poly_to_json
-from .market import (
-    CsvFormatError,
-    PriceSeries,
-    WindowError,
-    format_csv,
-    parse_csv,
-    select_window,
-    window_bounds,
-)
 from .outcome import (
     FIBONACCI_POINT,
     GOLDEN_RATIO,
@@ -62,7 +44,27 @@ from .outcome import (
     outcome_probability,
     plat_amplitude,
 )
-from .render import render_ascii, render_svg
+
+# Ingest, crossing and render names load their module on first use, so a
+# braid-word invariant or readout never imports csv, decimal or datetime.
+_LAZY = {
+    "CrossingEvent": "crossings",
+    "CrossingSign": "crossings",
+    "audit_log": "crossings",
+    "build_braid": "crossings",
+    "classify_crossing": "crossings",
+    "detect_crossings": "crossings",
+    "rank_order": "crossings",
+    "CsvFormatError": "market",
+    "PriceSeries": "market",
+    "WindowError": "market",
+    "format_csv": "market",
+    "parse_csv": "market",
+    "select_window": "market",
+    "window_bounds": "market",
+    "render_ascii": "render",
+    "render_svg": "render",
+}
 
 __version__ = "0.1.0"
 
@@ -120,3 +122,18 @@ __all__ = [
     "window_bounds",
     "writhe",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -18,6 +18,10 @@ newline.  Exit codes: 0 success, 1 input error, 2 exact-path crossing cap
 exceeded or usage error.  Identical invocations produce byte-identical
 output; nothing here depends on clocks, locales, or iteration order of
 unordered sets.
+
+The ingest, crossing and render modules are imported inside the commands
+that read a CSV or draw a word, so a braid-word ``invariant`` or ``prob``
+starts without loading them.
 """
 
 from __future__ import annotations
@@ -40,11 +44,8 @@ from .bracket import (
     writhe_corrected,
 )
 from .closure import ClosedBraid, diagram_stats
-from .crossings import braid_with_events, build_braid, write_audit
 from .laurent import poly_to_json
-from .market import WindowError, parse_csv, parse_price_date, window_bounds
 from .outcome import _complex_json, interference_braid, outcome_from_stats, outcome_probability
-from .render import render_ascii, render_svg
 
 _WORD_RE = re.compile(r"^\s*\d+\s*:")
 
@@ -57,6 +58,8 @@ def _parse_complex(text: str) -> complex:
 
 
 def _load_series(path: str, start: str | None, end: str | None):
+    from .market import WindowError, parse_csv, parse_price_date, window_bounds
+
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     if start is None and end is None:
@@ -77,6 +80,8 @@ def _load_series(path: str, start: str | None, end: str | None):
 def _load_word(source: str, start: str | None, end: str | None) -> BraidWord:
     if _WORD_RE.match(source):
         return parse_word(source)
+    from .crossings import build_braid
+
     return build_braid(_load_series(source, start, end))
 
 
@@ -128,6 +133,8 @@ def _emit_json(doc: dict) -> None:
 
 
 def _cmd_braid(args: argparse.Namespace) -> int:
+    from .crossings import braid_with_events, write_audit
+
     series = _load_series(args.csv, args.window_from, args.window_to)
     word, events = braid_with_events(series)
     if args.audit:
@@ -192,6 +199,8 @@ def _cmd_prob(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_ascii, render_svg
+
     word = parse_word(args.word)
     text = render_ascii(word) if args.format == "ascii" else render_svg(word)
     sys.stdout.write(text)

@@ -538,7 +538,7 @@ def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):
     classified = []
     words = []
     detect, classify, braid_with_events = (
-        crossings.detect_crossings, crossings.classify_crossing, cli.braid_with_events
+        crossings.detect_crossings, crossings.classify_crossing, crossings.braid_with_events
     )
 
     def counted(series):
@@ -556,7 +556,7 @@ def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(crossings, "detect_crossings", counted)
     monkeypatch.setattr(crossings, "classify_crossing", counted_classify)
-    monkeypatch.setattr(cli, "braid_with_events", kept)
+    monkeypatch.setattr(crossings, "braid_with_events", kept)
     audit_path = tmp_path / "audit.json"
     code, out, _ = run_cli(capsys, "braid", str(DOW4_CSV), "--audit", str(audit_path))
     assert code == 0

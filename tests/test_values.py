@@ -129,20 +129,48 @@ def test_fields_cannot_be_assigned_or_deleted(value):
     assert getattr(value, name) is before
 
 
-def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # Modules the bare interpreter (site included) already holds do not count.
-    code = (
+SRC = str(Path(stockbraid.__file__).resolve().parent.parent)
+DOW4_CSV = Path(__file__).parent / "data" / "dow4_2013.csv"
+# What only reading a price CSV or drawing a word needs.
+PRICE_MODULES = {"stockbraid.market", "stockbraid.crossings", "stockbraid.render", "decimal", "csv"}
+
+
+def new_modules(code: str) -> set[str]:
+    """The modules a fresh isolated interpreter holds after running `code`
+    with the package on its path, less those the bare interpreter (site
+    included) already holds."""
+    script = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "sys.path.insert(0, sys.argv[1])\n"
-        "import stockbraid.cli\n"
+        f"{code}\n"
         "print(' '.join(sorted(set(sys.modules) - bare)))\n"
     )
-    src = str(Path(stockbraid.__file__).resolve().parent.parent)
     out = subprocess.run(
-        [sys.executable, "-I", "-c", code, src],
+        [sys.executable, "-I", "-c", script, SRC],
         capture_output=True, text=True, check=True,
-    ).stdout.split()
+    ).stdout
+    return set(out.splitlines()[-1].split())
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    out = new_modules("import stockbraid.cli")
     assert "stockbraid.cli" in out
     assert "dataclasses" not in out
     assert "inspect" not in out
+    assert not out & PRICE_MODULES
+
+
+def test_word_commands_load_no_ingest_crossing_or_render_module():
+    out = new_modules(
+        "from stockbraid.cli import main\n"
+        "assert main(['invariant', '4: 1 2 3', '--bracket', '--jones']) == 0\n"
+        "assert main(['prob', '3: 1', '--gamma', '4: 1 -3']) == 0"
+    )
+    assert {"stockbraid.bracket", "stockbraid.outcome"} <= out
+    assert not out & PRICE_MODULES
+
+
+def test_braid_loads_the_ingest_and_crossing_modules():
+    out = new_modules(f"from stockbraid.cli import main\nassert main(['braid', {str(DOW4_CSV)!r}]) == 0")
+    assert PRICE_MODULES - {"stockbraid.render"} <= out
