@@ -4,7 +4,7 @@ object, and the ingest, crossing and render names load on first use."""
 import sys
 
 import pytest
-from test_values import PRICE_MODULES, new_modules
+from test_values import LAZY_MODULES, new_modules
 
 import stockbraid
 
@@ -23,7 +23,7 @@ def test_every_export_is_its_defining_module_object(name):
 
 def test_every_export_is_listed_by_dir_before_it_loads():
     out = new_modules("import stockbraid\nassert set(stockbraid.__all__) <= set(dir(stockbraid))")
-    assert not out & PRICE_MODULES
+    assert not out & LAZY_MODULES
 
 
 def test_star_import_binds_every_export():
@@ -41,7 +41,7 @@ def test_an_unknown_name_is_an_attribute_error():
 
 
 def test_lazy_exports_load_their_module_on_first_use():
-    assert not new_modules("import stockbraid") & PRICE_MODULES
+    assert not new_modules("import stockbraid") & LAZY_MODULES
     out = new_modules(
         "import stockbraid\n"
         "found = stockbraid.parse_csv\n"

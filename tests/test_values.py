@@ -131,8 +131,8 @@ def test_fields_cannot_be_assigned_or_deleted(value):
 
 SRC = str(Path(stockbraid.__file__).resolve().parent.parent)
 DOW4_CSV = Path(__file__).parent / "data" / "dow4_2013.csv"
-# What only reading a price CSV or drawing a word needs.
-PRICE_MODULES = {"stockbraid.market", "stockbraid.crossings", "stockbraid.render", "decimal", "csv"}
+# Modules that only reading a price CSV or drawing a word needs.
+LAZY_MODULES = {"stockbraid.market", "stockbraid.crossings", "stockbraid.render", "decimal", "csv"}
 
 
 def new_modules(code: str) -> set[str]:
@@ -158,7 +158,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "stockbraid.cli" in out
     assert "dataclasses" not in out
     assert "inspect" not in out
-    assert not out & PRICE_MODULES
+    assert not out & LAZY_MODULES
 
 
 def test_word_commands_load_no_ingest_crossing_or_render_module():
@@ -168,9 +168,9 @@ def test_word_commands_load_no_ingest_crossing_or_render_module():
         "assert main(['prob', '3: 1', '--gamma', '4: 1 -3']) == 0"
     )
     assert {"stockbraid.bracket", "stockbraid.outcome"} <= out
-    assert not out & PRICE_MODULES
+    assert not out & LAZY_MODULES
 
 
 def test_braid_loads_the_ingest_and_crossing_modules():
     out = new_modules(f"from stockbraid.cli import main\nassert main(['braid', {str(DOW4_CSV)!r}]) == 0")
-    assert PRICE_MODULES - {"stockbraid.render"} <= out
+    assert LAZY_MODULES - {"stockbraid.render"} <= out
