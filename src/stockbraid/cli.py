@@ -22,20 +22,29 @@ unordered sets.
 The ingest, crossing and render modules are imported inside the commands
 that read a CSV or draw a word, so a braid-word ``invariant`` or ``prob``
 starts without loading them.
+
+One table, ``_COMMANDS``, declares every subcommand's arguments.  An argv
+of the plain form (a subcommand, its positionals, then its options spelled
+in full, each at most once) is read from it by ``_read_plain``.  Every other
+argv goes to the argparse parser ``build_parser()`` makes from the same
+table, and so do help, ``--version`` and every usage error: argparse is
+imported, and the parser built, only on the first call that needs it.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
+from types import SimpleNamespace
 
+# argparse is imported inside build_parser(); the annotations that name it
+# are never evaluated.
 from . import __version__
-from .braid import BraidWord, format_word, free_reduce, parse_word, writhe
+from .braid import BraidWord, _ascii_int, format_word, free_reduce, parse_word, writhe
 from .bracket import (
     CrossingCapExceeded,
     _writhe_corrected_value,
@@ -50,11 +59,22 @@ from .outcome import _complex_json, interference_braid, outcome_from_stats, outc
 _WORD_RE = re.compile(r"^\s*\d+\s*:")
 
 
-def _parse_complex(text: str) -> complex:
+# complex() and int() also read non-ASCII digits and underscores; an option's
+# numbers, like word text, take neither.
+def _parse_complex(text: str, field: str) -> complex:
+    if text.isascii() and "_" not in text:
+        try:
+            return complex(text.replace(" ", ""))
+        except ValueError:
+            pass
+    raise ValueError(f"{field} {text!r} is not a complex number")
+
+
+def _parse_int(text: str, field: str) -> int:
     try:
-        return complex(text.replace(" ", ""))
+        return _ascii_int(text)
     except ValueError:
-        raise ValueError(f"cannot parse complex number {text!r}") from None
+        raise ValueError(f"{field} {text!r} is not an integer") from None
 
 
 def _load_series(path: str, start: str | None, end: str | None):
@@ -132,7 +152,7 @@ def _emit_json(doc: dict) -> None:
     print(_json_text(doc))
 
 
-def _cmd_braid(args: argparse.Namespace) -> int:
+def _cmd_braid(args: SimpleNamespace) -> int:
     from .crossings import braid_with_events, write_audit
 
     series = _load_series(args.csv, args.window_from, args.window_to)
@@ -147,7 +167,7 @@ def _cmd_braid(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_invariant(args: argparse.Namespace) -> int:
+def _cmd_invariant(args: SimpleNamespace) -> int:
     word = _load_word(args.source, args.window_from, args.window_to)
     k = ClosedBraid(word, args.closure)
     doc: dict = {"word": format_word(word), "stats": diagram_stats(k).to_json()}
@@ -162,7 +182,7 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
             for conv in conventions
         ]
     if args.eval_point is not None:
-        a = _parse_complex(args.eval_point)
+        a = _parse_complex(args.eval_point, "--eval")
         value = bracket_eval(k, a)
         doc["eval"] = {"point_a": _complex_json(a), "bracket_value": _complex_json(value)}
         if args.jones:
@@ -172,16 +192,16 @@ def _cmd_invariant(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_prob(args: argparse.Namespace) -> int:
+def _cmd_prob(args: SimpleNamespace) -> int:
     if args.stats:
         fields = args.stats.split(",")
         if len(fields) != 4:
             raise ValueError("--stats expects V,components,minima,writhe")
         report = outcome_from_stats(
-            jones_value=_parse_complex(fields[0]),
-            components=int(fields[1]),
-            minima=int(fields[2]),
-            writhe_value=int(fields[3]),
+            jones_value=_parse_complex(fields[0], "--stats V"),
+            components=_parse_int(fields[1], "--stats components"),
+            minima=_parse_int(fields[2], "--stats minima"),
+            writhe_value=_parse_int(fields[3], "--stats writhe"),
         )
         _emit_json(report.to_json())
         return 0
@@ -198,7 +218,7 @@ def _cmd_prob(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: SimpleNamespace) -> int:
     from .render import render_ascii, render_svg
 
     word = parse_word(args.word)
@@ -207,75 +227,183 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+# The command-line grammar, read both by build_parser() and by _read_plain():
+# each subcommand's help, command function, positionals and options, in the
+# order --help lists them.  An argument is its name and the keyword arguments
+# of its add_argument call.
+_WINDOW = (
+    ("--from", {"dest": "window_from", "metavar": "DATE",
+                "help": "window start, inclusive (ISO or M/D/YYYY)"}),
+    ("--to", {"dest": "window_to", "metavar": "DATE", "help": "window end, inclusive"}),
+)
+_COMMANDS = {
+    "braid": (
+        "braid word of a price CSV", _cmd_braid,
+        [("csv", {"help": "price CSV path"})],
+        [*_WINDOW, ("--audit", {"metavar": "PATH", "help": "write the crossing audit log here"})],
+    ),
+    "invariant": (
+        "diagram stats and polynomials of a closure", _cmd_invariant,
+        [("source", {"help": "braid word ('n: g1 g2 ...') or price CSV path"})],
+        [
+            *_WINDOW,
+            ("--closure", {"choices": ("plat", "trace"), "default": "plat"}),
+            ("--bracket", {"action": "store_true", "help": "include the bracket polynomial"}),
+            ("--jones", {"action": "store_true", "help": "include the Jones polynomial"}),
+            ("--convention", {"choices": ("paper", "standard"),
+                              "help": "Jones variable convention (default: both)"}),
+            ("--eval", {"dest": "eval_point", "metavar": "COMPLEX",
+                        "help": "also evaluate numerically at this point A; "
+                                "a value with a leading minus needs the = form, --eval=-0.5+1j"}),
+        ],
+    ),
+    "prob": (
+        "outcome probability of the interference closure", _cmd_prob,
+        [("source", {"nargs": "?",
+                     "help": "system braid word or price CSV path (omit with --stats)"})],
+        [
+            *_WINDOW,
+            ("--gamma", {"metavar": "WORD",
+                         "help": "test-strand word on n+1 strands (default: empty)"}),
+            ("--stats", {"metavar": "V,C,M,WR",
+                         "help": "probe the formula on raw values instead of a braid; "
+                                 "a value with a leading minus needs the = form, "
+                                 "--stats=-2+3j,1,1,0"}),
+        ],
+    ),
+    "render": (
+        "draw a braid word", _cmd_render,
+        [("word", {"help": "braid word text 'n: g1 g2 ...'"})],
+        [("--format", {"choices": ("ascii", "svg"), "default": "ascii"})],
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="stockbraid",
         description="Braid words from price crossings and knot invariants of their closures.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_window(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--from", dest="window_from", metavar="DATE",
-                       help="window start, inclusive (ISO or M/D/YYYY)")
-        p.add_argument("--to", dest="window_to", metavar="DATE",
-                       help="window end, inclusive")
-
-    p_braid = sub.add_parser("braid", help="braid word of a price CSV")
-    p_braid.add_argument("csv", help="price CSV path")
-    add_window(p_braid)
-    p_braid.add_argument("--audit", metavar="PATH", help="write the crossing audit log here")
-    p_braid.set_defaults(func=_cmd_braid)
-
-    p_inv = sub.add_parser("invariant", help="diagram stats and polynomials of a closure")
-    p_inv.add_argument("source", help="braid word ('n: g1 g2 ...') or price CSV path")
-    add_window(p_inv)
-    p_inv.add_argument("--closure", choices=("plat", "trace"), default="plat")
-    p_inv.add_argument("--bracket", action="store_true", help="include the bracket polynomial")
-    p_inv.add_argument("--jones", action="store_true", help="include the Jones polynomial")
-    p_inv.add_argument("--convention", choices=("paper", "standard"),
-                       help="Jones variable convention (default: both)")
-    p_inv.add_argument("--eval", dest="eval_point", metavar="COMPLEX",
-                       help="also evaluate numerically at this point A; "
-                            "a value with a leading minus needs the = form, --eval=-0.5+1j")
-    p_inv.set_defaults(func=_cmd_invariant)
-
-    p_prob = sub.add_parser("prob", help="outcome probability of the interference closure")
-    p_prob.add_argument("source", nargs="?",
-                        help="system braid word or price CSV path (omit with --stats)")
-    add_window(p_prob)
-    p_prob.add_argument("--gamma", metavar="WORD",
-                        help="test-strand word on n+1 strands (default: empty)")
-    p_prob.add_argument("--stats", metavar="V,C,M,WR",
-                        help="probe the formula on raw values instead of a braid; "
-                             "a value with a leading minus needs the = form, --stats=-2+3j,1,1,0")
-    p_prob.set_defaults(func=_cmd_prob)
-
-    p_render = sub.add_parser("render", help="draw a braid word")
-    p_render.add_argument("word", help="braid word text 'n: g1 g2 ...'")
-    p_render.add_argument("--format", choices=("ascii", "svg"), default="ascii")
-    p_render.set_defaults(func=_cmd_render)
+    for name, (help_text, func, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for arg, kwargs in (*positionals, *options):
+            p.add_argument(arg, **kwargs)
+        p.set_defaults(func=func)
     return parser
+
+
+def _plain_grammar(name, func, positionals, options):
+    """What _read_plain needs of one subcommand: its positionals as (dest,
+    optional) pairs, its options by name as (dest, is_flag, choices), and
+    the namespace argparse starts from."""
+    defaults = {"command": name, "func": func}
+    plain_positionals = []
+    for dest, kwargs in positionals:
+        plain_positionals.append((dest, kwargs.get("nargs") == "?"))
+        defaults[dest] = None
+    plain_options = {}
+    for flag, kwargs in options:
+        dest = kwargs.get("dest", flag[2:])
+        is_flag = kwargs.get("action") == "store_true"
+        plain_options[flag] = (dest, is_flag, kwargs.get("choices"))
+        defaults[dest] = False if is_flag else kwargs.get("default")
+    return plain_positionals, plain_options, defaults
+
+
+_PLAIN = {name: _plain_grammar(name, func, positionals, options)
+          for name, (_, func, positionals, options) in _COMMANDS.items()}
+
+
+def _read_plain(argv) -> SimpleNamespace | None:
+    """The namespace argparse would give a plain argv, or None for any other.
+
+    Plain is a subcommand name; then its positionals, none starting with "-"
+    (prob's source may be absent); then its options, each at most once and
+    spelled in full, a flag bare and any other as ``--name value`` or
+    ``--name=value``.  A value in its own token does not start with "-", no
+    value is "--", and a choices value is one of its choices.  Everything
+    else, help, --version and every usage error included, is left to
+    argparse: this reader never prints, raises or exits.
+    """
+    if not argv or not all(type(token) is str for token in argv):
+        return None
+    grammar = _PLAIN.get(argv[0])
+    if grammar is None:
+        return None
+    positionals, options, defaults = grammar
+    values = dict(defaults)
+    i, n = 1, len(argv)
+    for dest, optional in positionals:
+        if i < n and not argv[i].startswith("-"):
+            values[dest] = argv[i]
+            i += 1
+        elif not optional:
+            return None
+    seen = set()
+    while i < n:
+        name, eq, value = argv[i].partition("=")
+        i += 1
+        option = options.get(name)
+        if option is None or name in seen:
+            return None
+        seen.add(name)
+        dest, is_flag, choices = option
+        if is_flag:
+            if eq:
+                return None
+            value = True
+        elif not eq:
+            if i == n or argv[i].startswith("-"):
+                return None
+            value = argv[i]
+            i += 1
+        elif value == "--":
+            # argparse drops a "--" value, or keeps it, by Python version.
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return SimpleNamespace(**values)
+
+
+def _usage_problem(args: SimpleNamespace) -> str | None:
+    """The usage error argparse cannot see in a parsed argv, if any."""
+    if args.command == "prob" and not args.stats and not args.source:
+        return "prob needs a braid word, a CSV path, or --stats"
+    if args.command == "prob" and args.stats and (args.source or args.gamma or args.window_from is not None
+                                                  or args.window_to is not None):
+        return "prob --stats takes no braid word, CSV path, --gamma or --from/--to"
+    if (args.command in ("invariant", "prob") and args.source and _WORD_RE.match(args.source)
+            and (args.window_from is not None or args.window_to is not None)):
+        return "--from/--to window a price CSV, not a braid word"
+    return None
 
 
 _parser: argparse.ArgumentParser | None = None
 
 
-def main(argv: list[str] | None = None) -> int:
-    # Built once per process and reused; parse_args keeps no state between calls.
+def _get_parser() -> argparse.ArgumentParser:
+    # Built once per process, on the first call that needs it, and reused;
+    # parse_args keeps no state between calls.
     global _parser
     if _parser is None:
         _parser = build_parser()
-    parser = _parser
-    args = parser.parse_args(argv)
-    if args.command == "prob" and not args.stats and not args.source:
-        parser.error("prob needs a braid word, a CSV path, or --stats")
-    if args.command == "prob" and args.stats and (args.source or args.gamma or args.window_from is not None
-                                                  or args.window_to is not None):
-        parser.error("prob --stats takes no braid word, CSV path, --gamma or --from/--to")
-    if (args.command in ("invariant", "prob") and args.source and _WORD_RE.match(args.source)
-            and (args.window_from is not None or args.window_to is not None)):
-        parser.error("--from/--to window a price CSV, not a braid word")
+    return _parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_plain(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(_get_parser().parse_args(argv)))
+    problem = _usage_problem(args)
+    if problem is not None:
+        _get_parser().error(problem)
     try:
         return args.func(args)
     except CrossingCapExceeded as exc:

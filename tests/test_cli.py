@@ -2,12 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from datetime import date, timedelta
 from pathlib import Path
 
+import argv_grammar
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from test_fuzz import csv_documents
+from test_fuzz import _VALID_PRICES, csv_documents
 
 from stockbraid import (
     BraidWord,
@@ -173,6 +175,36 @@ def test_prob_stats_probe(capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["probability"] - 0.7236) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["prob", "--stats=1,\u0661,1,0"], "--stats components '\u0661' is not an integer"),
+        (["prob", "--stats=1,1,\uff13,0"], "--stats minima '\uff13' is not an integer"),
+        (["prob", "--stats=1,1,1,1_0"], "--stats writhe '1_0' is not an integer"),
+        (["prob", "--stats=1,1,1,x"], "--stats writhe 'x' is not an integer"),
+        (["prob", "--stats=1_0,1,1,0"], "--stats V '1_0' is not a complex number"),
+        (["prob", "--stats=\u0661+1j,1,1,0"], "--stats V '\u0661+1j' is not a complex number"),
+        (["prob", "--stats=x,1,1,0"], "--stats V 'x' is not a complex number"),
+        (["invariant", "2: 1", "--eval=1_0"], "--eval '1_0' is not a complex number"),
+        (["invariant", "2: 1", "--eval=0.5+\u0661j"], "--eval '0.5+\u0661j' is not a complex number"),
+        (["invariant", "2: 1", "--eval=x"], "--eval 'x' is not a complex number"),
+        (["invariant", "2: 1", "--eval="], "--eval '' is not a complex number"),
+    ],
+)
+def test_numeric_option_values_are_ascii_without_underscores(capsys, argv, message):
+    # int() and complex() read other digits and "_"; an option's numbers, like a word's, do not.
+    assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_numeric_option_values_keep_spaces_and_signs(capsys):
+    plain = run_cli(capsys, "prob", "--stats", "1,1,1,0")
+    assert plain[0] == 0
+    assert run_cli(capsys, "prob", "--stats", "1 + 0j, +1, 1 ,-0") == plain
+    point = run_cli(capsys, "invariant", "2: 1", "--eval", "0.5+1j")
+    assert point[0] == 0
+    assert run_cli(capsys, "invariant", "2: 1", "--eval", " 0.5 + 1j ") == point
 
 
 def test_prob_empty_gamma_gives_unlink_report(capsys):
@@ -620,6 +652,8 @@ def test_window_on_a_file_without_dates(capsys, tmp_path):
 
 
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    # Plain argvs build no parser; the first usage error builds the one the
+    # rest of the process reuses, for the argvs only argparse reads too.
     argvs = [
         ["braid", str(DOW4_CSV)],
         ["invariant", "4: 1 -2 3 2 -1", "--bracket", "--jones"],
@@ -627,6 +661,8 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
         ["render", "3: 1 -2"],
         ["invariant", "3: 5"],
         ["prob"],
+        ["invariant", "--bracket", "2: 1"],
+        ["render", "--format", "svg", "--", "2: 1"],
     ]
     alone = [_run_subprocess(*argv) for argv in argvs]
 
@@ -639,6 +675,7 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", counted)
     monkeypatch.setattr(cli, "_parser", None)
+    built = []
     for argv, proc in zip(argvs, alone):
         try:
             code = main(argv)
@@ -650,9 +687,50 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
             proc.stdout.decode("utf-8"),
             proc.stderr.decode("utf-8"),
         )
-    assert [proc.returncode for proc in alone] == [0, 0, 0, 0, 1, 2]
-    assert len(calls) == 1
+        built.append(len(calls))
+    assert [proc.returncode for proc in alone] == [0, 0, 0, 0, 1, 2, 0, 0]
+    assert built == [0, 0, 0, 0, 0, 1, 1, 1]
     assert build() is not build()
+
+
+def test_plain_reader_agrees_with_argparse():
+    # The same check runs without pytest: PYTHONPATH=src python tests/argv_grammar.py
+    read = argv_grammar.check()
+    # Every plain argv, and a share of the edited and random ones, is read.
+    assert read["plain"] == 3000
+    assert read["mutated"] >= 200 and read["tokens"] >= 40, read
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariant", "2: 1", "--closure", "trace", "--bracket", "--jones", "--convention", "paper",
+         "--eval", "1+1j"],
+        ["invariant", "2: 1", "--eval=-0.5+1j", "--closure=plat"],
+        ["prob", "--stats=-2+3j,1,1,0"],
+        ["prob", "", "--gamma="],
+        ["braid", "a b.csv", "--to", "5/16/2013", "--from=", "--audit", "x"],
+        ["render", "2: 1", "--format", "svg"],
+    ],
+)
+def test_plain_argvs_read_as_argparse_reads_them(argv):
+    assert vars(cli._read_plain(argv)) == argv_grammar.argparse_namespace(cli.build_parser(), argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [], ["--version"], ["invariant", "-h"], ["invariant", "2: 1", "--help"],
+        ["invariant", "--", "2: 1"], ["invariant", "2: 1", "--brack"],
+        ["invariant", "2: 1", "--bracket", "--bracket"], ["invariant", "2: 1", "--bracket=1"],
+        ["invariant", "2: 1", "--closure", "Plat"], ["invariant", "2: 1", "--eval", "-1"],
+        ["invariant", "--jones", "2: 1"], ["prob", "-"], ["prob", "3: 1", "--gamma=--"],
+        ["braid", "a.csv", "--audit"], ["braid", "a.csv", "b.csv"], ["inv", "2: 1"],
+        ["render", "2: 1", "--format", "svg", "--format=ascii"], ["prob", "3: 1", "--point", "2"],
+    ],
+)
+def test_other_argvs_are_left_to_argparse(argv):
+    assert cli._read_plain(argv) is None
 
 
 def _parse_then_select(path, start, end):
@@ -670,6 +748,90 @@ def _parse_then_select(path, start, end):
 
 _FUZZ_WINDOWS = [[], ["--from=2013-05-16"], ["--to=5/17/2013"],
                  ["--from=2013-05-17", "--to=2013-05-16"], ["--from=soon"]]
+_BAD_PRICES = ["", " ", "x", "0", "-1.00", "72.781", "1_000", "nan", "\u0663.\u0665\u0660"]
+_BAD_DATES = ["2013-02-30", "20130515", "3/ 1/2013", "yesterday"]
+
+
+@st.composite
+def _valid_documents(draw, min_dates=0):
+    """A price document that parses, on two tickers or more, and its
+    distinct dates in order, at least min_dates of them."""
+    tickers = draw(st.lists(st.text("ABCXYZ", min_size=1, max_size=3), min_size=2, max_size=4,
+                            unique=True))
+    dates = sorted(draw(st.lists(st.dates(date(2013, 1, 1), date(2013, 12, 31)),
+                                 min_size=min_dates, max_size=6,
+                                 unique=True)))
+    rows = [[draw(st.sampled_from([d.isoformat(), f"{d.month}/{d.day}/{d.year}", f" {d} "]))]
+            + [draw(_VALID_PRICES) for _ in tickers] for d in dates]
+    if draw(st.booleans()):
+        rows.reverse()
+    lines = [",".join(["Date", *tickers])] + [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n", dates
+
+
+def _bound(day):
+    return st.sampled_from([day.isoformat(), f"{day.month}/{day.day}/{day.year}"])
+
+
+@st.composite
+def _word_case(draw):
+    """A valid document and a window that selects two of its dates or more,
+    as crossing detection needs."""
+    text, dates = draw(_valid_documents(min_dates=2))
+    lo, hi = sorted(draw(st.lists(st.sampled_from(dates), min_size=2, max_size=2, unique=True)))
+    window = draw(st.sampled_from([[], ["--from"], ["--to"], ["--from", "--to"]]))
+    return text, [f"{flag}={draw(_bound(lo if flag == '--from' else hi))}" for flag in window]
+
+
+@st.composite
+def _window_error_case(draw):
+    """A valid document and a window it fails: no dates, an unparseable
+    bound, a start after the end, or no date selected."""
+    text, dates = draw(_valid_documents())
+    if not dates:
+        return text, draw(st.sampled_from(_FUZZ_WINDOWS[1:]))
+    day = draw(st.sampled_from(dates))
+    after = day + timedelta(days=1)
+    return text, draw(st.sampled_from([
+        ["--from=soon"],
+        [f"--to={day}", "--from=later"],
+        [f"--from={after}", f"--to={day}"],
+        ["--from=2014-01-01"],
+        ["--to=12/31/2012"],
+    ]))
+
+
+@st.composite
+def _csv_error_case(draw):
+    """A valid document with one cell made bad, under any window."""
+    text, _ = draw(_valid_documents(min_dates=1))
+    lines = [line.split(",") for line in text.splitlines()]
+    row = draw(st.integers(1, len(lines) - 1))
+    column = draw(st.integers(0, len(lines[0]) - 1))
+    lines[row][column] = draw(st.sampled_from(_BAD_DATES if column == 0 else _BAD_PRICES))
+    window = draw(st.sampled_from(_FUZZ_WINDOWS))
+    return "\n".join(",".join(line) for line in lines) + "\n", window
+
+
+@st.composite
+def _fuzzed_case(draw):
+    """Any generated document, under a window built from its own first fields."""
+    text = draw(csv_documents())
+    # The document's own first fields, good dates and odd ones, as bounds.
+    own = [line.split(",")[0].strip('"') for line in text.splitlines()[1:]]
+    bound = st.sampled_from(own) if own else st.just("2013-05-16")
+    window = draw(st.one_of(
+        st.sampled_from(_FUZZ_WINDOWS),
+        st.builds(lambda a: [f"--from={a}"], bound),
+        st.builds(lambda b: [f"--to={b}"], bound),
+        st.builds(lambda a, b: [f"--from={a}", f"--to={b}"], bound, bound),
+    ))
+    return text, window
+
+
+# The outcome each kind of case must have; a fuzzed case may have any.
+_CASES = {"word": _word_case(), "window error": _window_error_case(),
+          "csv error": _csv_error_case(), None: _fuzzed_case()}
 
 
 def test_windowed_ingest_matches_parse_then_select(capsys, monkeypatch, tmp_path):
@@ -679,28 +841,27 @@ def test_windowed_ingest_matches_parse_then_select(capsys, monkeypatch, tmp_path
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(st.data())
     def check(data):
-        text = data.draw(csv_documents())
+        # The kind is drawn first, so each outcome's share of the examples
+        # does not hang on how Hypothesis happens to fill the documents.
+        kind = data.draw(st.sampled_from(list(_CASES)))
+        text, window = data.draw(_CASES[kind])
         path.write_text(text, encoding="utf-8", newline="")
-        # The document's own first fields, good dates and odd ones, as bounds.
-        own = [line.split(",")[0].strip('"') for line in text.splitlines()[1:]]
-        bound = st.sampled_from(own) if own else st.just("2013-05-16")
-        window = data.draw(st.one_of(
-            st.sampled_from(_FUZZ_WINDOWS),
-            st.builds(lambda a: [f"--from={a}"], bound),
-            st.builds(lambda b: [f"--to={b}"], bound),
-            st.builds(lambda a, b: [f"--from={a}", f"--to={b}"], bound, bound),
-        ))
         argv = ["braid", *window, "--", str(path)]
         got = run_cli(capsys, *argv)
         with monkeypatch.context() as m:
             m.setattr(cli, "_load_series", _parse_then_select)
             assert got == run_cli(capsys, *argv), argv
+        # A window's own errors; a row's bad date is a CSV error unless it is also a bound.
+        window_errors = ["to window", "selects no dates", "is after end",
+                         *(f"date {flag.partition('=')[2]!r}" for flag in window)]
         if got[0] == 0:
-            seen["word"] += 1
-        elif window and any(k in got[2] for k in ("window", "selects no", "is after", "date '")):
-            seen["window error"] += 1
+            outcome = "word"
+        elif any(k in got[2] for k in window_errors):
+            outcome = "window error"
         else:
-            seen["csv error"] += 1
+            outcome = "csv error"
+        assert kind in (None, outcome), (kind, got, text, window)
+        seen[outcome] += 1
 
     check()
     assert all(v >= 10 for v in seen.values()), seen

@@ -2,6 +2,7 @@
 and importable without dataclasses."""
 
 import copy
+import os
 import pickle
 import subprocess
 import sys
@@ -133,6 +134,8 @@ SRC = str(Path(stockbraid.__file__).resolve().parent.parent)
 DOW4_CSV = Path(__file__).parent / "data" / "dow4_2013.csv"
 # Modules that only reading a price CSV or drawing a word needs.
 LAZY_MODULES = {"stockbraid.market", "stockbraid.crossings", "stockbraid.render", "decimal", "csv"}
+# Modules that only help, --version and usage errors need.
+PARSER_MODULES = {"argparse", "gettext"}
 
 
 def new_modules(code: str) -> set[str]:
@@ -159,6 +162,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert "dataclasses" not in out
     assert "inspect" not in out
     assert not out & LAZY_MODULES
+    assert not out & PARSER_MODULES
 
 
 def test_word_commands_load_no_ingest_crossing_or_render_module():
@@ -169,8 +173,34 @@ def test_word_commands_load_no_ingest_crossing_or_render_module():
     )
     assert {"stockbraid.bracket", "stockbraid.outcome"} <= out
     assert not out & LAZY_MODULES
+    assert not out & PARSER_MODULES
 
 
 def test_braid_loads_the_ingest_and_crossing_modules():
-    out = new_modules(f"from stockbraid.cli import main\nassert main(['braid', {str(DOW4_CSV)!r}]) == 0")
+    out = new_modules(
+        "from stockbraid.cli import main\n"
+        f"assert main(['braid', {str(DOW4_CSV)!r}, '--from', '2013-05-16', '--to=6/5/2013']) == 0"
+    )
     assert LAZY_MODULES - {"stockbraid.render"} <= out
+    assert not out & PARSER_MODULES
+
+
+def test_a_usage_error_loads_argparse_and_prints_its_usage():
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from stockbraid.cli import main\n"
+        "try:\n"
+        "    main(['prob'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code, sorted(m for m in ('argparse', 'gettext') if m in sys.modules))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", script, SRC],
+        capture_output=True, text=True, check=True, env={**os.environ, "COLUMNS": "80"},
+    )
+    assert proc.stdout == "2 ['argparse', 'gettext']\n"
+    assert proc.stderr == (
+        "usage: stockbraid [-h] [--version] {braid,invariant,prob,render} ...\n"
+        "stockbraid: error: prob needs a braid word, a CSV path, or --stats\n"
+    )
