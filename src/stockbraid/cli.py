@@ -41,8 +41,6 @@ from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from types import SimpleNamespace
 
-# argparse is imported inside build_parser(); the annotations that name it
-# are never evaluated.
 from . import __version__
 from .braid import BraidWord, _ascii_int, format_word, free_reduce, parse_word, writhe
 from .bracket import (
@@ -279,6 +277,8 @@ _COMMANDS = {
 }
 
 
+# argparse is imported here, not at the top, so a plain command line never
+# loads it; the annotations that name it are never evaluated.
 def build_parser() -> argparse.ArgumentParser:
     import argparse
 
