@@ -14,10 +14,10 @@ Subcommands:
 
 ``invariant`` and ``prob`` print one strict-JSON document: the bytes of
 ``json.dumps(doc, indent=2)``, ASCII with ``\\uXXXX`` escapes, and a final
-newline.  Exit codes: 0 success, 1 input error, 2 exact-path crossing cap
-exceeded or usage error.  Identical invocations produce byte-identical
-output; nothing here depends on clocks, locales, or iteration order of
-unordered sets.
+newline.  Exit codes: 0 success, 1 input error (or a closed stdout, with
+nothing on stderr), 2 exact-path crossing cap exceeded or usage error.
+Identical invocations produce byte-identical output; nothing here depends
+on clocks, locales, or iteration order of unordered sets.
 
 The ingest, crossing and render modules are imported inside the commands
 that read a CSV or draw a word, so a braid-word ``invariant`` or ``prob``
@@ -159,8 +159,13 @@ def _cmd_braid(args: SimpleNamespace) -> int:
         if os.path.exists(args.audit) and os.path.samefile(args.csv, args.audit):
             raise ValueError(f"audit path {args.audit} is the input CSV")
         # Written before the word, so an unwritable path leaves stdout empty.
-        with open(args.audit, "w", encoding="utf-8") as fh:
-            write_audit(fh, events, word)
+        try:
+            with open(args.audit, "w", encoding="utf-8") as fh:
+                write_audit(fh, events, word)
+        except BrokenPipeError as exc:
+            # The audit path is a pipe whose reader has gone, not a closed stdout.
+            _report(str(exc))
+            return 1
     print(format_word(word))
     return 0
 
@@ -405,7 +410,16 @@ def main(argv: list[str] | None = None) -> int:
     if problem is not None:
         _get_parser().error(problem)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter shutdown
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone (`| head`): exit 1 and say nothing;
+        # stdout goes to devnull so the flush at shutdown cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except CrossingCapExceeded as exc:
         _report(str(exc))
         return 2

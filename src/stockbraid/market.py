@@ -7,14 +7,13 @@ rejected rather than filled; a fabricated price can fabricate a crossing.
 
 Ingest validates every row whatever the date window.  A plain document
 (a header with no quote, then lines of a date and plain, positive
-prices, ASCII digits with at most two decimals) is accepted by mapping
-one regex match and one date parse over its lines, with no Python loop
+prices, ASCII digits with at most two decimals) is accepted by one regex
+match per line and one date pass per date format, with no Python loop
 per row.  Any other document is one csv.reader pass, row by row: a row
-of plain prices is checked by one regex match, other rows are read cell
-by cell with Decimal, and every error is raised there.  Dates are read
-by one ASCII regex, and a plain row is kept as its text.  Only the rows
-inside the window are then converted to cents, so a window over a long
-history does not pay for the rest.
+of plain prices is checked by one regex match and kept as its text,
+other rows are read cell by cell with Decimal, and every error is raised
+there.  Only the window's rows are then converted to cents, each distinct
+cell text once, so a window over a long history does not pay for the rest.
 """
 
 from __future__ import annotations
@@ -77,6 +76,14 @@ class PriceSeries(_Value):
         object.__setattr__(self, "tickers", tickers)
         object.__setattr__(self, "dates", dates)
         object.__setattr__(self, "prices_cents", prices_cents)
+
+    @classmethod
+    def _unchecked(cls, *fields) -> PriceSeries:
+        """The series of fields (tickers, dates, prices_cents) already valid for __init__."""
+        series = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(series, name, value)
+        return series
 
     def price_cents(self, on: date, ticker: str) -> int:
         return self.prices_cents[self.date_index(on)][self.ticker_index(ticker)]
@@ -153,8 +160,8 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
 # keeps int() far below its string-length limit.
 _PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
 _PLAIN_ROW = re.compile(_PLAIN_CELL + "(?:," + _PLAIN_CELL + ")*")
-# The date field of a plain line; parse_price_date decides if it is a date.
-_PLAIN_DATE = r"[0-9/-]{8,10}"
+# The date field of a plain line, ISO or M/D/YYYY in shape; _plain_dates reads it.
+_PLAIN_DATE = r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{1,2}/[0-9]{1,2}/[0-9]{4})"
 # The longest field of a plain line: 15 whole digits, a point, two decimals.
 _PLAIN_FIELD_MAX = 18
 
@@ -167,12 +174,32 @@ def _plain_row(cells: list[str]) -> str | None:
     return joined
 
 
-def _plain_cents(joined: str) -> tuple[int, ...]:
-    """The cents of a row that _plain_row accepted."""
-    return tuple(
-        int(whole + frac.ljust(2, "0"))
-        for whole, _, frac in (price.partition(".") for price in joined.split(","))
-    )
+def _cent_rows(prices: list[str | tuple[int, ...]], width: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of width cents from prices, each its cents or a _plain_row text.  Each distinct
+    cell text is converted once, unless most cells are distinct, when lookups cost more."""
+    texts = [p for p in prices if isinstance(p, str)]
+    cells = ",".join(texts).split(",") if texts else []
+    distinct = dict.fromkeys(cells[: len(cells) // 2 + 1])
+    if 2 * len(distinct) <= len(cells):  # the first half and one do not settle it
+        distinct.update(dict.fromkeys(cells[len(cells) // 2 + 1:]))
+    unique = cells if 2 * len(distinct) > len(cells) else distinct
+    cents = [int(w + f.ljust(2, "0")) for w, _, f in map(str.partition, unique, repeat("."))]
+    if unique is distinct:
+        cents = map(dict(zip(distinct, cents)).__getitem__, cells)
+    rows = zip(*[iter(cents)] * width)
+    return tuple(rows) if len(texts) == len(prices) else tuple(
+        next(rows) if isinstance(p, str) else p for p in prices)
+
+
+def _plain_dates(fields: list[str]) -> list[date]:
+    """The dates of _PLAIN_DATE fields, a pass per format; ValueError if one is not a date."""
+    joined = "/".join(fields)
+    if joined.count("/") == len(fields) - 1:  # no field holds a slash: all ISO
+        return list(map(date.fromisoformat, fields))
+    parts = joined.split("/")
+    if len(parts) == 3 * len(fields):  # every field holds two: all M/D/YYYY
+        return list(map(date, map(int, parts[2::3]), map(int, parts[::3]), map(int, parts[1::3])))
+    return list(map(parse_price_date, fields))
 
 
 def _records(text: str):
@@ -203,10 +230,8 @@ def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
     date and one plain cell per ticker, and no date repeats.  A CR
     anywhere keeps the document off this path; a file read with universal
     newlines holds none.  csv.reader splits such a document as this does
-    and the row loop raises nothing on it.  The lines are walked by map
-    alone: each costs one regex match, one partition and one
-    parse_price_date call.  Everything else, and every error, is left to
-    _parse_records.
+    and the row loop raises nothing on it.  A line costs a regex match and
+    a partition; anything else, and every error, is left to _parse_records.
     """
     # Not splitlines, which also splits on \x0b, \x1c, \u2028 and others
     # that csv keeps inside a field.  A leading byte-order mark stays in
@@ -224,8 +249,8 @@ def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
         return None
     fields = list(map(str.partition, lines, repeat(",")))
     try:
-        dates = list(map(parse_price_date, map(itemgetter(0), fields)))
-    except CsvFormatError:
+        dates = _plain_dates(list(map(itemgetter(0), fields)))
+    except ValueError:
         return None
     if len(set(dates)) != len(dates):
         return None
@@ -290,13 +315,7 @@ def parse_csv(
     if window is not None:
         lo, hi = window(dates)
         dates, rows = dates[lo:hi], rows[lo:hi]
-    return PriceSeries(
-        tickers=tickers,
-        dates=dates,
-        prices_cents=tuple(
-            _plain_cents(p) if isinstance(p, str) else p for _, p in rows
-        ),
-    )
+    return PriceSeries._unchecked(tickers, dates, _cent_rows([p for _, p in rows], len(tickers)))
 
 
 def format_csv(series: PriceSeries) -> str:
@@ -327,8 +346,4 @@ def select_window(series: PriceSeries, start: date, end: date) -> PriceSeries:
     """The sub-series of dates d with start <= d <= end, bounds inclusive."""
     # Dates are strictly increasing, so the window is one contiguous slice.
     lo, hi = window_bounds(series.dates, start, end)
-    return PriceSeries(
-        tickers=series.tickers,
-        dates=series.dates[lo:hi],
-        prices_cents=series.prices_cents[lo:hi],
-    )
+    return PriceSeries._unchecked(series.tickers, series.dates[lo:hi], series.prices_cents[lo:hi])

@@ -1,5 +1,7 @@
+import errno
 import json
 import math
+import os
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -260,6 +262,39 @@ def _run_subprocess(*argv):
         capture_output=True,
         timeout=120,
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["braid", str(DOW4_CSV)],
+        ["invariant", "4: 1 2 3", "--bracket"],
+        ["prob", "--stats", "1+0j,1,1,0"],
+        ["render", "4: " + " ".join(["1", "-2", "3"] * 1000)],
+    ],
+)
+def test_a_closed_stdout_exits_1_in_silence(argv):
+    # As under `| head -c 0`: the read end of stdout's pipe is closed before
+    # the command writes, so its write fails with EPIPE; the render is far
+    # larger than stdout's buffer, so it fails inside the command's write.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "stockbraid", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
+
+
+def test_a_broken_audit_pipe_is_reported(capsys, monkeypatch, tmp_path):
+    # An --audit pipe whose reader has gone is an error, unlike a closed stdout.
+    def broken(fh, events, word):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(crossings, "write_audit", broken)
+    assert run_cli(capsys, "braid", str(DOW4_CSV), "--audit", str(tmp_path / "a.json")) == (
+        1, "", "error: [Errno 32] Broken pipe\n")
 
 
 def test_cli_runs_are_byte_identical(tmp_path):
