@@ -81,7 +81,7 @@ def _check_cap(k: ClosedBraid) -> None:
     if len(k.braid) > CROSSING_CAP:
         raise CrossingCapExceeded(
             f"{len(k.braid)} crossings exceed the exact-path cap of {CROSSING_CAP}; "
-            "use bracket_eval for numeric evaluation at a point"
+            "use bracket_eval or invariant --eval for numeric evaluation at a point"
         )
 
 
@@ -454,7 +454,8 @@ def _catalan_by_open(size: int) -> list[int]:
 
 
 # A diagram of c crossings has 2c edges, so at most 2c are open; the table
-# covers every word up to twice the crossing cap.
+# covers every word of up to 48 crossings, twice the crossing cap, and
+# bracket_poly checks the cap before it plans.
 _CATALAN_BY_OPEN = _catalan_by_open(4 * CROSSING_CAP + 1)
 
 
@@ -510,8 +511,7 @@ def _trace_plan(tracks: tuple) -> tuple[int, bool]:
             j = bisect_left(xs, r)
             word[(xs[j % len(xs)] - r) % c] += 2
             word[(xs[j - 1] - r) % c] -= 2
-    table = _CATALAN_BY_OPEN if 2 * c < len(_CATALAN_BY_OPEN) else _catalan_by_open(2 * c + 1)
-    cost = table.__getitem__
+    cost = _CATALAN_BY_OPEN.__getitem__
     return r, sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
 
 

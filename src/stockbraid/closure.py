@@ -57,12 +57,7 @@ class DiagramStats(_Value):
         object.__setattr__(self, "writhe", writhe)
 
     def to_json(self) -> dict:
-        return {
-            "components": self.components,
-            "minima": self.minima,
-            "crossings": self.crossings,
-            "writhe": self.writhe,
-        }
+        return dict(zip(self.__slots__, self._key(self)))
 
 
 def plat_close(w: BraidWord) -> ClosedBraid:

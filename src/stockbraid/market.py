@@ -31,8 +31,6 @@ from operator import itemgetter
 from .braid import _Value
 
 _EXACT = Context(prec=MAX_PREC)  # the default Emax still raises Overflow
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
-_US_DATE = re.compile(r"(1[0-2]|0?[1-9])/(3[01]|[12][0-9]|0?[1-9])/([0-9]{4})")
 
 
 def cents_to_decimal(cents: int) -> Decimal:
@@ -115,12 +113,8 @@ def parse_price_date(text: str) -> date:
     """Accept ISO YYYY-MM-DD and M/D/YYYY forms only, in ASCII digits, on every Python."""
     text = text.strip()
     try:
-        us = _US_DATE.fullmatch(text)
-        if us:
-            month, day, year = us.groups()
-            return date(int(year), int(month), int(day))
-        if _ISO_DATE.fullmatch(text):
-            return date.fromisoformat(text)
+        if re.fullmatch(_PLAIN_DATE, text):
+            return _plain_dates([text])[0]
     except ValueError:
         pass
     raise CsvFormatError(f"unparseable date {text!r}")
@@ -160,7 +154,7 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
 # keeps int() far below its string-length limit.
 _PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
 _PLAIN_ROW = re.compile(_PLAIN_CELL + "(?:," + _PLAIN_CELL + ")*")
-# The date field of a plain line, ISO or M/D/YYYY in shape; _plain_dates reads it.
+# The shape of every date text read, ISO or M/D/YYYY; _plain_dates reads it.
 _PLAIN_DATE = r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{1,2}/[0-9]{1,2}/[0-9]{4})"
 # The longest field of a plain line: 15 whole digits, a point, two decimals.
 _PLAIN_FIELD_MAX = 18

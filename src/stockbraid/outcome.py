@@ -77,17 +77,8 @@ class OutcomeReport(_Value):
         object.__setattr__(self, "eval_point", eval_point)
 
     def to_json(self) -> dict:
-        return {
-            "jones_value": _complex_json(self.jones_value),
-            "components": self.components,
-            "minima": self.minima,
-            "writhe": self.writhe,
-            "amplitude": _complex_json(self.amplitude),
-            "probability": self.probability,
-            "imag_residue": self.imag_residue,
-            "in_range": self.in_range,
-            "eval_point": _complex_json(self.eval_point),
-        }
+        return {name: _complex_json(value) if isinstance(value, complex) else value
+                for name, value in zip(self.__slots__, self._key(self))}
 
 
 def _complex_json(z: complex) -> dict:

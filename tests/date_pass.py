@@ -1,5 +1,11 @@
 """Differential check of the plain path's date pass against parse_price_date.
 
+parse_price_date reads one date through the plain path's own date pass,
+``market._plain_dates``, so the two share one grammar.  What can still
+differ is the whole-document pass: the plain line pattern, the split of
+every date field in one pass per format, the per-date fallback for a
+document that mixes formats, and which documents are left to csv.reader.
+
 ``date.fromisoformat`` reads more forms on Python 3.11 and later
 (``20130607``, ``2013-W01-1``) than on 3.10, and csv.reader refuses a NUL
 only on 3.10, so the check runs on every Python the package supports.  It

@@ -168,7 +168,7 @@ def test_the_environment_does_not_move_the_crossing_cap(capsys, monkeypatch, val
         2,
         "",
         "error: 25 crossings exceed the exact-path cap of 24; "
-        "use bracket_eval for numeric evaluation at a point\n",
+        "use bracket_eval or invariant --eval for numeric evaluation at a point\n",
     )
 
 

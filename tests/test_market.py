@@ -174,6 +174,17 @@ def test_us_dates_match_strptime_on_ascii_digits():
                     assert str(exc) == f"unparseable date {text!r}"
                     got = None
                 assert got == expected, text
+    # Inputs the grid leaves out: a sign, a three-digit month, an unpadded
+    # ISO month, a non-ASCII digit, and tab or space padding, which is stripped.
+    pinned = {"+5/16/2013": None, "005/16/2013": None, "2013-5-16": None,
+              "5/16/201\u0663": None, "\u0665/16/2013": None, "2013-05-1\u0666": None,
+              "\t5/16/2013": date(2013, 5, 16), "5/16/2013 ": date(2013, 5, 16),
+              " \t2013-05-16\t ": date(2013, 5, 16)}
+    for text, expected in pinned.items():
+        try:
+            assert parse_price_date(text) == expected, text
+        except CsvFormatError as exc:
+            assert expected is None and str(exc) == f"unparseable date {text.strip()!r}", text
 
 
 def test_the_plain_date_pass_matches_parse_price_date():

@@ -99,6 +99,27 @@ def test_repr_text():
     )
 
 
+def test_report_json_keys_are_the_fields_in_order():
+    trace = diagram_stats(ClosedBraid(parse_word("3: 1 2"), "trace"))
+    for report in [diagram_stats(plat_close(parse_word("4: 1 -2 3"))), trace,
+                   outcome_probability(plat_close(parse_word("4: 1 -3 2")))]:
+        doc = report.to_json()
+        assert list(doc) == list(type(report).__slots__)
+        complex_fields = []
+        for name, value in doc.items():
+            field = getattr(report, name)
+            if isinstance(field, complex):
+                assert value == {"re": field.real, "im": field.imag}, name
+                complex_fields.append(name)
+            else:
+                assert value is field, name
+        assert complex_fields == ([] if isinstance(report, DiagramStats) else
+                                  ["jones_value", "amplitude", "eval_point"])
+        doc.clear()
+        assert report.to_json() is not doc and len(report.to_json()) == len(type(report).__slots__)
+    assert trace.to_json()["minima"] is None
+
+
 def test_keyword_construction_and_defaults():
     assert Generator(index=2, exponent=-1) == Generator(2, -1)
     assert BraidWord(3).generators == ()
