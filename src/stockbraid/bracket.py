@@ -336,15 +336,23 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
     ``join`` and one that closes a loop ``loop``.
 
     States are interned: ``matchings[s]`` is the matching with id s and
-    ``index`` maps it back, and ``moves[a * size + b][s]`` memoizes the id
-    of the cap-cup smoothing (or the closing) of state s at points a and b
-    of the schedule's size points, so
-    each distinct move builds its tuple once however often the sweep takes
-    it.  A move closes a loop exactly when it maps a state to itself.  Ids
-    stand one-to-one for matchings, so every state vector is filled in the
-    same insertion order, with the same multiplications and the same
-    first-assignment-then-``+`` accumulation, as a sweep keyed by the
-    matchings themselves: floating-point coefficients come out
+    ``index`` maps it back.  A state vector is two lists: ``order``, the
+    ids of its states in the order they were first stored, and
+    ``coeffs``, indexed by id, with None in the slots of the ids it does
+    not hold.  Each step allocates its vector with a slot for every id it
+    can reach, since each state it reads adds at most one new matching.
+    ``moves[a * size + b][s]`` memoizes the id of the cap-cup smoothing
+    (or the closing) of state s at points a and b of the schedule's size
+    points, or None while that move is not built; the list grows to the
+    number of ids only when a lookup runs past its end.  So each distinct
+    move builds its tuple once however often the sweep takes it.  A move
+    closes a loop exactly when it maps a state to itself.
+
+    Ids stand one-to-one for matchings, and a state joins ``order`` when
+    its slot is first filled, so every state vector holds the same states
+    in the same order, with the same multiplications and the same
+    first-assignment-then-``+`` accumulation, as a dict keyed by the
+    matchings themselves would: floating-point coefficients come out
     bit-identical, signed zeros included.
 
     A cap-cup target pairs a with b, so it is a state that maps to
@@ -354,18 +362,25 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
     """
     matchings = [schedule.start]
     index = {schedule.start: 0}
-    moves: dict[int, dict[int, int]] = {}
-    states = {0: one}
+    moves: dict[int, list] = {}
+    order = [0]
+    coeffs = [one]
     size = len(schedule.start)
     for a, b, sign in schedule.steps:
         move = moves.get(a * size + b)
         if move is None:
-            move = moves[a * size + b] = {}
-        nxt: dict[int, object] = {}
+            move = moves[a * size + b] = []
+        nxt = [None] * (len(matchings) + len(order))
+        nxt_order = []
         if sign:
             w_cup, w_vert, w_loop = weight_pos if sign > 0 else weight_neg
-            for s, coeff in states.items():
-                t = move.get(s)
+            for s in order:
+                coeff = coeffs[s]
+                try:
+                    t = move[s]
+                except IndexError:
+                    move += [None] * (len(matchings) - len(move))
+                    t = None
                 if t is None:
                     m2 = _cupcap(matchings[s], a, b)
                     t = index.get(m2)
@@ -374,18 +389,30 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
                         matchings.append(m2)
                     move[s] = t
                 if t == s:
-                    prev = nxt.get(s)
-                    vert_coeff = coeff * w_vert
-                    nxt[s] = (vert_coeff if prev is None else prev + vert_coeff) + coeff * w_loop * d
+                    prev = nxt[s]
+                    if prev is None:
+                        nxt_order.append(s)
+                        nxt[s] = coeff * w_vert + coeff * w_loop * d
+                    else:
+                        nxt[s] = (prev + coeff * w_vert) + coeff * w_loop * d
                 else:
+                    nxt_order.append(s)
                     nxt[s] = coeff * w_vert
-                    cup_coeff = coeff * w_cup
-                    prev = nxt.get(t)
-                    nxt[t] = cup_coeff if prev is None else prev + cup_coeff
+                    prev = nxt[t]
+                    if prev is None:
+                        nxt_order.append(t)
+                        nxt[t] = coeff * w_cup
+                    else:
+                        nxt[t] = prev + coeff * w_cup
         else:
             w_join, w_close = closing
-            for s, coeff in states.items():
-                t = move.get(s)
+            for s in order:
+                coeff = coeffs[s]
+                try:
+                    t = move[s]
+                except IndexError:
+                    move += [None] * (len(matchings) - len(move))
+                    t = None
                 if t is None:
                     m2 = _cupcap(matchings[s], a, b)
                     t = index.get(m2)
@@ -394,10 +421,14 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
                         matchings.append(m2)
                     move[s] = t
                 coeff = coeff * w_close if t == s else coeff * w_join
-                prev = nxt.get(t)
-                nxt[t] = coeff if prev is None else prev + coeff
-        states = nxt
-    return {matchings[s]: coeff for s, coeff in states.items()}
+                prev = nxt[t]
+                if prev is None:
+                    nxt_order.append(t)
+                    nxt[t] = coeff
+                else:
+                    nxt[t] = prev + coeff
+        order, coeffs = nxt_order, nxt
+    return {matchings[s]: coeffs[s] for s in order}
 
 
 def _unpack(packed: int, width: int, shift: int) -> LaurentPoly:
@@ -571,7 +602,13 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
 
 def bracket_eval(k: ClosedBraid, a: complex) -> complex:
     """The bracket evaluated at A = a, polynomial time in crossings: the
-    sweep of k's word as given, closed at the end."""
+    sweep of k's word as given, closed at the end.
+
+    Raises OverflowError when the value is not finite: far from |a| = 1
+    a weight, d or a coefficient overflows (d does once |a| is below
+    about 1e-154 or above about 1e154), and inf - inf or inf * 0 then
+    leaves a NaN.
+    """
     a = complex(a)
     if not cmath.isfinite(a) or a == 0:
         raise ValueError("evaluation point must be finite and nonzero")
@@ -588,6 +625,8 @@ def bracket_eval(k: ClosedBraid, a: complex) -> complex:
     total = 0j
     for m, coeff in states.items():
         total += coeff * d ** (_cycles(m, schedule.close) - 1)
+    if not cmath.isfinite(total):
+        raise OverflowError(f"the bracket is not finite at A = {a}")
     return total
 
 
@@ -630,12 +669,16 @@ def _writhe_corrected_value(bracket_value: complex, a: complex, w: int) -> compl
     t^(1/4) = a, from the bracket value at A = a and the writhe w.
 
     At a tiny |a| the power (-a)^(3 w) underflows to 0, and its reciprocal
-    is an OverflowError, as any other overflowing power is.
+    is an OverflowError, as any other overflowing power is, and so is a
+    product that overflows.
     """
     try:
-        return (-complex(a)) ** (-3 * w) * bracket_value
+        value = (-complex(a)) ** (-3 * w) * bracket_value
+        if cmath.isfinite(value):
+            return value
     except ZeroDivisionError:
-        raise OverflowError(f"(-A)^(-3 Wr) overflows at A = {a} for writhe {w}") from None
+        pass
+    raise OverflowError(f"(-A)^(-3 Wr) overflows at A = {a} for writhe {w}")
 
 
 def _fourth_root(t: complex) -> complex:

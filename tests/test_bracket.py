@@ -96,6 +96,17 @@ def test_jones_eval_at_a_tiny_point_is_an_overflow():
         bracket._writhe_corrected_value(1.0, 1e-120, 1)
 
 
+def test_a_non_finite_value_is_an_overflow():
+    # d overflows at these points; nearer |A| = 1 the value stays finite.
+    k = plat_close(BraidWord.from_ints(2, [1]))
+    for a in (1e-310, 1e-170, 1e155 + 1e155j, 1e170):
+        with pytest.raises(OverflowError, match="the bracket is not finite at A = "):
+            bracket_eval(k, a)
+    assert cmath.isfinite(bracket_eval(k, 1e-150))
+    with pytest.raises(OverflowError, match="overflows at A = 1e-50 for writhe 1"):
+        bracket._writhe_corrected_value(1e200, 1e-50, 1)
+
+
 def test_writhe_corrected_value_is_the_plain_power_where_it_is_finite():
     for a, w in [(1e-100, 1), (1e-30, 3), (0.3 + 0.9j, -2), (1e30, -3), (2.0, 0)]:
         assert bracket._writhe_corrected_value(0.5 - 1j, a, w) == (-complex(a)) ** (-3 * w) * (0.5 - 1j)

@@ -411,7 +411,30 @@ def test_non_finite_output_is_an_error(capsys):
     # 1/A overflows, so the bracket value is not finite and cannot be strict JSON.
     code, out, err = run_cli(capsys, "invariant", "2: 1", "--eval", "1e-320")
     assert (code, out) == (1, "")
-    assert err.startswith("error: Out of range float values are not JSON compliant")
+    assert err == "error: numeric overflow: the bracket is not finite at A = (1e-320+0j)\n"
+
+
+@pytest.mark.parametrize(
+    "point,shown",
+    [("1e-310", "(1e-310+0j)"), ("1e-170", "(1e-170+0j)"), ("1e155+1e155j", "(1e+155+1e+155j)")],
+)
+def test_a_non_finite_bracket_is_a_numeric_overflow(capsys, point, shown):
+    # 1/A, or A^2 and d, overflow, and the sweep leaves a NaN, which the
+    # JSON writer used to refuse in its own words.
+    code, out, err = run_cli(capsys, "invariant", "2: 1", "--closure", "plat", "--eval", point)
+    assert (code, out) == (1, "")
+    assert err == f"error: numeric overflow: the bracket is not finite at A = {shown}\n"
+
+
+def test_an_overflowing_jones_value_is_a_numeric_overflow(capsys):
+    # The bracket at 1e-4 is finite, and so is (-A)^(-72), but their
+    # product is not.
+    word = "2: " + " ".join(["1"] * 24)
+    code, out, err = run_cli(capsys, "invariant", word, "--closure", "trace", "--eval", "1e-4", "--jones")
+    assert (code, out) == (1, "")
+    assert err == "error: numeric overflow: (-A)^(-3 Wr) overflows at A = (0.0001+0j) for writhe 24\n"
+    code, out, _ = run_cli(capsys, "invariant", word, "--closure", "trace", "--eval", "1e-2", "--jones")
+    assert code == 0 and json.loads(out)["eval"]["jones_value_at_a4"]["re"] == -9.999999999999993e+195
 
 
 @pytest.mark.parametrize(
@@ -420,10 +443,15 @@ def test_non_finite_output_is_an_error(capsys):
      (["--eval=-1e-160"], "(-1e-160+0j)")],
 )
 def test_tiny_eval_point_with_jones_is_a_numeric_overflow(capsys, point, shown):
-    # (-A)^(3 Wr) underflows to 0, so (-A)^(-3 Wr) overflows.
+    # (-A)^(3 Wr) underflows to 0, so (-A)^(-3 Wr) overflows.  Below about
+    # 1e-154 1/A^2 and d overflow too, and the bracket, computed first, is
+    # not finite.
     code, out, err = run_cli(capsys, "invariant", "2: 1", *point, "--jones")
     assert (code, out) == (1, "")
-    assert err == f"error: numeric overflow: (-A)^(-3 Wr) overflows at A = {shown} for writhe 1\n"
+    if abs(complex(shown)) > 1e-154:
+        assert err == f"error: numeric overflow: (-A)^(-3 Wr) overflows at A = {shown} for writhe 1\n"
+    else:
+        assert err == f"error: numeric overflow: the bracket is not finite at A = {shown}\n"
 
 
 _JSON_STRINGS = st.text() | st.sampled_from(['"', "\\", "a\nb", '\\"\t', "\u00e9", "\u2028", "\udc80"])

@@ -153,10 +153,10 @@ def test_a_sweep_in_sorted_state_order_is_caught():
     # of insertion order: the same states, filled in another order.  The
     # sweep has one state loop for crossings and one for closing arcs.
     source = inspect.getsource(bracket._sweep)
-    loop = "for s, coeff in states.items():"
+    loop = "for s in order:"
     assert source.count(loop) == 2
     namespace = dict(vars(bracket))
-    exec(source.replace(loop, "for s, coeff in sorted(states.items()):"), namespace)
+    exec(source.replace(loop, "for s in sorted(order):"), namespace)
     sorted_sweep = namespace["_sweep"]
 
     caught = 0
