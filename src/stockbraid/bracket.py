@@ -339,14 +339,16 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
     ``index`` maps it back.  A state vector is two lists: ``order``, the
     ids of its states in the order they were first stored, and
     ``coeffs``, indexed by id, with None in the slots of the ids it does
-    not hold.  Each step allocates its vector with a slot for every id it
-    can reach, since each state it reads adds at most one new matching.
-    ``moves[a * size + b][s]`` memoizes the id of the cap-cup smoothing
-    (or the closing) of state s at points a and b of the schedule's size
-    points, or None while that move is not built; the list grows to the
-    number of ids only when a lookup runs past its end.  So each distinct
-    move builds its tuple once however often the sweep takes it.  A move
-    closes a loop exactly when it maps a state to itself.
+    not hold.  Each step's vector has ``room`` slots, one for every id
+    the step can reach, since each state it reads adds at most one new
+    matching.  ``moves[a * size + b][s]`` memoizes the id of the cap-cup
+    smoothing (or the closing) of state s at points a and b of the
+    schedule's size points, or holds None while that move is not built.
+    A move list is made with ``room`` slots and grows only when a lookup
+    runs past its end, to the step's ``room``, which holds every id the
+    step reads.  So each distinct move builds its tuple once however
+    often the sweep takes it.  A move closes a loop exactly when it maps
+    a state to itself.
 
     Ids stand one-to-one for matchings, and a state joins ``order`` when
     its slot is first filled, so every state vector holds the same states
@@ -367,10 +369,11 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
     coeffs = [one]
     size = len(schedule.start)
     for a, b, sign in schedule.steps:
+        room = len(matchings) + len(order)
         move = moves.get(a * size + b)
         if move is None:
-            move = moves[a * size + b] = []
-        nxt = [None] * (len(matchings) + len(order))
+            move = moves[a * size + b] = [None] * room
+        nxt = [None] * room
         nxt_order = []
         if sign:
             w_cup, w_vert, w_loop = weight_pos if sign > 0 else weight_neg
@@ -379,7 +382,7 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
                 try:
                     t = move[s]
                 except IndexError:
-                    move += [None] * (len(matchings) - len(move))
+                    move += [None] * (room - len(move))
                     t = None
                 if t is None:
                     m2 = _cupcap(matchings[s], a, b)
@@ -411,7 +414,7 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
                 try:
                     t = move[s]
                 except IndexError:
-                    move += [None] * (len(matchings) - len(move))
+                    move += [None] * (room - len(move))
                     t = None
                 if t is None:
                     m2 = _cupcap(matchings[s], a, b)

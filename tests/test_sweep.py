@@ -14,10 +14,11 @@ import inspect
 import random
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stockbraid import (
+    FIBONACCI_POINT,
     BraidWord,
     ClosedBraid,
     bracket,
@@ -113,6 +114,42 @@ def closed_braids(draw, max_crossings: int) -> ClosedBraid:
 def test_numeric_sweep_is_bit_identical(k):
     for a in POINTS:
         assert_bit_identical(bracket._sweep, k, a)
+
+
+@st.composite
+def readout_words(draw) -> ClosedBraid:
+    """The plat closure that prob sweeps: the free reduction of the
+    interference braid of a system word sigma on 3-11 strands (odd, so
+    that the braid has an even strand count) with 100-500 generators and
+    a gamma with 2-20 generators, up to about 1,000 crossings."""
+
+    def word(n: int, min_size: int, max_size: int) -> BraidWord:
+        length = draw(st.integers(min_size, max_size))
+        generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
+        gens = draw(st.lists(generator, min_size=length, max_size=length))
+        return BraidWord.from_ints(n, [i * s for i, s in gens])
+
+    n = draw(st.sampled_from(range(3, 12, 2)))
+    sigma = word(n, 100, 500)
+    gamma = word(n + 1, 2, 20)
+    return ClosedBraid(free_reduce(interference_braid(sigma, gamma)), "plat")
+
+
+def longest_readout_word() -> ClosedBraid:
+    """readout_words' longest shape, seeded: sigma of 500 generators on 11
+    strands and gamma of 20, which Hypothesis rarely draws by itself."""
+    rng = random.Random(25)
+    sigma = BraidWord.from_ints(11, [rng.choice([1, -1]) * rng.randrange(1, 11) for _ in range(500)])
+    gamma = BraidWord.from_ints(12, [rng.choice([1, -1]) * rng.randrange(1, 12) for _ in range(20)])
+    return ClosedBraid(free_reduce(interference_braid(sigma, gamma)), "plat")
+
+
+@SETTINGS
+@given(readout_words())
+@example(longest_readout_word())
+def test_long_readout_words_are_bit_identical(k):
+    # closed_braids stops at 300 crossings; the readout sweeps longer words.
+    assert_bit_identical(bracket._sweep, k, FIBONACCI_POINT)
 
 
 @SETTINGS
