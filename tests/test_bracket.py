@@ -96,15 +96,13 @@ def test_jones_eval_at_a_tiny_point_is_an_overflow():
         bracket._writhe_corrected_value(1.0, 1e-120, 1)
 
 
-def test_a_non_finite_value_is_an_overflow():
-    # d overflows at these points; nearer |A| = 1 the value stays finite.
+def test_a_non_finite_bracket_value_is_an_overflow():
+    # A^2 and d overflow at 1e170; at 1e-150 they do not, and the value
+    # stays finite.  (tests/test_cli.py runs the tiny points.)
     k = plat_close(BraidWord.from_ints(2, [1]))
-    for a in (1e-310, 1e-170, 1e155 + 1e155j, 1e170):
-        with pytest.raises(OverflowError, match="the bracket is not finite at A = "):
-            bracket_eval(k, a)
+    with pytest.raises(OverflowError, match=r"^the bracket is not finite at A = \(1e\+170\+0j\)$"):
+        bracket_eval(k, 1e170)
     assert cmath.isfinite(bracket_eval(k, 1e-150))
-    with pytest.raises(OverflowError, match="overflows at A = 1e-50 for writhe 1"):
-        bracket._writhe_corrected_value(1e200, 1e-50, 1)
 
 
 def test_writhe_corrected_value_is_the_plain_power_where_it_is_finite():

@@ -419,8 +419,8 @@ def test_non_finite_output_is_an_error(capsys):
     [("1e-310", "(1e-310+0j)"), ("1e-170", "(1e-170+0j)"), ("1e155+1e155j", "(1e+155+1e+155j)")],
 )
 def test_a_non_finite_bracket_is_a_numeric_overflow(capsys, point, shown):
-    # 1/A, or A^2 and d, overflow, and the sweep leaves a NaN, which the
-    # JSON writer used to refuse in its own words.
+    # 1/A, or A^2 and d, overflow, and the sweep leaves a NaN, which is
+    # no JSON number: the error names the point instead.
     code, out, err = run_cli(capsys, "invariant", "2: 1", "--closure", "plat", "--eval", point)
     assert (code, out) == (1, "")
     assert err == f"error: numeric overflow: the bracket is not finite at A = {shown}\n"
