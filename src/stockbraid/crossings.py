@@ -19,11 +19,19 @@ Cost: detection walks the price rows by index and sorts each day's
 tickers once, by price alone and stably over the tickers in
 lexicographic order, so no Python code runs per ticker; it is linear in
 days (times one sort of the tickers).
-Intervals whose rank order does not change are skipped; a changed one
-costs O(tickers^2) comparisons at most, and only between its first and
-last moved positions, plus one event per swap.  An event is a named
-tuple, and braid_with_events classifies each one once and shares one
-Generator per signed value.  write_audit streams the audit file from
+Intervals whose rank order does not change are skipped.  In a changed
+one the bubble sort compares each adjacent pair's later-day prices
+directly, equal prices falling back to a tie rank computed once per
+series, and each pass runs only from one position before the previous
+pass's first swap to its last swap: positions past the last swap are
+final, and a stock moves down at most one position per pass, so the
+swap schedule is that of full passes while a pass with no swap ends
+the interval.  That is O(tickers^2) comparisons at most, only between
+the first and last moved positions, plus one event per swap.  An event
+is a named tuple built without a Python call frame.  One rule signs a
+crossing (_exponent, on the event's integers); braid_with_events applies
+it once per event and shares one Generator per signed value, and
+classify_crossing names its result.  write_audit streams the audit file from
 that word's signs: one fixed template per record, each date, ticker and
 distinct price change formatted once per file, and one write per chunk
 of records, so no per-crossing dict or JSON encoder call is made.
@@ -115,68 +123,78 @@ def detect_crossings(series: PriceSeries) -> list[CrossingEvent]:
     if len(dates) < 2:
         raise ValueError("crossing detection needs at least two dates")
     rank = _ranker(tickers)
+    # lex[t] is ticker t's place in lexicographic order: the tie rank of equal prices.
+    lex = [0] * len(tickers)
+    for place, t in enumerate(sorted(range(len(tickers)), key=tickers.__getitem__)):
+        lex[t] = place
+    new = tuple.__new__
     events: list[CrossingEvent] = []
+    append = events.append
     # Strands are ticker indices; arrangement holds them by rank on day d - 1.
     arrangement = rank(rows[0])
-    target_pos = [0] * len(tickers)
     for d in range(1, len(dates)):
         target = rank(rows[d])
         if target == arrangement:
             continue
         from_date, to_date, from_row, to_row = dates[d - 1], dates[d], rows[d - 1], rows[d]
-        for i, t in enumerate(target):
-            target_pos[t] = i
         # Positions before the first and after the last difference already
-        # hold their targets and never swap, so the sweeps skip them.
+        # hold their targets and never swap, so the passes skip them.
         lo, hi = 0, len(target) - 1
         while arrangement[lo] == target[lo]:
             lo += 1
         while arrangement[hi] == target[hi]:
             hi -= 1
-        swapped = True
-        while swapped:
-            swapped = False
-            for i in range(lo, hi):
+        start, stop = lo, hi
+        while True:
+            first = last = -1
+            for i in range(start, stop):
                 lower, upper = arrangement[i], arrangement[i + 1]
-                if target_pos[lower] > target_pos[upper]:
+                lower_after, upper_after = to_row[lower], to_row[upper]
+                # The order _ranker sorts by: price, then ticker.
+                if lower_after > upper_after or (
+                    lower_after == upper_after and lex[lower] > lex[upper]
+                ):
                     arrangement[i], arrangement[i + 1] = upper, lower
-                    swapped = True
-                    events.append(
-                        CrossingEvent(
-                            from_date,
-                            to_date,
-                            i + 1,
-                            tickers[lower],
-                            tickers[upper],
-                            abs(to_row[lower] - from_row[lower]),
-                            abs(to_row[upper] - from_row[upper]),
-                            to_row[lower],
-                            to_row[upper],
-                        )
-                    )
+                    if first < 0:
+                        first = i
+                    last = i
+                    append(new(CrossingEvent, (
+                        from_date,
+                        to_date,
+                        i + 1,
+                        tickers[lower],
+                        tickers[upper],
+                        abs(lower_after - from_row[lower]),
+                        abs(upper_after - from_row[upper]),
+                        lower_after,
+                        upper_after,
+                    )))
+            if last < 0:
+                break
+            # Pairs below first - 1 stay in order and pairs from last up are final.
+            start, stop = max(first - 1, lo), last
     return events
 
 
-def classify_crossing(event: CrossingEvent) -> CrossingSign:
-    """Over iff the pre-swap higher-priced stock out-moved the other.
+def _exponent(event: CrossingEvent) -> int:
+    """+1 iff the pre-swap higher-priced stock out-moved the other, else -1.
 
-    The tie-break chain (later-day price, then ticker order) makes the
-    sign deterministic for any input.
+    Equal changes fall back to the higher price on the later day, then
+    to the lexicographically smaller ticker crossing over, so the sign
+    is deterministic for any input.
     """
-    if event.delta_upper_cents != event.delta_lower_cents:
-        return (
-            CrossingSign.OVER
-            if event.delta_upper_cents > event.delta_lower_cents
-            else CrossingSign.UNDER
-        )
-    if event.upper_after_cents != event.lower_after_cents:
-        return (
-            CrossingSign.OVER
-            if event.upper_after_cents > event.lower_after_cents
-            else CrossingSign.UNDER
-        )
-    crosses_over = min(event.upper_ticker, event.lower_ticker)
-    return CrossingSign.OVER if crosses_over == event.upper_ticker else CrossingSign.UNDER
+    _, _, _, lower, upper, delta_lower, delta_upper, lower_after, upper_after = event
+    if delta_upper != delta_lower:
+        return 1 if delta_upper > delta_lower else -1
+    if upper_after != lower_after:
+        return 1 if upper_after > lower_after else -1
+    return 1 if upper <= lower else -1
+
+
+def classify_crossing(event: CrossingEvent) -> CrossingSign:
+    """Over iff the pre-swap higher-priced stock out-moved the other
+    (_exponent's sign, tie-break chain included)."""
+    return CrossingSign.OVER if _exponent(event) > 0 else CrossingSign.UNDER
 
 
 def braid_with_events(series: PriceSeries) -> tuple[BraidWord, list[CrossingEvent]]:
@@ -185,11 +203,11 @@ def braid_with_events(series: PriceSeries) -> tuple[BraidWord, list[CrossingEven
     if len(series.tickers) < 2:
         raise ValueError("braid construction needs at least two tickers")
     events = detect_crossings(series)
-    # Each event is classified once; each distinct generator is built once and shared.
+    # Each event is signed once; each distinct generator is built once and shared.
     by_value: dict[int, Generator] = {}
     gens = []
     for event in events:
-        exponent = classify_crossing(event).exponent
+        exponent = _exponent(event)
         value = event.position * exponent
         g = by_value.get(value)
         if g is None:
@@ -259,7 +277,7 @@ def _audit_values(
 
 def audit_entries(events: list[CrossingEvent]) -> list[dict]:
     """audit_log's records of the given events."""
-    exponents = [classify_crossing(event).exponent for event in events]
+    exponents = [_exponent(event) for event in events]
     return [dict(zip(_AUDIT_KEYS, values)) for values in _audit_values(events, exponents)]
 
 

@@ -632,17 +632,17 @@ def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):
     calls = []
     classified = []
     words = []
-    detect, classify, braid_with_events = (
-        crossings.detect_crossings, crossings.classify_crossing, crossings.braid_with_events
+    detect, sign, braid_with_events = (
+        crossings.detect_crossings, crossings._exponent, crossings.braid_with_events
     )
 
     def counted(series):
         calls.append(series)
         return detect(series)
 
-    def counted_classify(event):
+    def counted_sign(event):
         classified.append(event)
-        return classify(event)
+        return sign(event)
 
     def kept(series):
         word, events = braid_with_events(series)
@@ -650,7 +650,7 @@ def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):
         return word, events
 
     monkeypatch.setattr(crossings, "detect_crossings", counted)
-    monkeypatch.setattr(crossings, "classify_crossing", counted_classify)
+    monkeypatch.setattr(crossings, "_exponent", counted_sign)
     monkeypatch.setattr(crossings, "braid_with_events", kept)
     audit_path = tmp_path / "audit.json"
     code, out, _ = run_cli(capsys, "braid", str(DOW4_CSV), "--audit", str(audit_path))
@@ -658,7 +658,7 @@ def test_braid_audit_detects_crossings_once(capsys, monkeypatch, tmp_path):
     assert out == "4: -2 -3 -3 3 1 3 1 2 -2 -3 -1 -2\n"
     assert len(calls) == 1
     (word,) = words
-    # One classification per event, and one shared Generator per signed value.
+    # The sign rule runs once per event, and one Generator is shared per signed value.
     assert len(classified) == len(word) == 12
     assert len({id(g) for g in word.generators}) <= 2 * (word.n_strands - 1)
     monkeypatch.undo()
