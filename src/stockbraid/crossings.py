@@ -22,19 +22,19 @@ days (times one sort of the tickers).
 Intervals whose rank order does not change are skipped.  In a changed
 one the bubble sort compares each adjacent pair's later-day prices
 directly, equal prices falling back to a tie rank computed once per
-series, and each pass runs only from one position before the previous
-pass's first swap to its last swap: positions past the last swap are
-final, and a stock moves down at most one position per pass, so the
-swap schedule is that of full passes while a pass with no swap ends
-the interval.  That is O(tickers^2) comparisons at most, only between
-the first and last moved positions, plus one event per swap.  An event
-is a named tuple built without a Python call frame.  One rule signs a
-crossing (_exponent, on the event's integers); braid_with_events applies
-it once per event and shares one Generator per signed value, and
-classify_crossing names its result.  write_audit streams the audit file from
-that word's signs: one fixed template per record, each date, ticker and
-distinct price change formatted once per file, and one write per chunk
-of records, so no per-crossing dict or JSON encoder call is made.
+series.  Each pass runs from one position before the previous pass's
+first swap to its last swap, and a pass with no swap ends the interval:
+positions past the last swap are final and a stock moves down at most
+one position per pass, so the swaps are those of full passes.  That is
+O(tickers^2) comparisons at most, only between the first and last moved
+positions, plus one event per swap.  An event is a named tuple built
+without a Python call frame.  One rule, _exponent, signs a crossing from
+the event's fields; braid_with_events applies it once per event and
+shares one Generator per signed value, and classify_crossing names its
+result.  write_audit streams the audit file from that word's signs: one
+fixed template per record, each date, ticker and distinct price change
+formatted once per file, and one write per chunk of records, so no
+per-crossing dict or JSON encoder call is made.
 """
 
 from __future__ import annotations

@@ -77,6 +77,18 @@ def test_blank_window_date_is_an_input_error(capsys, flag, value):
     assert (code, out, err) == (1, "", "error: unparseable date ''\n")
 
 
+@pytest.mark.parametrize("audit", [False, True], ids=["plain", "audit"])
+def test_one_date_window_is_an_input_error(capsys, tmp_path, audit):
+    # A braid needs two dates; a window of one selects a series with no interval.
+    audit_path = tmp_path / "audit.json"
+    extra = ["--audit", str(audit_path)] if audit else []
+    code, out, err = run_cli(
+        capsys, "braid", str(DOW4_CSV), "--from", "5/15/2013", "--to", "5/15/2013", *extra
+    )
+    assert (code, out, err) == (1, "", "error: crossing detection needs at least two dates\n")
+    assert not audit_path.exists()
+
+
 def test_braid_constant_prices(capsys, tmp_path):
     csv = tmp_path / "flat.csv"
     csv.write_text("Date,A,B\n2013-05-15,10.00,20.00\n2013-05-16,10.00,20.00\n")

@@ -494,3 +494,101 @@ def test_dow_sample_matches_reference(dow4_series):
     for lo in range(0, 15, 3):
         window = select_window(dow4_series, dow4_series.dates[lo], dow4_series.dates[-1])
         assert detect_crossings(window) == _reference_detect_crossings(window)
+
+
+# The interval shapes of reordered_series.
+REORDERINGS = ("permutation", "reversal", "bottom to top", "top to bottom", "rotation", "two blocks")
+
+
+def _priced(draw, order):
+    """A price row that ranks the tickers as in order, bottom first, with
+    gaps of 0-3 cents between neighbours: a zero gap ties two prices and
+    leaves their rank to ticker order."""
+    gaps = draw(st.lists(st.integers(0, 3), min_size=len(order) - 1, max_size=len(order) - 1))
+    price = draw(st.integers(1, 50))
+    row = [0] * len(order)
+    for t, gap in zip(order, [0] + gaps):
+        price += gap
+        row[t] = price
+    return row
+
+
+@st.composite
+def reordered_series(draw, shapes):
+    """2-30 tickers over 2-8 days whose intervals move strands far: a
+    random permutation, a full reversal, the bottom ticker jumping to the
+    top or the top one to the bottom, a block rotated by one, or two
+    disjoint blocks each permuted.  Each interval's shape is recorded in
+    shapes."""
+    n = draw(st.integers(2, 30))
+    tickers = draw(st.lists(st.text("ABCXYZ", min_size=1, max_size=3),
+                            min_size=n, max_size=n, unique=True))
+    order = draw(st.permutations(range(n)))
+    rows = [_priced(draw, order)]
+    for _ in range(draw(st.integers(1, 7))):
+        shape = draw(st.sampled_from(REORDERINGS))
+        shapes.add(shape)
+        if shape == "permutation":
+            order = draw(st.permutations(order))
+        elif shape == "reversal":
+            order = order[::-1]
+        elif shape == "bottom to top":
+            order = order[1:] + order[:1]
+        elif shape == "top to bottom":
+            order = order[-1:] + order[:-1]
+        elif shape == "rotation":
+            a = draw(st.integers(0, n - 2))
+            b = draw(st.integers(a + 2, n))
+            block = order[a:b]
+            block = block[1:] + block[:1] if draw(st.booleans()) else block[-1:] + block[:-1]
+            order = order[:a] + block + order[b:]
+        else:
+            a, b, c, e = sorted(draw(st.lists(st.integers(0, n), min_size=4, max_size=4)))
+            order = (order[:a] + draw(st.permutations(order[a:b])) + order[b:c]
+                     + draw(st.permutations(order[c:e])) + order[e:])
+        rows.append(_priced(draw, order))
+    return _series(tickers, rows)
+
+
+def test_wide_reorderings_match_reference():
+    shapes = set()
+    longest = 0
+    tied_swaps = 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(reordered_series(shapes))
+    def check(series):
+        nonlocal longest, tied_swaps
+        events, text = _written_audit(series)
+        assert events == _reference_detect_crossings(series)
+        assert build_braid(series) == _reference_word(series)
+        assert text.encode("utf-8") == _audit_oracle(events).encode("utf-8")
+        per_interval = {}
+        for e in events:
+            per_interval[e.from_date] = per_interval.get(e.from_date, 0) + 1
+        longest = max([longest, *per_interval.values()])
+        tied_swaps += sum(e.lower_after_cents == e.upper_after_cents for e in events)
+
+    check()
+    assert shapes == set(REORDERINGS)
+    # Some interval needs many passes; some swaps order equal prices by ticker.
+    assert longest >= 100
+    assert tied_swaps > 0
+
+
+def test_classify_crossing_signs_as_the_word_does():
+    rungs = set()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(tied_series())
+    def check(series):
+        word, events = braid_with_events(series)
+        assert [classify_crossing(e).exponent for e in events] == [
+            g.exponent for g in word.generators
+        ]
+        assert [e.position for e in events] == [g.index for g in word.generators]
+        rungs.update(_tie_break_rung(e) for e in events)
+
+    check()
+    # The generated series reach every rung of the tie-break chain.
+    assert rungs == {"delta", "later price", "ticker"}
