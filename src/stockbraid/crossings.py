@@ -123,9 +123,9 @@ def detect_crossings(series: PriceSeries) -> list[CrossingEvent]:
     if len(dates) < 2:
         raise ValueError("crossing detection needs at least two dates")
     rank = _ranker(tickers)
-    # lex[t] is ticker t's place in lexicographic order: the tie rank of equal prices.
+    # lex[t] is ticker t's place in the rank order of equal prices: the tie rank.
     lex = [0] * len(tickers)
-    for place, t in enumerate(sorted(range(len(tickers)), key=tickers.__getitem__)):
+    for place, t in enumerate(rank((0,) * len(tickers))):
         lex[t] = place
     new = tuple.__new__
     events: list[CrossingEvent] = []

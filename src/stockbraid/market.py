@@ -9,11 +9,11 @@ Ingest validates every row whatever the date window.  A plain document
 (a header with no quote, then lines of a date and plain, positive
 prices, ASCII digits with at most two decimals) is accepted by one regex
 match per line and one date pass per date format, with no Python loop
-per row.  Any other document is one csv.reader pass, row by row: a row
-of plain prices is checked by one regex match and kept as its text,
-other rows are read cell by cell with Decimal, and every error is raised
-there.  Only the window's rows are then converted to cents, each distinct
-cell text once, so a window over a long history does not pay for the rest.
+per row; only the window's rows are then converted to cents, each
+distinct cell text once, so a window over a long history does not pay
+for the rest.  Any other document is one csv.reader pass, row by row,
+every cell read with Decimal as its row is validated, and every error
+is raised there.
 """
 
 from __future__ import annotations
@@ -147,31 +147,22 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
     return int(cents)
 
 
-# A row of plain prices: ASCII digits with at most two decimals and no
-# sign, space or exponent, as in the Dow sample; the lookahead refuses a
-# cell of zeros, so a plain cell is positive.  Any other row, and every
-# error message, goes cell by cell through _parse_cents.  The digit bound
-# keeps int() far below its string-length limit.
+# A plain price, the cell of _parse_plain's line pattern: ASCII digits
+# with at most two decimals and no sign, space or exponent, as in the Dow
+# sample; the lookahead refuses a cell of zeros, so a plain cell is
+# positive.  A document with any other cell, and every error message,
+# goes cell by cell through _parse_cents.  The digit bound keeps int()
+# far below its string-length limit.
 _PLAIN_CELL = r"(?!0+(?:\.0{1,2})?(?:,|\Z))[0-9]{1,15}(?:\.[0-9]{1,2})?"
-_PLAIN_ROW = re.compile(_PLAIN_CELL + "(?:," + _PLAIN_CELL + ")*")
 # The shape of every date text read, ISO or M/D/YYYY; _plain_dates reads it.
 _PLAIN_DATE = r"(?:[0-9]{4}-[0-9]{2}-[0-9]{2}|[0-9]{1,2}/[0-9]{1,2}/[0-9]{4})"
 # The longest field of a plain line: 15 whole digits, a point, two decimals.
 _PLAIN_FIELD_MAX = 18
 
 
-def _plain_row(cells: list[str]) -> str | None:
-    """The comma-joined text of a row of plain prices, or None for any other row."""
-    joined = ",".join(cells)
-    if not _PLAIN_ROW.fullmatch(joined) or joined.count(",") != len(cells) - 1:
-        return None  # the count differs when a quoted cell held a comma
-    return joined
-
-
-def _cent_rows(prices: list[str | tuple[int, ...]], width: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of width cents from prices, each its cents or a _plain_row text.  Each distinct
-    cell text is converted once, unless most cells are distinct, when lookups cost more."""
-    texts = [p for p in prices if isinstance(p, str)]
+def _cent_rows(texts: list[str], width: int) -> tuple[tuple[int, ...], ...]:
+    """Rows of width cents from _parse_plain's row texts.  Each distinct cell text
+    is converted once, unless most cells are distinct, when lookups cost more."""
     cells = ",".join(texts).split(",") if texts else []
     distinct = dict.fromkeys(cells[: len(cells) // 2 + 1])
     if 2 * len(distinct) <= len(cells):  # the first half and one do not settle it
@@ -180,9 +171,7 @@ def _cent_rows(prices: list[str | tuple[int, ...]], width: int) -> tuple[tuple[i
     cents = [int(w + f.ljust(2, "0")) for w, _, f in map(str.partition, unique, repeat("."))]
     if unique is distinct:
         cents = map(dict(zip(distinct, cents)).__getitem__, cells)
-    rows = zip(*[iter(cents)] * width)
-    return tuple(rows) if len(texts) == len(prices) else tuple(
-        next(rows) if isinstance(p, str) else p for p in prices)
+    return tuple(zip(*[iter(cents)] * width))
 
 
 def _plain_dates(fields: list[str]) -> list[date]:
@@ -211,12 +200,9 @@ def _records(text: str):
         raise CsvFormatError(f"line {reader.line_num}: {exc}") from None
 
 
-# A row is kept as the text of its plain prices or as its cents.
-_Rows = list[tuple[date, "str | tuple[int, ...]"]]
-
-
-def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
-    """The tickers and rows of a plain document, or None for any other.
+def _parse_plain(text: str) -> tuple[tuple[str, ...], list[tuple[date, str]]] | None:
+    """The tickers and rows of a plain document, each row its date and
+    the text of its prices, or None for any other document.
 
     A document is plain when its header is one physical line with no
     quote, no NUL, no CR and no field past the csv field limit, and every
@@ -251,10 +237,11 @@ def _parse_plain(text: str) -> tuple[tuple[str, ...], _Rows] | None:
     return tuple(h.strip() for h in header[1:]), list(zip(dates, map(itemgetter(2), fields)))
 
 
-def _parse_records(text: str) -> tuple[tuple[str, ...], _Rows]:
-    """The tickers and rows of any document, read record by record with
-    csv.reader; the first bad row in document order raises, with its
-    line number where the shape of the record is at fault."""
+def _parse_records(text: str) -> tuple[tuple[str, ...], list[tuple[date, tuple[int, ...]]]]:
+    """The tickers and rows of any document, each row its date and its
+    cents, read record by record with csv.reader; the first bad cell in
+    document order raises, with its line number where the shape of the
+    record is at fault."""
     reader = _records(text)
     try:
         _, header = next(reader)
@@ -263,7 +250,7 @@ def _parse_records(text: str) -> tuple[tuple[str, ...], _Rows]:
     if len(header) < 2:
         raise CsvFormatError("header must name a date column and at least one ticker")
     tickers = tuple(h.strip() for h in header[1:])
-    rows: _Rows = []
+    rows: list[tuple[date, tuple[int, ...]]] = []
     seen: set[date] = set()
     for lineno, row in reader:
         if not "".join(row).strip():
@@ -276,12 +263,7 @@ def _parse_records(text: str) -> tuple[tuple[str, ...], _Rows]:
         if row_date in seen:
             raise CsvFormatError(f"duplicate date {row_date.isoformat()}")
         seen.add(row_date)
-        cells = row[1:]
-        prices = _plain_row(cells) or tuple(
-            _parse_cents(cell, row_date, ticker)
-            for cell, ticker in zip(cells, tickers)
-        )
-        rows.append((row_date, prices))
+        rows.append((row_date, tuple(map(_parse_cents, row[1:], repeat(row_date), tickers))))
     return tickers, rows
 
 
@@ -298,10 +280,13 @@ def parse_csv(
 
     window, if given, is called once the whole document has validated,
     with the ascending dates, and returns the (lo, hi) slice of them to
-    keep; only the rows of that slice are converted to cents.  Whatever
-    it raises propagates.
+    keep; in a plain document only the rows of that slice are converted
+    to cents.  Whatever it raises propagates.
     """
-    tickers, rows = _parse_plain(text) or _parse_records(text)
+    parsed = _parse_plain(text)
+    plain = parsed is not None
+    tickers, rows = parsed or _parse_records(text)
+    del parsed  # so a window frees the rows outside it before the conversion
     rows.sort(key=itemgetter(0))
     # Checked before the window, so a bad header is reported before a bad window.
     _check_tickers(tickers)
@@ -309,7 +294,9 @@ def parse_csv(
     if window is not None:
         lo, hi = window(dates)
         dates, rows = dates[lo:hi], rows[lo:hi]
-    return PriceSeries._unchecked(tickers, dates, _cent_rows([p for _, p in rows], len(tickers)))
+    prices = [p for _, p in rows]
+    return PriceSeries._unchecked(
+        tickers, dates, _cent_rows(prices, len(tickers)) if plain else tuple(prices))
 
 
 def format_csv(series: PriceSeries) -> str:

@@ -227,10 +227,14 @@ def test_select_window_matches_the_comprehension(dow4_series):
                 _window_by_comprehension, dow4_series, start, end), (start, end)
 
 
-def _plain_row_cents(cells):
-    """The cents of a row that is plain, or None: the regex match, then the conversion."""
-    joined = market._plain_row(cells)
-    return None if joined is None else market._cent_rows([joined], len(cells))[0]
+def _one_row_cents(cells):
+    """The cents of a one-row document of cells, spelled as in its line, when
+    _parse_plain accepts it, or None; parse_csv reads it as _parse_cents does."""
+    tickers = ",".join(f"T{i}" for i in range(1, len(cells) + 1))
+    text = f"Date,{tickers}\n2013-05-15,{','.join(cells)}\n"
+    got = _outcome(parse_csv, text)
+    assert got == _outcome(_reference_parse_csv, text), cells
+    return None if market._parse_plain(text) is None else got.prices_cents[0]
 
 
 def test_plain_rows_match_the_per_cell_parser():
@@ -246,36 +250,24 @@ def test_plain_rows_match_the_per_cell_parser():
             except CsvFormatError:
                 expected = None
             plain = len(whole) <= 15 and len(frac) <= 3
-            assert _plain_row_cents([cell]) == (expected if plain else None), cell
-            if _plain_row_cents([cell]) is not None:
+            assert _one_row_cents([cell]) == (expected if plain else None), cell
+            if _one_row_cents([cell]) is not None:
                 plain_cells[cell] = expected[0]
     # All of them at once: every text distinct, then each repeated on three rows.
     row = (",".join(plain_cells), tuple(plain_cells.values()))
+    assert _one_row_cents(list(plain_cells)) == row[1]
     for copies in (1, 3):
         assert market._cent_rows([row[0]] * copies, len(plain_cells)) == (row[1],) * copies
-    for cells in (["1,5", "2"], ["1", " 2"], ["+1"], ["1."], [".5"], ["1e2"], ["١"], ["1_0"], []):
-        assert _plain_row_cents(cells) is None, cells
+    for cells in (['"1,5"', "2"], ["1", " 2"], ["+1"], ["1."], [".5"], ["1e2"], ["١"], ["1_0"],
+                  [""]):
+        assert _one_row_cents(cells) is None, cells
 
 
 def test_a_zero_cell_anywhere_makes_a_row_not_plain():
     for zero in ["0", "00", "0.0", "0.00", "000.00"]:
         for cells in ([zero], [zero, "1"], ["1", zero], ["1", zero, "2.50"]):
-            assert market._plain_row(cells) is None, cells
-    assert _plain_row_cents(["0.01", "10", "01", "1.00"]) == (1, 1000, 100, 100)
-
-
-def test_only_rows_that_are_not_plain_reach_the_per_cell_parser(monkeypatch):
-    calls = []
-
-    def counting(raw, row_date, ticker):
-        calls.append(raw)
-        return parse_cents(raw, row_date, ticker)
-
-    parse_cents = market._parse_cents
-    monkeypatch.setattr(market, "_parse_cents", counting)
-    text = "Date,A,B,C\n2013-05-15,1.00,43.6,2\n2013-05-16,2, 1.00,1.5\n"
-    assert parse_csv(text).prices_cents == ((100, 4360, 200), (200, 100, 150))
-    assert calls == ["2", " 1.00", "1.5"]
+            assert _one_row_cents(cells) is None, cells
+    assert _one_row_cents(["0.01", "10", "01", "1.00"]) == (1, 1000, 100, 100)
 
 
 def test_plain_documents_skip_the_row_loop(monkeypatch, dow4_text, dow4_series):
@@ -558,15 +550,16 @@ def test_the_window_is_asked_only_after_the_header_validates():
 def test_only_the_rows_in_the_window_are_converted(monkeypatch):
     converted = []
 
-    def counting(prices, width):
-        converted.extend(p for p in prices if isinstance(p, str))
-        return cent_rows(prices, width)
+    def counting(texts, width):
+        converted.extend(texts)
+        return cent_rows(texts, width)
 
     cent_rows = market._cent_rows
     monkeypatch.setattr(market, "_cent_rows", counting)
-    # Descending, with one row that is not plain: the window sees ascending dates.
-    text = ("Date,A,B\n2013-05-20,1.30,2.30\n2013-05-17,1.20, 2.20\n"
+    # Plain and descending: the window sees ascending dates.
+    text = ("Date,A,B\n2013-05-20,1.30,2.30\n2013-05-17,1.20,2.20\n"
             "2013-05-16,1.10,2.10\n2013-05-15,1.00,2.00\n")
+    assert market._parse_plain(text) is not None
     seen = []
 
     def window(dates):
@@ -577,7 +570,11 @@ def test_only_the_rows_in_the_window_are_converted(monkeypatch):
     assert seen == [(date(2013, 5, 15), date(2013, 5, 16), date(2013, 5, 17), date(2013, 5, 20))]
     assert series.dates == (date(2013, 5, 16), date(2013, 5, 17))
     assert series.prices_cents == ((110, 210), (120, 220))
-    assert converted == ["1.10,2.10"]
+    assert converted == ["1.10,2.10", "1.20,2.20"]
+    # A document that is not plain has its cents already: none reach _cent_rows.
+    converted.clear()
+    assert parse_csv(text.replace(",2.20", ", 2.20"), window=window) == series
+    assert converted == []
 
 
 def test_window_bounds_of_dates(dow4_series):
