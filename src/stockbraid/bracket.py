@@ -64,7 +64,7 @@ from itertools import accumulate
 from operator import add
 from typing import Iterator, NamedTuple
 
-from .braid import BraidWord, Generator, compose, writhe
+from .braid import BraidWord, Generator, _Memo, compose, writhe
 from .closure import ClosedBraid, _cycles, _involution, closure_arcs
 from .laurent import LaurentPoly
 
@@ -336,19 +336,20 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
     ``join`` and one that closes a loop ``loop``.
 
     States are interned: ``matchings[s]`` is the matching with id s and
-    ``index`` maps it back.  A state vector is two lists: ``order``, the
-    ids of its states in the order they were first stored, and
-    ``coeffs``, indexed by id, with None in the slots of the ids it does
-    not hold.  Each step's vector has ``room`` slots, one for every id
-    the step can reach, since each state it reads adds at most one new
-    matching.  ``moves[a * size + b][s]`` memoizes the id of the cap-cup
-    smoothing (or the closing) of state s at points a and b of the
-    schedule's size points, or holds None while that move is not built.
-    A move list is made with ``room`` slots and grows only when a lookup
-    runs past its end, to the step's ``room``, which holds every id the
-    step reads.  So each distinct move builds its tuple once however
-    often the sweep takes it.  A move closes a loop exactly when it maps
-    a state to itself.
+    ``index`` maps it back, giving a new matching the next id.  A state
+    vector is two lists: ``order``, the ids of its states in the order
+    they were first stored, and ``coeffs``, indexed by id, with None in
+    the slots of the ids it does not hold.  Each step's vector has
+    ``room`` slots, one for every id the step can reach, since each state
+    it reads adds at most one new matching.  ``moves[a * size + b][s]``
+    memoizes the id of the cap-cup smoothing (or the closing) of state s
+    at points a and b of the schedule's size points, or holds None while
+    that move is not built.  Before each step its move list is made, or
+    grown, to the step's ``room`` slots, which hold every id the step
+    reads; both state loops build a missing target with one ``index``
+    lookup.  So each distinct move builds its tuple once however often
+    the sweep takes it.  A move closes a loop exactly when it maps a
+    state to itself.
 
     Ids stand one-to-one for matchings, and a state joins ``order`` when
     its slot is first filled, so every state vector holds the same states
@@ -363,7 +364,13 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
     its vertical and loop terms in one store.
     """
     matchings = [schedule.start]
-    index = {schedule.start: 0}
+
+    def new_id(m: tuple[int, ...]) -> int:
+        matchings.append(m)
+        return len(matchings) - 1
+
+    index = _Memo(new_id)
+    index[schedule.start] = 0
     moves: dict[int, list] = {}
     order = [0]
     coeffs = [one]
@@ -373,24 +380,17 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
         move = moves.get(a * size + b)
         if move is None:
             move = moves[a * size + b] = [None] * room
+        elif len(move) < room:
+            move += [None] * (room - len(move))
         nxt = [None] * room
         nxt_order = []
         if sign:
             w_cup, w_vert, w_loop = weight_pos if sign > 0 else weight_neg
             for s in order:
                 coeff = coeffs[s]
-                try:
-                    t = move[s]
-                except IndexError:
-                    move += [None] * (room - len(move))
-                    t = None
+                t = move[s]
                 if t is None:
-                    m2 = _cupcap(matchings[s], a, b)
-                    t = index.get(m2)
-                    if t is None:
-                        t = index[m2] = len(matchings)
-                        matchings.append(m2)
-                    move[s] = t
+                    t = move[s] = index[_cupcap(matchings[s], a, b)]
                 if t == s:
                     prev = nxt[s]
                     if prev is None:
@@ -411,18 +411,9 @@ def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) ->
             w_join, w_close = closing
             for s in order:
                 coeff = coeffs[s]
-                try:
-                    t = move[s]
-                except IndexError:
-                    move += [None] * (room - len(move))
-                    t = None
+                t = move[s]
                 if t is None:
-                    m2 = _cupcap(matchings[s], a, b)
-                    t = index.get(m2)
-                    if t is None:
-                        t = index[m2] = len(matchings)
-                        matchings.append(m2)
-                    move[s] = t
+                    t = move[s] = index[_cupcap(matchings[s], a, b)]
                 coeff = coeff * w_close if t == s else coeff * w_join
                 prev = nxt[t]
                 if prev is None:

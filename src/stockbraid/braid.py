@@ -13,10 +13,22 @@ Words are immutable values and safe to share between threads.
 from __future__ import annotations
 
 from operator import attrgetter
+from typing import Callable, Iterable
 
 
 class WordFormatError(ValueError):
     """Raised for malformed braid word text or invalid generator data."""
+
+
+class _Memo(dict):
+    """memo[key] is compute(key), computed on the first lookup of key."""
+
+    def __init__(self, compute: Callable) -> None:
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
 
 
 class _Value:
@@ -95,6 +107,7 @@ class BraidWord(_Value):
     def __init__(self, n_strands: int, generators: tuple[Generator, ...] = ()) -> None:
         if n_strands < 1:
             raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
+        generators = tuple(generators)
         for g in generators:
             if g.index > n_strands - 1:
                 raise WordFormatError(
@@ -104,8 +117,30 @@ class BraidWord(_Value):
         object.__setattr__(self, "generators", generators)
 
     @classmethod
-    def from_ints(cls, n_strands: int, word: list[int] | tuple[int, ...]) -> "BraidWord":
-        return cls(n_strands, tuple(Generator.from_int(v) for v in word))
+    def from_ints(cls, n_strands: int, word: Iterable[int]) -> "BraidWord":
+        """The word of signed generator values, read once from any
+        iterable: e * i stands for sigma_i^e, the integer format_word
+        prints.
+
+        The strand count is checked first, then each distinct value once,
+        on its first occurrence, so the first faulty value in word order
+        is the one reported: a value that is not an int, 0, or one of
+        absolute value n_strands or more raises WordFormatError.  Each
+        distinct value is built into one Generator that all its
+        occurrences share.  Values are told apart as dict keys are, so a
+        1.0 after a 1 reads as that 1.
+        """
+        if n_strands < 1:
+            raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
+
+        def generator(value: int) -> Generator:
+            if not isinstance(value, int):
+                raise WordFormatError(f"bad generator token {value!r}")
+            if abs(value) >= n_strands:
+                raise WordFormatError(f"generator {value} out of range on {n_strands} strands")
+            return Generator.from_int(value)
+
+        return cls(n_strands, tuple(map(_Memo(generator).__getitem__, word)))
 
     def to_ints(self) -> list[int]:
         return [g.to_int() for g in self.generators]
@@ -125,17 +160,8 @@ def compose(a: BraidWord, b: BraidWord) -> BraidWord:
 
 def inverse(w: BraidWord) -> BraidWord:
     """The group inverse: generators reversed with exponents negated."""
-    # Keyed by generator value (index * exponent), so each distinct
-    # generator's inverse is built once and shared.
-    inverses: dict[int, Generator] = {}
-    gens = []
-    for g in reversed(w.generators):
-        value = g.index * g.exponent
-        inv = inverses.get(value)
-        if inv is None:
-            inv = inverses[value] = g.inverse()
-        gens.append(inv)
-    return BraidWord(w.n_strands, tuple(gens))
+    values = [g.index * -g.exponent for g in reversed(w.generators)]
+    return BraidWord.from_ints(w.n_strands, values)
 
 
 def free_reduce(w: BraidWord) -> BraidWord:
@@ -197,25 +223,13 @@ def parse_word(text: str) -> BraidWord:
         n = _ascii_int(head.strip())
     except ValueError:
         raise WordFormatError(f"bad strand count {head.strip()!r}") from None
-    # Each distinct token is read once, and each distinct generator checked
-    # and built once, then shared.
-    by_token: dict[str, Generator] = {}
-    by_value: dict[int, Generator] = {}
-    gens = []
-    for token in tail.split():
-        g = by_token.get(token)
-        if g is None:
-            try:
-                value = _ascii_int(token)
-            except ValueError:
-                raise WordFormatError(f"bad generator token {token!r}") from None
-            g = by_value.get(value)
-            if g is None:
-                if value == 0:
-                    raise WordFormatError("generator 0 is not defined")
-                if abs(value) >= n:
-                    raise WordFormatError(f"generator {value} out of range on {n} strands")
-                g = by_value[value] = Generator.from_int(value)
-            by_token[token] = g
-        gens.append(g)
-    return BraidWord(n, tuple(gens))
+    # Each distinct token is read once.  One that is not a number stays
+    # text, which from_ints reports as a bad token in its place in the word.
+    tokens = tail.split()
+    values: dict[str, int | str] = {}
+    for token in set(tokens):
+        try:
+            values[token] = _ascii_int(token)
+        except ValueError:
+            values[token] = token
+    return BraidWord.from_ints(n, map(values.__getitem__, tokens))

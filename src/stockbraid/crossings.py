@@ -30,11 +30,12 @@ O(tickers^2) comparisons at most, only between the first and last moved
 positions, plus one event per swap.  An event is a named tuple built
 without a Python call frame.  One rule, _exponent, signs a crossing from
 the event's fields; braid_with_events applies it once per event and
-shares one Generator per signed value, and classify_crossing names its
-result.  write_audit streams the audit file from that word's signs: one
-fixed template per record, each date, ticker and distinct price change
-formatted once per file, and one write per chunk of records, so no
-per-crossing dict or JSON encoder call is made.
+assembles the word from the signed values through BraidWord.from_ints,
+and classify_crossing names its result.  write_audit streams the audit
+file from that word's signs: one fixed template per record, each date,
+ticker and distinct price change formatted once per file, and one write
+per chunk of records, so no per-crossing dict or JSON encoder call is
+made.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from decimal import Decimal
 from itertools import islice
 from typing import Callable, Iterator, NamedTuple, TextIO
 
-from .braid import BraidWord, Generator
+from .braid import BraidWord, _Memo
 from .market import PriceSeries, cents_to_decimal
 
 
@@ -203,17 +204,8 @@ def braid_with_events(series: PriceSeries) -> tuple[BraidWord, list[CrossingEven
     if len(series.tickers) < 2:
         raise ValueError("braid construction needs at least two tickers")
     events = detect_crossings(series)
-    # Each event is signed once; each distinct generator is built once and shared.
-    by_value: dict[int, Generator] = {}
-    gens = []
-    for event in events:
-        exponent = _exponent(event)
-        value = event.position * exponent
-        g = by_value.get(value)
-        if g is None:
-            g = by_value[value] = Generator(event.position, exponent)
-        gens.append(g)
-    return BraidWord(len(series.tickers), tuple(gens)), events
+    values = [event.position * _exponent(event) for event in events]
+    return BraidWord.from_ints(len(series.tickers), values), events
 
 
 # The keys of an audit record, in order.
@@ -232,17 +224,6 @@ _RECORD = (
 # Records per write of write_audit.
 _CHUNK = 512
 _SIGN_NAMES = {sign.exponent: sign.value for sign in CrossingSign}
-
-
-class _Memo(dict):
-    """memo[key] is format(key), computed on the first lookup of key."""
-
-    def __init__(self, format: Callable) -> None:
-        self.format = format
-
-    def __missing__(self, key):
-        value = self[key] = self.format(key)
-        return value
 
 
 def _decimal_text(cents: int) -> str:

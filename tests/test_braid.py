@@ -23,6 +23,16 @@ def test_generator_validation():
         Generator(1, 2)
     with pytest.raises(WordFormatError):
         BraidWord(2, (Generator(2, 1),))  # index must be <= n-1
+    with pytest.raises(WordFormatError, match="^generator 3 out of range on 3 strands$"):
+        BraidWord.from_ints(3, [1, 3])
+    # A float would print as text parse_word refuses, so it is no generator.
+    with pytest.raises(WordFormatError, match="^bad generator token 1.0$"):
+        BraidWord.from_ints(3, [1.0, -2])
+    with pytest.raises(WordFormatError, match="^bad generator token '1'$"):
+        BraidWord.from_ints(3, ["1"])
+    # The strand count is checked before any generator.
+    with pytest.raises(WordFormatError, match="^strand count must be >= 1, got 0$"):
+        parse_word("0: 1")
 
 
 def test_compose_identity_element():
@@ -121,6 +131,10 @@ def test_equal_generators_are_shared_within_a_word():
     inv = inverse(w)
     assert inv.to_ints() == [-3, 2, -1, -1, 2, -1]
     assert inv.generators[1] is inv.generators[4] and inv.generators[2] is inv.generators[5]
+    built = BraidWord.from_ints(4, [1, -2, 1, 1, -2, 3])
+    assert built == w
+    g = built.generators
+    assert g[0] is g[2] is g[3] and g[1] is g[4]
     with pytest.raises(WordFormatError, match="generator 4 out of range"):
         parse_word("4: 1 1 4 1")
 

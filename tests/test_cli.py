@@ -137,6 +137,24 @@ def test_word_with_non_ascii_digits_or_underscores_is_an_input_error(capsys, wor
     assert run_cli(capsys, "invariant", word) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "word,message",
+    [
+        ("3: 1 5 x", "generator 5 out of range on 3 strands"),
+        ("3: 5 0", "generator 5 out of range on 3 strands"),
+        ("3: x 5", "bad generator token 'x'"),
+        ("3: 0 5", "generator 0 is not defined"),
+        ("2: ١", "bad generator token '١'"),
+        ("12: 1_1", "bad generator token '1_1'"),
+        ("0: 1", "strand count must be >= 1, got 0"),
+    ],
+)
+def test_a_word_with_several_faults_reports_the_first(capsys, word, message):
+    # Faults are reported in word order: the strand count, then the first
+    # token that is not a number or not a generator on that many strands.
+    assert run_cli(capsys, "invariant", word) == (1, "", f"error: {message}\n")
+
+
 def test_invariant_jones_conventions_and_eval(capsys):
     code, out, _ = run_cli(
         capsys, "invariant", "4: 2 2", "--jones", "--eval", "0.951056516+0.309016994j"

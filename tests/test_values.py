@@ -124,6 +124,12 @@ def test_keyword_construction_and_defaults():
     assert Generator(index=2, exponent=-1) == Generator(2, -1)
     assert BraidWord(3).generators == ()
     assert BraidWord(n_strands=3, generators=(Generator(1, 1),)) == parse_word("3: 1")
+    # A word keeps a tuple of its own, whatever later happens to the caller's list.
+    gens = [Generator(1, 1)]
+    listed = BraidWord(3, gens)
+    gens.append(Generator(5, 1))
+    assert listed.generators == (Generator(1, 1),)
+    assert listed == parse_word("3: 1") and hash(listed) == hash(parse_word("3: 1"))
     link = ClosedBraid(braid=BraidWord(4), closure="trace")
     assert (link.braid, link.closure) == (BraidWord(4), "trace")
     series = PriceSeries(tickers=("A",), dates=(date(2020, 1, 2),), prices_cents=((1,),))
