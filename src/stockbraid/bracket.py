@@ -24,10 +24,9 @@ The bracket is computed two ways, cross-checked in the tests:
   and one rule (``_closing``) closes each arc but the last right after
   the last step that touches it, so that the sweep ends in one state,
   decoded once; W = bitlength(3^c 2^k) + 1 for c crossings and the k
-  closings it makes.  A trace word is swept in radial order or in word
-  order from the cyclic rotation that holds the fewest closure arcs open,
-  whichever has the smaller sum over its crossings of Catalan(open / 2)
-  (``_trace_plan``); a trace closure does not change under conjugation.
+  closings it makes.  A trace word is swept in word order as given or in
+  radial order, whichever has the smaller sum over its crossings of
+  Catalan(open / 2) (``_trace_plan``).
   ``bracket_eval`` runs the sweep on complex numbers at a point A = a, on
   the word as given in word order, and closes it at the end.
 
@@ -59,9 +58,7 @@ across calls.
 from __future__ import annotations
 
 import cmath
-from bisect import bisect_left
 from itertools import accumulate
-from operator import add
 from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, Generator, _Memo, compose, writhe
@@ -210,13 +207,11 @@ class _Schedule:
         self.close = close
 
 
-def _word_schedule(k: ClosedBraid, rotation: int = 0) -> _Schedule:
+def _word_schedule(k: ClosedBraid) -> _Schedule:
     """k's crossings in word order on the module of the closure's arcs:
     plat sweeps the n top points from the bottom caps and closes with the
     top caps, the same involution (0 1)(2 3)...; trace sweeps bottom
-    anchors 0..n-1 and top points n..2n-1 from the identity tangle.  A
-    trace word may start at generator ``rotation`` and run round from the
-    start, since a trace closure does not change under this conjugation.
+    anchors 0..n-1 and top points n..2n-1 from the identity tangle.
     """
     n = k.braid.n_strands
     arcs = closure_arcs(k)
@@ -227,8 +222,6 @@ def _word_schedule(k: ClosedBraid, rotation: int = 0) -> _Schedule:
         start = close = _involution(arcs, 2 * n)
         offset = n
     steps = [(offset + g.index - 1, offset + g.index, g.exponent) for g in k.braid.generators]
-    if rotation:
-        steps = steps[rotation:] + steps[:rotation]
     return _Schedule(start, steps, close)
 
 
@@ -484,38 +477,28 @@ def _catalan_by_open(size: int) -> list[int]:
 _CATALAN_BY_OPEN = _catalan_by_open(4 * CROSSING_CAP + 1)
 
 
-def _trace_plan(tracks: tuple) -> tuple[int, bool]:
-    """How to sweep the trace closure of the word whose tracks are given:
-    the rotation r, 0 <= r < c, that the word-order schedule starts at,
-    generators[r:] + generators[:r], and whether the radial schedule is
-    cheaper than that word order.
-
-    r is the rotation of least sum over crossings j of open_j, ties to the
-    smallest; open_j counts the tracks touched at or before crossing j and
-    again after it, whose closure arcs the sweep holds open across j.  A
-    track's touches cut the cycle of c crossings into gaps (a, b], from one
-    touch a to the next, b, counted past c around the end of the word.  A
-    cut before crossing r in the gap shuts the track there and holds it
-    open on the other c - (b - a) crossings, so r is the cut of greatest
-    total shut length.  Each gap adds b - a to its cuts on a difference
-    array over 2c slots, where cut r stands at slots r and r + c.
+def _trace_plan(tracks: tuple) -> bool:
+    """Whether the trace closure of the word whose tracks are given is
+    cheaper to sweep in radial order than in word order.
 
     A schedule's cost is the sum over its crossings of Catalan(open / 2),
     which bounds the states the sweep holds after the crossing: open
     counts the edges with exactly one end at a crossing swept so far.  In
-    word order from r a track's two open edges run from its first touch
-    after the cut to its last touch before it.  In radial order the edge
-    of a gap is open from the earlier of its two touches up to, not
-    including, the later one, which a second difference array counts in
-    the same pass over the gaps.  Ties go to word order.
+    word order a track's two open edges run from its first touch up to,
+    not including, its last.  In radial order the edge of a gap, from one
+    touch of a track to the next, is open from the earlier of its two
+    touches up to, not including, the later one.  A difference array over
+    the crossings counts each.  Ties go to word order.
     """
     _, touches, _, rank = tracks
     c = len(rank)
-    shut = [0] * (2 * c + 1)
     radial = [0] * (c + 1)
+    word = [0] * (c + 1)
     for xs in touches:
         if not xs:
             continue
+        word[xs[0]] += 2
+        word[xs[-1]] -= 2
         a = xs[-1]
         for b in xs:
             lo, hi = rank[a], rank[b]
@@ -523,40 +506,27 @@ def _trace_plan(tracks: tuple) -> tuple[int, bool]:
                 lo, hi = hi, lo
             radial[lo] += 1
             radial[hi] -= 1
-            gap = b - a if a < b else b - a + c  # a track touched once has one gap of c
-            shut[a + 1] += gap
-            shut[a + gap + 1] -= gap
             a = b
-    run = list(accumulate(shut))
-    shut = list(map(add, run[:c], run[c:]))
-    r = shut.index(max(shut)) if c > 1 else 0
-    word = [0] * (c + 1)
-    for xs in touches:
-        if xs:
-            j = bisect_left(xs, r)
-            word[(xs[j % len(xs)] - r) % c] += 2
-            word[(xs[j - 1] - r) % c] -= 2
     cost = _CATALAN_BY_OPEN.__getitem__
-    return r, sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
+    return sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
 
 
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """The Kauffman bracket of a braid closure, exact in the variable A.
 
     Normalized so a single circle evaluates to 1.  A plat closure is swept
-    in word order; a trace closure in word order from its cheapest
-    rotation or outward through its annulus, whichever ``_trace_plan``
-    estimates holds fewer states.  Raises CrossingCapExceeded above
-    CROSSING_CAP crossings.  The cap bounds crossings only: the sweep's
-    cost also grows with the number of states a state vector can hold,
-    which the strand count and the crossings' order set.
+    in word order; a trace closure in word order or outward through its
+    annulus, whichever ``_trace_plan`` estimates holds fewer states.
+    Raises CrossingCapExceeded above CROSSING_CAP crossings.  The cap
+    bounds crossings only: the sweep's cost also grows with the number of
+    states a state vector can hold, which the strand count and the
+    crossings' order set.
     """
     _check_cap(k)
     c = len(k.braid)
     if k.closure == "trace":
         tracks = _tracks(k.braid)
-        r, radial = _trace_plan(tracks)
-        schedule = _radial_schedule(k.braid, tracks) if radial else _word_schedule(k, r)
+        schedule = _radial_schedule(k.braid, tracks) if _trace_plan(tracks) else _word_schedule(k)
     else:
         schedule = _word_schedule(k)
     schedule = _closing(schedule)

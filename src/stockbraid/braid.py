@@ -86,9 +86,6 @@ class Generator(_Value):
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "exponent", exponent)
 
-    def inverse(self) -> "Generator":
-        return Generator(self.index, -self.exponent)
-
     @classmethod
     def from_int(cls, value: int) -> "Generator":
         if value == 0:
@@ -99,20 +96,31 @@ class Generator(_Value):
         return self.index * self.exponent
 
 
+def _check_strand_count(n_strands: int) -> None:
+    if not isinstance(n_strands, int):
+        raise WordFormatError(f"strand count must be an int, got {n_strands!r}")
+    if n_strands < 1:
+        raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
+
+
 class BraidWord(_Value):
     """An element of the braid group B_n given as a word in the generators."""
 
     __slots__ = ("n_strands", "generators")
 
     def __init__(self, n_strands: int, generators: tuple[Generator, ...] = ()) -> None:
-        if n_strands < 1:
-            raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
+        _check_strand_count(n_strands)
         generators = tuple(generators)
-        for g in generators:
-            if g.index > n_strands - 1:
-                raise WordFormatError(
-                    f"generator index {g.index} out of range on {n_strands} strands"
-                )
+        # A value that is not a Generator fails the attribute lookup or the
+        # comparison; checking each one's type would cost every word built.
+        try:
+            for g in generators:
+                if g.index > n_strands - 1:
+                    raise WordFormatError(
+                        f"generator index {g.index} out of range on {n_strands} strands"
+                    )
+        except (AttributeError, TypeError):
+            raise WordFormatError(f"generator {g!r} is not a Generator") from None
         object.__setattr__(self, "n_strands", n_strands)
         object.__setattr__(self, "generators", generators)
 
@@ -130,8 +138,7 @@ class BraidWord(_Value):
         occurrences share.  Values are told apart as dict keys are, so a
         1.0 after a 1 reads as that 1.
         """
-        if n_strands < 1:
-            raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
+        _check_strand_count(n_strands)
 
         def generator(value: int) -> Generator:
             if not isinstance(value, int):

@@ -1,8 +1,8 @@
 """The bracket from the Temperley-Lieb sweep on Laurent polynomials in A,
 closed at the end, by default in word order: the reference that the
-packed-integer ring of ``bracket_poly``, its closing schedules, its
-rotation and its radial order are checked against.  A plain module, not
-a fixture, so tests under ``@given`` can call it."""
+packed-integer ring of ``bracket_poly``, its closing schedules and its
+radial order are checked against.  A plain module, not a fixture, so
+tests under ``@given`` can call it."""
 
 from stockbraid import ClosedBraid, bracket
 from stockbraid.closure import _cycles

@@ -3,12 +3,12 @@ against the state-sum oracle and against the sweep on the Laurent ring,
 the numeric sweep against the exact bracket evaluated at a point of the
 unit circle, and the Jones polynomial against the bracket times an
 explicit writhe monomial.  The exact sweep closes each closure arc as
-soon as it can and sweeps a trace word either in word order from its
-cheapest rotation or outward through its annulus (radial order), while
-the Laurent-ring reference sweeps the word as given and closes it at the
-end.  Both trace schedules are also checked when forced, and trace
-closures under the two Markov moves.  Hypothesis runs derandomized, so
-every run tries the same examples."""
+soon as it can and sweeps a trace word either in word order as given or
+outward through its annulus (radial order), while the Laurent-ring
+reference sweeps the word in word order and closes it at the end.  Both
+trace schedules are also checked when forced, and trace closures under
+the two Markov moves.  Hypothesis runs derandomized, so every run tries
+the same examples."""
 
 import cmath
 import inspect
@@ -92,8 +92,9 @@ def test_jones_is_the_bracket_times_the_writhe_monomial(k):
 
 
 def check_bracket(k: ClosedBraid, want: LaurentPoly) -> None:
-    """bracket_poly(k), which starts a trace word at its cheapest rotation,
-    against want, and the state sum against want up to 14 crossings."""
+    """bracket_poly(k), which sweeps a trace word in word order or
+    radially, against want, and the state sum against want up to 14
+    crossings."""
     if len(k.braid) <= 14:
         assert bracket_poly_state_sum(k) == want
     assert bracket_poly(k) == want
@@ -160,25 +161,36 @@ def test_words_without_crossings():
             assert bracket_poly(k) == want
 
 
-def score(gens: list[int]) -> int:
-    """sum over crossings j of open_j, straight from the definition."""
-    first: dict[int, int] = {}
-    last: dict[int, int] = {}
-    for j, i in enumerate(gens):
-        for p in (i - 1, i):
-            first.setdefault(p, j)
-            last[p] = j
-    return sum(sum(first[p] <= j < last[p] for p in first) for j in range(len(gens)))
+def schedule_cost(n: int, gens: list[int], step: list[int]) -> int:
+    """The sum over crossings of Catalan(open / 2), straight from the
+    definition, for the trace closure of gens on n strands swept with the
+    crossing at word position x as step[x]: around the closed braid an
+    edge joins each crossing on a track to the next one, and after each
+    step open counts the edges with exactly one end swept so far."""
+    edges = []
+    for p in range(n):
+        xs = [x for x, i in enumerate(gens) if p in (i - 1, i)]
+        edges += zip(xs, xs[1:] + xs[:1])
+    cost = 0
+    for j in range(len(gens)):
+        half = sum((step[x] <= j) != (step[y] <= j) for x, y in edges) // 2
+        cost += math.comb(2 * half, half) // (half + 1)
+    return cost
 
 
-def test_the_chosen_rotation_has_the_least_score():
+def test_the_planner_chooses_the_cheaper_schedule():
     rng = random.Random(13)
+    chosen = set()
     for _ in range(300):
         n = rng.randrange(2, 31)
         gens = [rng.randrange(1, n) for _ in range(rng.randrange(0, 25))]
-        word = BraidWord.from_ints(n, gens)
-        scores = [score(gens[r:] + gens[:r]) for r in range(len(gens))] or [0]
-        assert bracket._trace_plan(bracket._tracks(word))[0] == scores.index(min(scores))
+        c = len(gens)
+        order = sorted(range(c), key=lambda x: (gens[x], x))
+        radial = [order.index(x) for x in range(c)]
+        want = schedule_cost(n, gens, radial) < schedule_cost(n, gens, list(range(c)))
+        assert bracket._trace_plan(bracket._tracks(BraidWord.from_ints(n, gens))) == want
+        chosen.add(want)
+    assert chosen == {False, True}
 
 
 def peak_states(k: ClosedBraid, sweep_steps, monkeypatch) -> int:
@@ -232,10 +244,9 @@ def test_an_unreduced_conjugate_has_the_trace_bracket_of_the_word(words):
 
 
 def bracket_in(k: ClosedBraid, radial: bool) -> LaurentPoly:
-    """bracket_poly(k) with its trace schedule forced: radial, or word order
-    from the cheapest rotation."""
-    plan = bracket._trace_plan
-    with mock.patch.object(bracket, "_trace_plan", lambda tracks: (plan(tracks)[0], radial)):
+    """bracket_poly(k) with its trace schedule forced: radial, or word
+    order."""
+    with mock.patch.object(bracket, "_trace_plan", lambda tracks: radial):
         return bracket_poly(k)
 
 
@@ -302,7 +313,7 @@ def pool_word(rng: random.Random, n: int, c: int) -> BraidWord:
 
 def test_the_planner_sweeps_wide_words_radially_and_narrow_ones_in_word_order():
     def radial(word: BraidWord) -> bool:
-        return bracket._trace_plan(bracket._tracks(word))[1]
+        return bracket._trace_plan(bracket._tracks(word))
 
     rng = random.Random(15)
     for c in range(20, 25):
@@ -316,8 +327,8 @@ def test_the_planner_sweeps_wide_words_radially_and_narrow_ones_in_word_order():
 
 
 def test_an_interleaved_wide_word_stays_small(sweep_steps, monkeypatch):
-    # 30: 1 3 5 ... 29 2 4 ... 18, 24 crossings.  In word order from its
-    # cheapest rotation the sweep peaks at 1024 states; outward through the
-    # annulus it holds one state at a time.
+    # 30: 1 3 5 ... 29 2 4 ... 18, 24 crossings.  In word order the sweep
+    # peaks at 512 states; outward through the annulus it holds one state
+    # at a time.
     k = ClosedBraid(BraidWord.from_ints(30, [*range(1, 30, 2), *range(2, 19, 2)]), "trace")
     assert peak_states(k, sweep_steps, monkeypatch) <= 2

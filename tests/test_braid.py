@@ -33,6 +33,12 @@ def test_generator_validation():
     # The strand count is checked before any generator.
     with pytest.raises(WordFormatError, match="^strand count must be >= 1, got 0$"):
         parse_word("0: 1")
+    with pytest.raises(WordFormatError, match="^strand count must be an int, got 3.5$"):
+        BraidWord(3.5)
+    with pytest.raises(WordFormatError, match="^strand count must be an int, got 3.5$"):
+        BraidWord.from_ints(3.5, [1])
+    with pytest.raises(WordFormatError, match="^generator 1 is not a Generator$"):
+        BraidWord(3, [1])
 
 
 def test_compose_identity_element():

@@ -257,7 +257,6 @@ def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_s
     # involution, decodes to the bracket.
     calls = []
     sweep = bracket._sweep
-    plan = bracket._trace_plan
 
     def recorded(schedule, **ring):
         calls.append((schedule, ring))
@@ -266,7 +265,7 @@ def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_s
     monkeypatch.setattr(bracket, "_sweep", recorded)
     for k in words_of(seed=10, count=12, strands=[2, 3, 4, 6], crossings=range(0, 25)):
         for radial in (False, True) if k.closure == "trace" else (False,):
-            monkeypatch.setattr(bracket, "_trace_plan", lambda tracks, radial=radial: (plan(tracks)[0], radial))
+            monkeypatch.setattr(bracket, "_trace_plan", lambda tracks, radial=radial: radial)
             want = bracket_poly(k)
             (schedule, ring), = calls
             assert want == laurent_ring_bracket(k)
