@@ -27,8 +27,9 @@ The bracket is computed two ways, cross-checked in the tests:
   closings it makes.  A trace word is swept in word order as given or in
   radial order, whichever has the smaller sum over its crossings of
   Catalan(open / 2) (``_trace_plan``).
-  ``bracket_eval`` runs the sweep on complex numbers at a point A = a, on
-  the word as given in word order, and closes it at the end.
+  ``bracket_eval`` runs the sweep on complex numbers at a point A = a: a
+  trace closure on the same plan, closed early, and a plat closure in
+  word order, closed at the end.
 
 Crossing-sign convention, pinned once for the whole package: the positive
 generator weights its cap-cup smoothing with A and its vertical smoothing
@@ -473,7 +474,8 @@ def _catalan_by_open(size: int) -> list[int]:
 
 # A diagram of c crossings has 2c edges, so at most 2c are open; the table
 # covers every word of up to 48 crossings, twice the crossing cap, and
-# bracket_poly checks the cap before it plans.
+# bracket_poly checks the cap before it plans.  bracket_eval has no cap:
+# on a longer word an open count past the table costs its last entry.
 _CATALAN_BY_OPEN = _catalan_by_open(4 * CROSSING_CAP + 1)
 
 
@@ -507,8 +509,17 @@ def _trace_plan(tracks: tuple) -> bool:
             radial[lo] += 1
             radial[hi] -= 1
             a = b
-    cost = _CATALAN_BY_OPEN.__getitem__
+    table = _CATALAN_BY_OPEN
+    cost = table.__getitem__ if 2 * c < len(table) else lambda o: table[min(o, len(table) - 1)]
     return sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
+
+
+def _trace_schedule(k: ClosedBraid) -> _Schedule:
+    """The trace closure k in word order as given or outward through its
+    annulus, whichever ``_trace_plan`` estimates holds fewer states, with
+    each arc closed early by ``_closing``."""
+    tracks = _tracks(k.braid)
+    return _closing(_radial_schedule(k.braid, tracks) if _trace_plan(tracks) else _word_schedule(k))
 
 
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
@@ -524,12 +535,7 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """
     _check_cap(k)
     c = len(k.braid)
-    if k.closure == "trace":
-        tracks = _tracks(k.braid)
-        schedule = _radial_schedule(k.braid, tracks) if _trace_plan(tracks) else _word_schedule(k)
-    else:
-        schedule = _word_schedule(k)
-    schedule = _closing(schedule)
+    schedule = _trace_schedule(k) if k.closure == "trace" else _closing(_word_schedule(k))
     # The sweep runs on packed integers.  Each generator's weights are
     # taken times A^3 and each closing's times A^2, so every weight is a
     # non-negative power of A^2 (positive step: cap-cup A^4, vertical
@@ -565,8 +571,9 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
 
 
 def bracket_eval(k: ClosedBraid, a: complex) -> complex:
-    """The bracket evaluated at A = a, polynomial time in crossings: the
-    sweep of k's word as given, closed at the end.
+    """The bracket evaluated at A = a, polynomial time in crossings: a
+    trace closure swept on bracket_poly's plan, a plat closure in word
+    order and closed at the end.
 
     Raises OverflowError when the value is not finite: far from |a| = 1
     a weight, d or a coefficient overflows (d does once |a| is below
@@ -578,17 +585,22 @@ def bracket_eval(k: ClosedBraid, a: complex) -> complex:
         raise ValueError("evaluation point must be finite and nonzero")
     a_inv = 1 / a
     d = -(a * a) - (a_inv * a_inv)
-    schedule = _word_schedule(k)
+    # A plat closure, which prob sweeps, keeps its word order and closing
+    # at the end, so its floats keep every byte.
+    schedule = _trace_schedule(k) if k.closure == "trace" else _word_schedule(k)
     states = _sweep(
         schedule,
         one=complex(1),
         weight_pos=(a, a_inv, a),
         weight_neg=(a_inv, a, a_inv),
         d=d,
+        closing=(1, d),
     )
+    # Each closing step has already weighed the loop it closed, if any.
+    closed = len(schedule.steps) - len(k.braid)
     total = 0j
     for m, coeff in states.items():
-        total += coeff * d ** (_cycles(m, schedule.close) - 1)
+        total += coeff * d ** (_cycles(m, schedule.close) - closed - 1)
     if not cmath.isfinite(total):
         raise OverflowError(f"the bracket is not finite at A = {a}")
     return total

@@ -70,6 +70,11 @@ class _Value:
         return type(self), self._key(self)
 
 
+def _is_int(value) -> bool:
+    # A bool is an int too, but True would print as text parse_word refuses.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Generator(_Value):
     """A single Artin generator sigma_index^exponent.
 
@@ -79,9 +84,11 @@ class Generator(_Value):
     __slots__ = ("index", "exponent")
 
     def __init__(self, index: int, exponent: int) -> None:
+        if not _is_int(index):
+            raise WordFormatError(f"generator index must be an int, got {index!r}")
         if index < 1:
             raise WordFormatError(f"generator index must be >= 1, got {index}")
-        if exponent not in (1, -1):
+        if not _is_int(exponent) or exponent not in (1, -1):
             raise WordFormatError(f"generator exponent must be +1 or -1, got {exponent}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "exponent", exponent)
@@ -97,7 +104,7 @@ class Generator(_Value):
 
 
 def _check_strand_count(n_strands: int) -> None:
-    if not isinstance(n_strands, int):
+    if not _is_int(n_strands):
         raise WordFormatError(f"strand count must be an int, got {n_strands!r}")
     if n_strands < 1:
         raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
@@ -132,16 +139,16 @@ class BraidWord(_Value):
 
         The strand count is checked first, then each distinct value once,
         on its first occurrence, so the first faulty value in word order
-        is the one reported: a value that is not an int, 0, or one of
-        absolute value n_strands or more raises WordFormatError.  Each
-        distinct value is built into one Generator that all its
-        occurrences share.  Values are told apart as dict keys are, so a
-        1.0 after a 1 reads as that 1.
+        is the one reported: a value that is not an int (a bool is not),
+        0, or one of absolute value n_strands or more raises
+        WordFormatError.  Each distinct value is built into one Generator
+        that all its occurrences share.  Values are told apart as dict
+        keys are, so a 1.0 or a True after a 1 reads as that 1.
         """
         _check_strand_count(n_strands)
 
         def generator(value: int) -> Generator:
-            if not isinstance(value, int):
+            if not _is_int(value):
                 raise WordFormatError(f"bad generator token {value!r}")
             if abs(value) >= n_strands:
                 raise WordFormatError(f"generator {value} out of range on {n_strands} strands")

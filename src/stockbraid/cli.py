@@ -24,11 +24,13 @@ that read a CSV or draw a word, so a braid-word ``invariant`` or ``prob``
 starts without loading them.
 
 One table, ``_COMMANDS``, declares every subcommand's arguments.  An argv
-of the plain form (a subcommand, its positionals, then its options spelled
-in full, each at most once) is read from it by ``_read_plain``.  Every other
-argv goes to the argparse parser ``build_parser()`` makes from the same
-table, and so do help, ``--version`` and every usage error: argparse is
-imported, and the parser built, only on the first call that needs it.
+of the plain form (a subcommand, each of its positionals, then options
+spelled in full, every value in its own token) is read from it by
+``_read_plain``.  Every other argv, ``--name=value`` forms and ``prob
+--stats`` without a source included, goes to the argparse parser
+``build_parser()`` makes from the same table, and so do help,
+``--version`` and every usage error: argparse is imported, and the parser
+built, only on the first call that needs it.
 """
 
 from __future__ import annotations
@@ -302,21 +304,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plain_grammar(name, func, positionals, options):
-    """What _read_plain needs of one subcommand: its positionals as (dest,
-    optional) pairs, its options by name as (dest, is_flag, choices), and
-    the namespace argparse starts from."""
+    """What _read_plain needs of one subcommand: its positionals' dests,
+    its options by name as (dest, is_flag, choices), and the namespace
+    argparse starts from."""
     defaults = {"command": name, "func": func}
-    plain_positionals = []
-    for dest, kwargs in positionals:
-        plain_positionals.append((dest, kwargs.get("nargs") == "?"))
-        defaults[dest] = None
     plain_options = {}
     for flag, kwargs in options:
         dest = kwargs.get("dest", flag[2:])
         is_flag = kwargs.get("action") == "store_true"
         plain_options[flag] = (dest, is_flag, kwargs.get("choices"))
         defaults[dest] = False if is_flag else kwargs.get("default")
-    return plain_positionals, plain_options, defaults
+    return [dest for dest, _ in positionals], plain_options, defaults
 
 
 _PLAIN = {name: _plain_grammar(name, func, positionals, options)
@@ -326,13 +324,13 @@ _PLAIN = {name: _plain_grammar(name, func, positionals, options)
 def _read_plain(argv) -> SimpleNamespace | None:
     """The namespace argparse would give a plain argv, or None for any other.
 
-    Plain is a subcommand name; then its positionals, none starting with "-"
-    (prob's source may be absent); then its options, each at most once and
-    spelled in full, a flag bare and any other as ``--name value`` or
-    ``--name=value``.  A value in its own token does not start with "-", no
-    value is "--", and a choices value is one of its choices.  Everything
-    else, help, --version and every usage error included, is left to
-    argparse: this reader never prints, raises or exits.
+    Plain is a subcommand name; then each of its positionals, none starting
+    with "-"; then its options spelled in full, a flag bare and any other
+    as ``--name value``, where the value does not start with "-" and a
+    choices value is one of its choices.  A repeated option keeps its last
+    value, as argparse's store actions do.  Everything else, ``=`` values,
+    prob without a source, help, --version and every usage error included,
+    is left to argparse: this reader never prints, raises or exits.
     """
     if not argv or not all(type(token) is str for token in argv):
         return None
@@ -341,36 +339,24 @@ def _read_plain(argv) -> SimpleNamespace | None:
         return None
     positionals, options, defaults = grammar
     values = dict(defaults)
-    i, n = 1, len(argv)
-    for dest, optional in positionals:
-        if i < n and not argv[i].startswith("-"):
-            values[dest] = argv[i]
-            i += 1
-        elif not optional:
+    tokens = iter(argv[1:])
+    # A missing token reads as "-", which no positional or value may start with.
+    for dest in positionals:
+        value = next(tokens, "-")
+        if value.startswith("-"):
             return None
-    seen = set()
-    while i < n:
-        name, eq, value = argv[i].partition("=")
-        i += 1
+        values[dest] = value
+    for name in tokens:
         option = options.get(name)
-        if option is None or name in seen:
+        if option is None:
             return None
-        seen.add(name)
         dest, is_flag, choices = option
         if is_flag:
-            if eq:
-                return None
             value = True
-        elif not eq:
-            if i == n or argv[i].startswith("-"):
+        else:
+            value = next(tokens, "-")
+            if value.startswith("-") or (choices is not None and value not in choices):
                 return None
-            value = argv[i]
-            i += 1
-        elif value == "--":
-            # argparse drops a "--" value, or keeps it, by Python version.
-            return None
-        if choices is not None and value not in choices:
-            return None
         values[dest] = value
     return SimpleNamespace(**values)
 

@@ -3,8 +3,9 @@
 For every argv drawn from a token grammar, ``cli._read_plain`` must
 return None or exactly ``vars()`` of ``build_parser().parse_args(argv)``,
 and never a namespace where argparse exits.  Argvs of the plain form must
-be read.  The draws come from a seeded ``random.Random``, so every run
-checks the same argvs, and the check needs neither pytest nor Hypothesis:
+be read; ``=`` values come only from the edited and token draws.  The
+draws come from a seeded ``random.Random``, so every run checks the same
+argvs, and the check needs neither pytest nor Hypothesis:
 
     PYTHONPATH=src python tests/argv_grammar.py
 
@@ -39,27 +40,18 @@ FULL = sorted({name for options in OPTIONS.values() for name in options})
 
 
 def plain_argv(rng: random.Random) -> list[str]:
-    """An argv of the plain form: a subcommand, its positional (prob's may
-    be absent), then some of its options once each, in any order."""
+    """An argv of the plain form: a subcommand, its positional, then some
+    of its options in any order, a name given twice now and then, each
+    flag bare and each other option as ``--name value``."""
     command = rng.choice(sorted(OPTIONS))
-    argv = [command]
-    if command != "prob" or rng.random() < 0.7:
-        argv.append(rng.choice(VALUES))
+    argv = [command, rng.choice(VALUES)]
     options = OPTIONS[command]
-    for name in rng.sample(sorted(options), rng.randint(0, len(options))):
+    for _ in range(rng.randint(0, len(options))):
+        name = rng.choice(sorted(options))
         kind = options[name]
-        if kind is FLAG:
-            argv.append(name)
-            continue
-        if kind is None:
-            # Only "--" is not a plain value: argparse drops or keeps it by version.
-            value = rng.choice(VALUES + [v for v in DASH_VALUES if v != "--"])
-        else:
-            value = rng.choice(kind)
-        if value.startswith("-") or rng.random() < 0.5:
-            argv.append(f"{name}={value}")
-        else:
-            argv += [name, value]
+        argv.append(name)
+        if kind is not FLAG:
+            argv.append(rng.choice(VALUES if kind is None else kind))
     return argv
 
 
@@ -81,8 +73,8 @@ def token(rng: random.Random) -> str:
 
 def mutated_argv(rng: random.Random) -> list[str]:
     """A plain argv with one to three edits: a token inserted, repeated,
-    dropped or moved, an option given an = value, or the subcommand
-    replaced."""
+    dropped or moved, an option given an = value in place of its own
+    token, or the subcommand replaced."""
     argv = plain_argv(rng)
     for _ in range(rng.randint(1, 3)):
         edit = rng.randrange(6)
@@ -90,7 +82,11 @@ def mutated_argv(rng: random.Random) -> list[str]:
         options = [i for i, arg in enumerate(argv) if i and arg.startswith("--")]
         if edit == 5 and options:
             i = rng.choice(options)
-            argv[i] = argv[i].partition("=")[0] + "=" + rng.choice(VALUES + DASH_VALUES)
+            name, eq, _ = argv[i].partition("=")
+            # An option of this subcommand that takes a value drops the token after it.
+            if not eq and OPTIONS.get(argv[0], {}).get(name, FLAG) is not FLAG and i + 1 < len(argv):
+                del argv[i + 1]
+            argv[i] = name + "=" + rng.choice(VALUES + DASH_VALUES)
         elif edit == 0:
             argv.insert(at, token(rng))
         elif edit == 1 and len(argv) > 1:

@@ -119,6 +119,70 @@ def test_eval_agrees_with_exact_polynomial(rand_word):
         assert abs(poly.evaluate(a) - bracket_eval(k, a)) < 1e-9
 
 
+def _value_at_i(poly):
+    """poly at A = i, summed in integers: A^e is 1, i, -1 or -i by e mod 4."""
+    sums = [0, 0, 0, 0]
+    for e, c in poly.items():
+        sums[e % 4] += c
+    return complex(sums[0] - sums[2], sums[1] - sums[3])
+
+
+def test_trace_eval_of_a_wide_word_runs_the_exact_plan(monkeypatch):
+    # Swept in word order and closed at the end, this 30-strand trace word
+    # holds states of a 60-point module and did not finish in 20 s; on the
+    # exact path's plan, closed early, it takes a handful of moves.
+    word = BraidWord.from_ints(30, [*range(1, 30, 2), *range(2, 19, 2)])
+    k = trace_close(word)
+    calls = []
+    cupcap = bracket._cupcap
+
+    def counted(m, a, b):
+        calls.append(a)
+        assert len(calls) < 100, "too many cap-cup moves"
+        return cupcap(m, a, b)
+
+    monkeypatch.setattr(bracket, "_cupcap", counted)
+    value = bracket_eval(k, 1j)
+    assert value == _value_at_i(bracket_poly(k)) == 32
+
+
+def test_trace_eval_agrees_with_the_exact_bracket_on_wide_words():
+    # Trace words on up to 16 strands, which the radial plan sweeps when it
+    # holds fewer states, at the Fibonacci point and two others on |A| = 1.
+    rng = random.Random(30)
+    plans = set()
+    for _ in range(150):
+        n = rng.randrange(2, 17)
+        ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.randrange(25))]
+        k = trace_close(BraidWord.from_ints(n, ints))
+        plans.add(bracket._trace_plan(bracket._tracks(k.braid)))
+        exact = bracket_poly(k)
+        for a in (FIB_A, 1j, 0.8 + 0.6j):
+            want = exact.evaluate(a)
+            assert abs(bracket_eval(k, a) - want) <= 1e-11 * max(abs(want), 1)
+    assert plans == {False, True}
+
+
+def test_trace_eval_of_words_past_the_plan_cost_table(monkeypatch):
+    # Above 48 crossings _trace_plan's Catalan table runs out, and an open
+    # count past it costs its last entry.  At A = i every weight is a
+    # Gaussian integer and the sweep's coefficients stay small, so the
+    # value is exactly the exact bracket's.  Two of the words go radial.
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 120)
+    words = [
+        (3, [1, 2] * 50),
+        (4, [1, -2, 3] * 35),
+        (12, [1, 3, 5, 7, 9, 11, 2, 4, 6, 8, 10] * 6),
+        (26, [*range(1, 26, 2), *range(2, 25, 2)] * 3),
+    ]
+    plans = []
+    for n, ints in words:
+        k = trace_close(BraidWord.from_ints(n, ints))
+        plans.append(bracket._trace_plan(bracket._tracks(k.braid)))
+        assert bracket_eval(k, 1j) == _value_at_i(bracket_poly(k))
+    assert plans == [False, False, True, True]
+
+
 def test_crossing_cap(monkeypatch):
     assert bracket.CROSSING_CAP == 24
     w = BraidWord.from_ints(2, [1] * 25)

@@ -39,6 +39,24 @@ def test_generator_validation():
         BraidWord.from_ints(3.5, [1])
     with pytest.raises(WordFormatError, match="^generator 1 is not a Generator$"):
         BraidWord(3, [1])
+    # Generator fields and strand counts are ints, and a bool is not one:
+    # each of these would print as text parse_word refuses.
+    with pytest.raises(WordFormatError, match=r"^generator index must be an int, got 1\.5$"):
+        Generator(1.5, 1)
+    with pytest.raises(WordFormatError, match="^generator index must be an int, got True$"):
+        Generator(True, 1)
+    with pytest.raises(WordFormatError, match=r"^generator exponent must be \+1 or -1, got 1\.0$"):
+        Generator(1, 1.0)
+    with pytest.raises(WordFormatError, match=r"^generator exponent must be \+1 or -1, got True$"):
+        Generator(1, True)
+    with pytest.raises(WordFormatError, match=r"^generator exponent must be \+1 or -1, got 1\.0$"):
+        BraidWord(3, [Generator(1, 1.0)])
+    with pytest.raises(WordFormatError, match="^strand count must be an int, got True$"):
+        BraidWord(True)
+    with pytest.raises(WordFormatError, match="^strand count must be an int, got False$"):
+        BraidWord.from_ints(False, [])
+    with pytest.raises(WordFormatError, match="^bad generator token True$"):
+        BraidWord.from_ints(3, [True])
 
 
 def test_compose_identity_element():

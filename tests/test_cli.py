@@ -789,9 +789,11 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
 def test_plain_reader_agrees_with_argparse():
     # The same check runs without pytest: PYTHONPATH=src python tests/argv_grammar.py
     read = argv_grammar.check()
-    # Every plain argv, and a share of the edited and random ones, is read.
+    # Every plain argv, and a share of the edited and random ones, is read;
+    # this seed reads 182 and 56 of them.  An = value is never read, so
+    # most edited argvs are left to argparse.
     assert read["plain"] == 3000
-    assert read["mutated"] >= 200 and read["tokens"] >= 40, read
+    assert read["mutated"] >= 90 and read["tokens"] >= 40, read
 
 
 @pytest.mark.parametrize(
@@ -799,14 +801,37 @@ def test_plain_reader_agrees_with_argparse():
     [
         ["invariant", "2: 1", "--closure", "trace", "--bracket", "--jones", "--convention", "paper",
          "--eval", "1+1j"],
-        ["invariant", "2: 1", "--eval=-0.5+1j", "--closure=plat"],
-        ["prob", "--stats=-2+3j,1,1,0"],
-        ["prob", "", "--gamma="],
-        ["braid", "a b.csv", "--to", "5/16/2013", "--from=", "--audit", "x"],
-        ["render", "2: 1", "--format", "svg"],
+        ["invariant", "2: 1", "--bracket", "--bracket"],
+        ["prob", "", "--gamma", ""],
+        ["braid", "a b.csv", "--to", "5/16/2013", "--from", "", "--audit", "x"],
+        ["render", "2: 1", "--format", "svg", "--format", "ascii"],
+        ["invariant", "2: 1", "--closure", "plat", "--closure", "trace"],
     ],
 )
 def test_plain_argvs_read_as_argparse_reads_them(argv):
+    assert vars(cli._read_plain(argv)) == argv_grammar.argparse_namespace(cli.build_parser(), argv)
+
+
+# The command lines the benchmark sends (bench/workloads.py), then those of
+# the installed-console-script CI step that are plain.
+TRAFFIC = [
+    ["braid", "tests/data/dow4_2013.csv", "--audit", "audit.json"],
+    ["braid", "tests/data/dow4_2013.csv", "--from", "5/16/2013", "--to", "2013-06-05"],
+    ["invariant", "4: 1 -2 3", "--closure", "trace", "--bracket", "--jones"],
+    ["prob", "3: 1 -2", "--gamma", "4: 1 -3"],
+    ["invariant", "4: 1 2 3", "--bracket"],
+    ["invariant", "2: 1 1 1", "--closure", "trace", "--bracket"],
+    ["invariant", "30: 1 3 5", "--closure", "trace", "--eval", "1j"],
+    ["braid", "tests/data/dow4_2013.csv"],
+    ["prob", "3: 1", "--gamma", "4: 1 -3"],
+    ["render", "4: 1 -2 3"],
+    ["invariant", "3: 1 5"],
+    ["invariant", "0: 1"],
+]
+
+
+@pytest.mark.parametrize("argv", TRAFFIC)
+def test_the_traffic_is_read_as_argparse_reads_it(argv):
     assert vars(cli._read_plain(argv)) == argv_grammar.argparse_namespace(cli.build_parser(), argv)
 
 
@@ -815,11 +840,14 @@ def test_plain_argvs_read_as_argparse_reads_them(argv):
     [
         [], ["--version"], ["invariant", "-h"], ["invariant", "2: 1", "--help"],
         ["invariant", "--", "2: 1"], ["invariant", "2: 1", "--brack"],
-        ["invariant", "2: 1", "--bracket", "--bracket"], ["invariant", "2: 1", "--bracket=1"],
-        ["invariant", "2: 1", "--closure", "Plat"], ["invariant", "2: 1", "--eval", "-1"],
-        ["invariant", "--jones", "2: 1"], ["prob", "-"], ["prob", "3: 1", "--gamma=--"],
-        ["braid", "a.csv", "--audit"], ["braid", "a.csv", "b.csv"], ["inv", "2: 1"],
-        ["render", "2: 1", "--format", "svg", "--format=ascii"], ["prob", "3: 1", "--point", "2"],
+        ["invariant", "2: 1", "--bracket=1"], ["invariant", "2: 1", "--closure", "Plat"],
+        ["invariant", "2: 1", "--eval", "-1"], ["invariant", "--jones", "2: 1"], ["prob", "-"],
+        ["prob", "3: 1", "--gamma=--"], ["braid", "a.csv", "--audit"], ["braid", "a.csv", "b.csv"],
+        ["inv", "2: 1"], ["render", "2: 1", "--format", "svg", "--format=ascii"],
+        ["prob", "3: 1", "--point", "2"],
+        ["invariant", "2: 1", "--eval=-0.5+1j", "--closure=plat"], ["prob", "--stats=-2+3j,1,1,0"],
+        ["prob", "--stats", "1,1,1,0"], ["prob"], ["prob", "", "--gamma="],
+        ["braid", "a b.csv", "--to", "5/16/2013", "--from=", "--audit", "x"],
     ],
 )
 def test_other_argvs_are_left_to_argparse(argv):

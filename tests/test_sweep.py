@@ -38,14 +38,26 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 POINTS = (cmath.exp(1j * cmath.pi / 10), 1j, 0.7 + 0.2j, 1.3 - 0.4j)
 
 
-def tuple_keyed_sweep(schedule, one, weight_pos, weight_neg, d):
-    """The sweep as it was before interning, on a schedule of generator
-    steps only: states keyed by their matchings, the cap-cup smoothing
-    rebuilt for every state and step."""
+def tuple_keyed_sweep(schedule, one, weight_pos, weight_neg, d, closing=None):
+    """The sweep as it was before interning: states keyed by their
+    matchings, the cap-cup smoothing, or the closing, rebuilt for every
+    state and step.  A closing step weighs a state ``join`` when it joins
+    two open ends and ``loop`` when a and b are already paired."""
     states = {schedule.start: one}
     for a, b, sign in schedule.steps:
-        w_cup, w_vert, w_loop = weight_pos if sign > 0 else weight_neg
         nxt = {}
+        if not sign:
+            w_join, w_close = closing
+            for m, coeff in states.items():
+                if m[a] == b:
+                    key, coeff = m, coeff * w_close
+                else:
+                    key, coeff = joined(m, a, b), coeff * w_join
+                prev = nxt.get(key)
+                nxt[key] = coeff if prev is None else prev + coeff
+            states = nxt
+            continue
+        w_cup, w_vert, w_loop = weight_pos if sign > 0 else weight_neg
         for m, coeff in states.items():
             vert_coeff = coeff * w_vert
             prev = nxt.get(m)
@@ -54,16 +66,21 @@ def tuple_keyed_sweep(schedule, one, weight_pos, weight_neg, d):
                 cup_coeff = coeff * w_loop * d
                 key = m
             else:
-                j, kk = m[a], m[b]
-                m2 = list(m)
-                m2[j], m2[kk] = kk, j
-                m2[a], m2[b] = b, a
-                key = tuple(m2)
+                key = joined(m, a, b)
                 cup_coeff = coeff * w_cup
             prev = nxt.get(key)
             nxt[key] = cup_coeff if prev is None else prev + cup_coeff
         states = nxt
     return states
+
+
+def joined(m, a, b):
+    """m with the partners of a and b joined and a paired with b."""
+    j, kk = m[a], m[b]
+    m2 = list(m)
+    m2[j], m2[kk] = kk, j
+    m2[a], m2[b] = b, a
+    return tuple(m2)
 
 
 def numeric_ring(a: complex) -> dict:
@@ -172,10 +189,10 @@ def seeded_words(seed: int, count: int) -> list[ClosedBraid]:
 
 
 def test_the_word_schedule_is_the_word():
-    # The reference above sweeps whatever generator steps it is given, so
-    # pin them: bracket_eval's schedule is the word as given, plat on the
-    # n top points from the bottom caps, trace on the top points n..2n-1
-    # from the identity tangle.
+    # The reference above sweeps whatever steps it is given, so pin the
+    # word order: the word as given, plat on the n top points from the
+    # bottom caps, which is bracket_eval's plat schedule, and trace on the
+    # top points n..2n-1 from the identity tangle.
     for k in seeded_words(seed=4, count=12):
         n = k.braid.n_strands
         offset = 0 if k.closure == "plat" else n

@@ -206,7 +206,7 @@ def test_word_commands_load_no_ingest_crossing_or_render_module():
 def test_braid_loads_the_ingest_and_crossing_modules():
     out = new_modules(
         "from stockbraid.cli import main\n"
-        f"assert main(['braid', {str(DOW4_CSV)!r}, '--from', '2013-05-16', '--to=6/5/2013']) == 0"
+        f"assert main(['braid', {str(DOW4_CSV)!r}, '--from', '2013-05-16', '--to', '6/5/2013']) == 0"
     )
     assert LAZY_MODULES - {"stockbraid.render"} <= out
     assert not out & PARSER_MODULES
