@@ -26,7 +26,7 @@ The bracket is computed two ways, cross-checked in the tests:
   decoded once; W = bitlength(3^c 2^k) + 1 for c crossings and the k
   closings it makes.  A trace word is swept in word order as given or in
   radial order, whichever has the smaller sum over its crossings of
-  Catalan(open / 2) (``_trace_plan``).
+  2^open, for open the edges with one end swept (``_trace_plan``).
   ``bracket_eval`` runs the sweep on complex numbers at a point A = a: a
   trace closure on the same plan, closed early, and a plat closure in
   word order, closed at the end.
@@ -463,34 +463,19 @@ def _tracks(word: BraidWord) -> tuple[list[int], list[list[int]], list[int], lis
     return index, touches, order, sorted(range(c), key=order.__getitem__)
 
 
-def _catalan_by_open(size: int) -> list[int]:
-    """Catalan(o // 2) for each open count o < size: the number of
-    non-crossing matchings of o points, o even."""
-    catalan = [1]
-    for m in range(size // 2):
-        catalan.append(catalan[m] * (4 * m + 2) // (m + 2))
-    return [catalan[o // 2] for o in range(size)]
-
-
-# A diagram of c crossings has 2c edges, so at most 2c are open; the table
-# covers every word of up to 48 crossings, twice the crossing cap, and
-# bracket_poly checks the cap before it plans.  bracket_eval has no cap:
-# on a longer word an open count past the table costs its last entry.
-_CATALAN_BY_OPEN = _catalan_by_open(4 * CROSSING_CAP + 1)
-
-
 def _trace_plan(tracks: tuple) -> bool:
     """Whether the trace closure of the word whose tracks are given is
     cheaper to sweep in radial order than in word order.
 
-    A schedule's cost is the sum over its crossings of Catalan(open / 2),
-    which bounds the states the sweep holds after the crossing: open
-    counts the edges with exactly one end at a crossing swept so far.  In
-    word order a track's two open edges run from its first touch up to,
-    not including, its last.  In radial order the edge of a gap, from one
-    touch of a track to the next, is open from the earlier of its two
-    touches up to, not including, the later one.  A difference array over
-    the crossings counts each.  Ties go to word order.
+    A schedule's cost is the sum over its crossings of 2^open, where open
+    counts the edges with exactly one end at a crossing swept so far.  It
+    bounds the states the sweep holds after each crossing, which number at
+    most Catalan(open / 2) <= 2^open.  In word order a track's two open
+    edges run from its first touch up to, not including, its last.  In
+    radial order the edge of a gap, from one touch of a track to the next,
+    is open from the earlier of its two touches up to, not including, the
+    later one.  A difference array over the crossings counts each.  Ties
+    go to word order.
     """
     _, touches, _, rank = tracks
     c = len(rank)
@@ -509,8 +494,7 @@ def _trace_plan(tracks: tuple) -> bool:
             radial[lo] += 1
             radial[hi] -= 1
             a = b
-    table = _CATALAN_BY_OPEN
-    cost = table.__getitem__ if 2 * c < len(table) else lambda o: table[min(o, len(table) - 1)]
+    cost = (1).__lshift__
     return sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
 
 
@@ -527,11 +511,12 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
 
     Normalized so a single circle evaluates to 1.  A plat closure is swept
     in word order; a trace closure in word order or outward through its
-    annulus, whichever ``_trace_plan`` estimates holds fewer states.
-    Raises CrossingCapExceeded above CROSSING_CAP crossings.  The cap
-    bounds crossings only: the sweep's cost also grows with the number of
-    states a state vector can hold, which the strand count and the
-    crossings' order set.
+    annulus, whichever has the smaller sum of 2^open over its crossings,
+    a bound on the states it holds (``_trace_plan``); the plan has no
+    limit on word length.  Raises CrossingCapExceeded above CROSSING_CAP
+    crossings.  The cap bounds crossings only: the sweep's cost also grows
+    with the number of states a state vector can hold, which the strand
+    count and the crossings' order set.
     """
     _check_cap(k)
     c = len(k.braid)

@@ -34,11 +34,13 @@ class _Memo(dict):
 class _Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in __slots__ and sets each one in its own
-    __init__ with object.__setattr__.  Instances compare equal and hash
-    alike when they are of the same class with equal fields, print as
-    ClassName(field=value, ...), refuse assignment and deletion of fields
-    with AttributeError, and pickle and copy by calling __init__ again.
+    A subclass names its fields in __slots__, checks its arguments in its
+    own __init__ and then passes the fields, in slot order, to
+    _Value.__init__, which stores each through its slot's descriptor.
+    Instances compare equal and hash alike when they are of the same
+    class with equal fields, print as ClassName(field=value, ...), refuse
+    assignment and deletion of fields with AttributeError, and pickle and
+    copy by calling __init__ again.
     """
 
     __slots__ = ()
@@ -47,6 +49,11 @@ class _Value:
         # attrgetter of two or more names returns the field tuple; every subclass has two or more.
         cls._key = attrgetter(*cls.__slots__)
         cls.__match_args__ = cls.__slots__
+        cls._stores = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
+
+    def __init__(self, *fields) -> None:
+        for store, value in zip(self._stores, fields, strict=True):
+            store(self, value)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -90,8 +97,7 @@ class Generator(_Value):
             raise WordFormatError(f"generator index must be >= 1, got {index}")
         if not _is_int(exponent) or exponent not in (1, -1):
             raise WordFormatError(f"generator exponent must be +1 or -1, got {exponent}")
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "exponent", exponent)
+        _Value.__init__(self, index, exponent)
 
     @classmethod
     def from_int(cls, value: int) -> "Generator":
@@ -128,8 +134,7 @@ class BraidWord(_Value):
                     )
         except (AttributeError, TypeError):
             raise WordFormatError(f"generator {g!r} is not a Generator") from None
-        object.__setattr__(self, "n_strands", n_strands)
-        object.__setattr__(self, "generators", generators)
+        _Value.__init__(self, n_strands, generators)
 
     @classmethod
     def from_ints(cls, n_strands: int, word: Iterable[int]) -> "BraidWord":

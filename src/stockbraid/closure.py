@@ -30,6 +30,8 @@ class ClosedBraid(_Value):
     __slots__ = ("braid", "closure")
 
     def __init__(self, braid: BraidWord, closure: Closure) -> None:
+        if not isinstance(braid, BraidWord):
+            raise ClosureError(f"a closure needs a BraidWord, got {braid!r}")
         if closure not in ("plat", "trace"):
             raise ClosureError(f"unknown closure kind {closure!r}")
         if closure == "plat" and braid.n_strands % 2:
@@ -37,8 +39,7 @@ class ClosedBraid(_Value):
                 "plat closure requires an even strand count (2k strands); "
                 f"got {braid.n_strands}"
             )
-        object.__setattr__(self, "braid", braid)
-        object.__setattr__(self, "closure", closure)
+        _Value.__init__(self, braid, closure)
 
 
 class DiagramStats(_Value):
@@ -51,10 +52,7 @@ class DiagramStats(_Value):
     __slots__ = ("components", "minima", "crossings", "writhe")
 
     def __init__(self, components: int, minima: int | None, crossings: int, writhe: int) -> None:
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "minima", minima)
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "writhe", writhe)
+        _Value.__init__(self, components, minima, crossings, writhe)
 
     def to_json(self) -> dict:
         return dict(zip(self.__slots__, self._key(self)))

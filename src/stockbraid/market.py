@@ -23,12 +23,12 @@ import io
 import re
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable, Sequence
-from datetime import date
+from datetime import date, datetime
 from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
 from itertools import repeat
 from operator import itemgetter
 
-from .braid import _Value
+from .braid import _is_int, _Value
 
 _EXACT = Context(prec=MAX_PREC)  # the default Emax still raises Overflow
 
@@ -50,16 +50,26 @@ class PriceSeries(_Value):
     """Aligned closing prices: prices_cents[d][t] is the price of
     tickers[t] on dates[d], in integer cents.
 
-    dates are strictly increasing; every cell is present and positive;
-    tickers are pairwise distinct.  Instances are immutable and safe to
-    share across threads.
+    tickers are pairwise distinct, non-empty str; dates are strictly
+    increasing datetime.date values, not datetimes; every cell is a
+    positive int (not a bool).  Each field is stored as a tuple, so a
+    series built from lists hashes too.  Instances are immutable and safe
+    to share across threads.
     """
 
     __slots__ = ("tickers", "dates", "prices_cents")
 
     def __init__(self, tickers: tuple[str, ...], dates: tuple[date, ...],
                  prices_cents: tuple[tuple[int, ...], ...]) -> None:
+        tickers, dates = tuple(tickers), tuple(dates)
+        prices_cents = tuple(map(tuple, prices_cents))
+        for t in tickers:
+            if not isinstance(t, str):
+                raise CsvFormatError(f"ticker symbol {t!r} is not a str")
         _check_tickers(tickers)
+        for d in dates:
+            if not isinstance(d, date) or isinstance(d, datetime):
+                raise CsvFormatError(f"date {d!r} is not a plain datetime.date")
         if len(prices_cents) != len(dates):
             raise CsvFormatError("price matrix and date list disagree")
         for earlier, later in zip(dates, dates[1:]):
@@ -68,19 +78,19 @@ class PriceSeries(_Value):
         for d, row in zip(dates, prices_cents):
             if len(row) != len(tickers):
                 raise CsvFormatError(f"row {d} has {len(row)} cells, expected {len(tickers)}")
-            if row and min(row) <= 0:
-                t = next(t for t, cents in zip(tickers, row) if cents <= 0)
-                raise CsvFormatError(f"non-positive price for {t} on {d}")
-        object.__setattr__(self, "tickers", tickers)
-        object.__setattr__(self, "dates", dates)
-        object.__setattr__(self, "prices_cents", prices_cents)
+            for t, cents in zip(tickers, row):
+                if not _is_int(cents):
+                    raise CsvFormatError(
+                        f"price {cents!r} for {t} on {d} is not an int number of cents")
+                if cents <= 0:
+                    raise CsvFormatError(f"non-positive price for {t} on {d}")
+        _Value.__init__(self, tickers, dates, prices_cents)
 
     @classmethod
     def _unchecked(cls, *fields) -> PriceSeries:
         """The series of fields (tickers, dates, prices_cents) already valid for __init__."""
         series = object.__new__(cls)
-        for name, value in zip(cls.__slots__, fields):
-            object.__setattr__(series, name, value)
+        _Value.__init__(series, *fields)
         return series
 
     def price_cents(self, on: date, ticker: str) -> int:

@@ -66,15 +66,8 @@ class OutcomeReport(_Value):
     def __init__(self, jones_value: complex, components: int, minima: int, writhe: int,
                  amplitude: complex, probability: float, imag_residue: float,
                  in_range: bool, eval_point: complex) -> None:
-        object.__setattr__(self, "jones_value", jones_value)
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "minima", minima)
-        object.__setattr__(self, "writhe", writhe)
-        object.__setattr__(self, "amplitude", amplitude)
-        object.__setattr__(self, "probability", probability)
-        object.__setattr__(self, "imag_residue", imag_residue)
-        object.__setattr__(self, "in_range", in_range)
-        object.__setattr__(self, "eval_point", eval_point)
+        _Value.__init__(self, jones_value, components, minima, writhe, amplitude,
+                        probability, imag_residue, in_range, eval_point)
 
     def to_json(self) -> dict:
         return {name: _complex_json(value) if isinstance(value, complex) else value

@@ -163,11 +163,11 @@ def test_trace_eval_agrees_with_the_exact_bracket_on_wide_words():
     assert plans == {False, True}
 
 
-def test_trace_eval_of_words_past_the_plan_cost_table(monkeypatch):
-    # Above 48 crossings _trace_plan's Catalan table runs out, and an open
-    # count past it costs its last entry.  At A = i every weight is a
-    # Gaussian integer and the sweep's coefficients stay small, so the
-    # value is exactly the exact bracket's.  Two of the words go radial.
+def test_trace_eval_of_words_past_twice_the_crossing_cap(monkeypatch):
+    # The planner has no limit on word length: these words run to 100
+    # crossings.  At A = i every weight is a Gaussian integer and the
+    # sweep's coefficients stay small, so the value is exactly the exact
+    # bracket's.  Two of the words go radial.
     monkeypatch.setattr(bracket, "CROSSING_CAP", 120)
     words = [
         (3, [1, 2] * 50),
@@ -181,6 +181,26 @@ def test_trace_eval_of_words_past_the_plan_cost_table(monkeypatch):
         plans.append(bracket._trace_plan(bracket._tracks(k.braid)))
         assert bracket_eval(k, 1j) == _value_at_i(bracket_poly(k))
     assert plans == [False, False, True, True]
+
+
+# The free-reduced interference word of a 12-strand readout item, 104
+# crossings, whose gamma is 12: 9 8.
+READOUT_WORD_104 = (
+    "12: -4 9 2 -1 -1 -4 9 1 4 4 1 -4 -7 -4 7 -8 4 -7 -7 4 5 -4 -5 -7 4 5 4 9 9 7 -5 9 9 7 10 "
+    "-2 -7 -8 10 7 10 8 5 -7 5 -8 -7 -8 7 5 9 9 8 -9 -5 -7 8 7 8 -5 7 -5 -8 -10 -7 -10 8 7 2 "
+    "-10 -7 -9 -9 5 -7 -9 -9 -4 -5 -4 7 5 4 -5 -4 7 7 -4 8 -7 4 7 4 -1 -4 -4 -1 -9 4 1 1 -2 -9 4"
+)
+
+
+def test_a_long_readout_trace_word_is_swept_in_word_order(monkeypatch):
+    # Swept radially it takes about twice the state-steps of word order
+    # closed early, and over 20x the time; 2^open summed over its
+    # crossings is smaller in word order.
+    k = trace_close(parse_word(READOUT_WORD_104))
+    assert len(k.braid) == 104
+    assert not bracket._trace_plan(bracket._tracks(k.braid))
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 104)
+    assert bracket_eval(k, 1j) == _value_at_i(bracket_poly(k))
 
 
 def test_crossing_cap(monkeypatch):

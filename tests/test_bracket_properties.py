@@ -16,6 +16,7 @@ import math
 import random
 from unittest import mock
 
+import plan_quality
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -162,19 +163,18 @@ def test_words_without_crossings():
 
 
 def schedule_cost(n: int, gens: list[int], step: list[int]) -> int:
-    """The sum over crossings of Catalan(open / 2), straight from the
-    definition, for the trace closure of gens on n strands swept with the
-    crossing at word position x as step[x]: around the closed braid an
-    edge joins each crossing on a track to the next one, and after each
-    step open counts the edges with exactly one end swept so far."""
+    """The sum over crossings of 2^open, straight from the definition, for
+    the trace closure of gens on n strands swept with the crossing at word
+    position x as step[x]: around the closed braid an edge joins each
+    crossing on a track to the next one, and after each step open counts
+    the edges with exactly one end swept so far."""
     edges = []
     for p in range(n):
         xs = [x for x, i in enumerate(gens) if p in (i - 1, i)]
         edges += zip(xs, xs[1:] + xs[:1])
     cost = 0
     for j in range(len(gens)):
-        half = sum((step[x] <= j) != (step[y] <= j) for x, y in edges) // 2
-        cost += math.comb(2 * half, half) // (half + 1)
+        cost += 2 ** sum((step[x] <= j) != (step[y] <= j) for x, y in edges)
     return cost
 
 
@@ -191,6 +191,15 @@ def test_the_planner_chooses_the_cheaper_schedule():
         assert bracket._trace_plan(bracket._tracks(BraidWord.from_ints(n, gens))) == want
         chosen.add(want)
     assert chosen == {False, True}
+
+
+def test_the_planner_picks_within_five_percent_of_the_best_plan():
+    # The same check runs without pytest: PYTHONPATH=src python tests/plan_quality.py
+    result = plan_quality.check()
+    assert result["words"] == 3000
+    assert result["best_state_steps"] <= result["chosen_state_steps"]
+    assert plan_quality.MAX_EXCESS == 0.05
+    assert plan_quality.within_bar(result), result
 
 
 def peak_states(k: ClosedBraid, sweep_steps, monkeypatch) -> int:

@@ -256,6 +256,20 @@ def test_prob_gamma_word(capsys):
     assert doc["writhe"] == 0
 
 
+def test_prob_prints_values_of_the_documented_range(capsys):
+    # The README's range of probability, [(1 - phi)/(1 + phi^2), (1 +
+    # phi)/(1 + phi^2)]: an empty gamma prints its top, phi / sqrt 5, and
+    # the formula itself goes below 0 on a 2-strand unknot.
+    code, out, _ = run_cli(capsys, "prob", "3: 1")
+    assert code == 0
+    assert '\n  "probability": 0.7236067977499789,\n' in out
+    assert json.loads(out)["in_range"] is True
+    code, out, _ = run_cli(capsys, "prob", "1:", "--gamma", "2: -1 -1 -1")
+    assert code == 0
+    assert '\n  "probability": -0.148932201925999,\n' in out
+    assert json.loads(out)["in_range"] is False
+
+
 def test_prob_malformed_gamma(capsys):
     code, _, err = run_cli(capsys, "prob", "3: 1", "--gamma", "4: 9")
     assert code == 1

@@ -4,6 +4,7 @@ import pytest
 
 from stockbraid import (
     BraidWord,
+    ClosedBraid,
     ClosureError,
     component_count,
     diagram_stats,
@@ -19,6 +20,12 @@ from stockbraid import (
 def test_plat_requires_even_strands():
     with pytest.raises(ClosureError, match="2k"):
         plat_close(parse_word("3: 1"))
+
+
+def test_a_closure_of_a_value_that_is_not_a_word_is_refused():
+    with pytest.raises(ClosureError) as err:
+        ClosedBraid("3: 1", "plat")
+    assert str(err.value) == "a closure needs a BraidWord, got '3: 1'"
 
 
 def test_component_count_examples():

@@ -200,6 +200,32 @@ def test_post_init_names_the_first_non_positive_ticker():
     assert PriceSeries((), dates, ((), ())).prices_cents == ((), ())
 
 
+@pytest.mark.parametrize("tickers, dates, cents, message", [
+    # A float cent would reach the crossing rule: build_braid printed 2: -1 from it.
+    (("A", "B"), (date(2020, 1, 2), date(2020, 1, 3)), ((100.5, 250), (300, 90)),
+     "price 100.5 for A on 2020-01-02 is not an int number of cents"),
+    (("A", "B"), (date(2020, 1, 2), date(2020, 1, 3)), ((100, 250), (300, True)),
+     "price True for B on 2020-01-03 is not an int number of cents"),
+    ((1, "B"), (date(2020, 1, 2),), ((100, 250),), "ticker symbol 1 is not a str"),
+    (("A",), ("2020-01-02",), ((100,),), "date '2020-01-02' is not a plain datetime.date"),
+    (("A",), (datetime(2020, 1, 2),), ((100,),),
+     "date datetime.datetime(2020, 1, 2, 0, 0) is not a plain datetime.date"),
+], ids=["float cents", "bool cents", "int ticker", "str date", "datetime"])
+def test_the_constructor_refuses_fields_of_the_wrong_type(tickers, dates, cents, message):
+    with pytest.raises(CsvFormatError) as err:
+        PriceSeries(tickers, dates, cents)
+    assert str(err.value) == message
+
+
+def test_the_constructor_stores_tuples():
+    dates = [date(2020, 1, 2), date(2020, 1, 3)]
+    listed = PriceSeries(["A", "B"], dates, [[100, 250], [300, 90]])
+    built = PriceSeries(("A", "B"), tuple(dates), ((100, 250), (300, 90)))
+    assert (listed.tickers, listed.dates, listed.prices_cents) == (
+        ("A", "B"), tuple(dates), ((100, 250), (300, 90)))
+    assert listed == built and hash(listed) == hash(built)
+
+
 def _window_by_comprehension(series, start, end):
     if start > end:
         raise WindowError(f"window start {start} is after end {end}")

@@ -146,6 +146,23 @@ def test_out_of_range_probability_is_flagged_not_clamped():
     assert not report.in_range
 
 
+def test_probability_stays_in_the_documented_range(rand_word):
+    # Re(amplitude) = 1 + Re(s phi a) with |a| <= 1, so probability lies in
+    # [(1 - phi)/(1 + phi^2), (1 + phi)/(1 + phi^2)] = [-0.1708, 0.7236]:
+    # never above phi / sqrt 5, and below 0 on some exact inputs too.
+    low, high = (1 - PHI) / (1 + PHI**2), (1 + PHI) / (1 + PHI**2)
+    assert abs(high - PHI / math.sqrt(5)) < 1e-15
+    rng = random.Random(56)
+    values = []
+    for _ in range(300):
+        sigma = rand_word(rng, n=rng.choice([1, 3, 5]), max_len=8)
+        gamma = rand_word(rng, n=sigma.n_strands + 1, max_len=6)
+        k = plat_close(free_reduce(interference_braid(sigma, gamma)))
+        values.append(outcome_probability(k).probability)
+    assert low - 1e-12 <= min(values) < 0
+    assert max(values) <= high + 1e-12
+
+
 def test_outcome_probability_of_trivial_plat():
     # V = 1, c = 1, m = 1, Wr = 0: the first synthetic probe in the flesh
     report = outcome_probability(plat_close(BraidWord(2)))
