@@ -59,6 +59,7 @@ across calls.
 from __future__ import annotations
 
 import cmath
+from collections import Counter
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
@@ -162,17 +163,14 @@ def bracket_poly_state_sum(k: ClosedBraid) -> LaurentPoly:
     d_powers = [LaurentPoly.one()]
     for _ in range(max_loops):
         d_powers.append(d_powers[-1] * _D_POLY)
-    acc: dict[int, int] = {}
-    for state in smoothing_states(k):
-        a_exp = 2 * sum(state.choices) - c
-        for e, coeff in d_powers[state.loops - 1].items():
-            e += a_exp
-            total = acc.get(e, 0) + coeff
-            if total:
-                acc[e] = total
-            else:
-                del acc[e]
-    return LaurentPoly(acc)
+    # Tally the states by A-exponent (#A - #B smoothings) and loop count; a
+    # tally of n adds n * A^a_exp * d^(loops - 1).
+    tally = Counter((2 * sum(s.choices) - c, s.loops) for s in smoothing_states(k))
+    return LaurentPoly(
+        (a_exp + e, n * coeff)
+        for (a_exp, loops), n in tally.items()
+        for e, coeff in d_powers[loops - 1].items()
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -52,7 +52,11 @@ class _Value:
         cls._stores = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
 
     def __init__(self, *fields) -> None:
-        for store, value in zip(self._stores, fields, strict=True):
+        # A length check and a plain zip: zip(..., strict=True) takes the slow call path.
+        if len(fields) != len(self._stores):
+            raise TypeError(
+                f"{type(self).__qualname__} takes {len(self._stores)} fields, got {len(fields)}")
+        for store, value in zip(self._stores, fields):
             store(self, value)
 
     def __eq__(self, other: object) -> bool:

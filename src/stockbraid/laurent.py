@@ -60,34 +60,16 @@ class LaurentPoly:
         return hash(frozenset(self._terms.items()))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        merged = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            c = merged.get(exp, 0) + coeff
-            if c:
-                merged[exp] = c
-            else:
-                del merged[exp]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = merged
-        return out
+        return LaurentPoly((*self._terms.items(), *other._terms.items()))
 
     def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         if isinstance(other, int):
-            out = LaurentPoly.__new__(LaurentPoly)
-            out._terms = {e: c * other for e, c in self._terms.items()} if other else {}
-            return out
-        acc: dict[int, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                c = acc.get(e, 0) + c1 * c2
-                if c:
-                    acc[e] = c
-                else:
-                    del acc[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out._terms = acc
-        return out
+            return self.shifted(0, other)
+        return LaurentPoly(
+            (e1 + e2, c1 * c2)
+            for e1, c1 in self._terms.items()
+            for e2, c2 in other._terms.items()
+        )
 
     __rmul__ = __mul__
 

@@ -10,10 +10,10 @@ Ingest validates every row whatever the date window.  A plain document
 prices, ASCII digits with at most two decimals) is accepted by one regex
 match per line and one date pass per date format, with no Python loop
 per row; only the window's rows are then converted to cents, each
-distinct cell text once, so a window over a long history does not pay
-for the rest.  Any other document is one csv.reader pass, row by row,
-every cell read with Decimal as its row is validated, and every error
-is raised there.
+distinct cell text once through one memo, so a window over a long
+history does not pay for the rest.  Any other document is one
+csv.reader pass, row by row, every cell read with Decimal as its row is
+validated, and every error is raised there.
 """
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ class PriceSeries(_Value):
 
     def __init__(self, tickers: tuple[str, ...], dates: tuple[date, ...],
                  prices_cents: tuple[tuple[int, ...], ...]) -> None:
-        tickers, dates = tuple(tickers), tuple(dates)
-        prices_cents = tuple(map(tuple, prices_cents))
+        tickers, dates = _items(tickers, "ticker list"), _items(dates, "date list")
+        rows = _items(prices_cents, "price matrix")
+        prices_cents = tuple(_items(row, "price row") for row in rows)
         for t in tickers:
             if not isinstance(t, str):
                 raise CsvFormatError(f"ticker symbol {t!r} is not a str")
@@ -110,6 +111,15 @@ class PriceSeries(_Value):
             return self.tickers.index(ticker)
         except ValueError:
             raise CsvFormatError(f"unknown ticker {ticker!r}") from None
+
+
+def _items(field: object, what: str) -> tuple:
+    """The items of a PriceSeries field as a tuple; CsvFormatError if it is not iterable."""
+    try:
+        items = iter(field)
+    except TypeError:
+        raise CsvFormatError(f"{what} {field!r} is not iterable") from None
+    return tuple(items)
 
 
 def _check_tickers(tickers: tuple[str, ...]) -> None:
@@ -171,17 +181,12 @@ _PLAIN_FIELD_MAX = 18
 
 
 def _cent_rows(texts: list[str], width: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of width cents from _parse_plain's row texts.  Each distinct cell text
-    is converted once, unless most cells are distinct, when lookups cost more."""
+    """Rows of width cents from _parse_plain's row texts, each distinct cell text converted once."""
     cells = ",".join(texts).split(",") if texts else []
-    distinct = dict.fromkeys(cells[: len(cells) // 2 + 1])
-    if 2 * len(distinct) <= len(cells):  # the first half and one do not settle it
-        distinct.update(dict.fromkeys(cells[len(cells) // 2 + 1:]))
-    unique = cells if 2 * len(distinct) > len(cells) else distinct
-    cents = [int(w + f.ljust(2, "0")) for w, _, f in map(str.partition, unique, repeat("."))]
-    if unique is distinct:
-        cents = map(dict(zip(distinct, cents)).__getitem__, cells)
-    return tuple(zip(*[iter(cents)] * width))
+    distinct = dict.fromkeys(cells)
+    cents = [int(w + f.ljust(2, "0")) for w, _, f in map(str.partition, distinct, repeat("."))]
+    row_cells = map(dict(zip(distinct, cents)).__getitem__, cells)
+    return tuple(zip(*[iter(row_cells)] * width))
 
 
 def _plain_dates(fields: list[str]) -> list[date]:

@@ -59,6 +59,17 @@ def test_positive_kink_hand_expansion():
     assert bracket_poly_state_sum(k).terms == {3: -1}
 
 
+def test_state_sum_tallies_on_the_smallest_words():
+    # No crossing: one state of A-exponent 0, worth d^(loops - 1).
+    assert bracket_poly_state_sum(plat_close(parse_word("2:"))).terms == {0: 1}
+    assert bracket_poly_state_sum(trace_close(parse_word("3:"))).terms == {-4: 1, 0: 2, 4: 1}
+    # The trace-closed curl: (A, 1 loop) and (A^-1, 2 loops), so A + A^-1 d = -A^-3.
+    k = trace_close(parse_word("2: 1"))
+    assert sorted((s.choices, s.loops) for s in smoothing_states(k)) == [
+        ((False,), 2), ((True,), 1)]
+    assert bracket_poly_state_sum(k).terms == {-3: -1}
+
+
 def test_hopf_link_exhaustive_four_state_sum():
     # by hand: states (AA) 2 loops, (AB) and (BA) 1 loop, (BB) 2 loops:
     # A^2 d + 2 + A^-2 d = -A^4 - A^-4

@@ -1,4 +1,19 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from stockbraid.laurent import LaurentPoly, poly_from_json, poly_to_json
+
+# Small exponents and coefficients, so that sums and products cancel often.
+_TERMS = st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=5)
+_INTS = st.integers(-3, 3)
+
+
+def _reference_sum(*term_dicts: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for terms in term_dicts:
+        for e, c in terms.items():
+            out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
 
 
 def test_zero_coefficients_never_stored():
@@ -33,6 +48,25 @@ def test_arithmetic():
     assert a * LaurentPoly.one() == a
     assert a * LaurentPoly() == 0
     assert (a + LaurentPoly({1: -1})).terms == {-1: 1}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_TERMS, _TERMS, _INTS)
+def test_ring_operations_match_a_plain_dict_reference(p_terms, q_terms, k):
+    p, q = LaurentPoly(p_terms), LaurentPoly(q_terms)
+    product: dict[int, int] = {}
+    for e1, c1 in p_terms.items():
+        for e2, c2 in q_terms.items():
+            product[e1 + e2] = product.get(e1 + e2, 0) + c1 * c2
+    scaled = {e: c * k for e, c in p_terms.items()}
+    expected = [
+        (p + q, _reference_sum(p_terms, q_terms)),
+        (p * q, _reference_sum(product)),
+        (p * k, _reference_sum(scaled)),
+        (k * p, _reference_sum(scaled)),
+    ]
+    for got, want in expected:
+        assert got.terms == want  # want holds no zero coefficient, so neither may got
 
 
 def test_shifted_and_mirrored():

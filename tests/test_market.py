@@ -210,11 +210,23 @@ def test_post_init_names_the_first_non_positive_ticker():
     (("A",), ("2020-01-02",), ((100,),), "date '2020-01-02' is not a plain datetime.date"),
     (("A",), (datetime(2020, 1, 2),), ((100,),),
      "date datetime.datetime(2020, 1, 2, 0, 0) is not a plain datetime.date"),
-], ids=["float cents", "bool cents", "int ticker", "str date", "datetime"])
+    # Each was a bare TypeError from tuple(): 'int' object is not iterable.
+    (("A",), (date(2020, 1, 2),), (5,), "price row 5 is not iterable"),
+    (("A",), (date(2020, 1, 2),), 5, "price matrix 5 is not iterable"),
+    (5, (date(2020, 1, 2),), ((100,),), "ticker list 5 is not iterable"),
+    (("A",), None, ((100,),), "date list None is not iterable"),
+], ids=["float cents", "bool cents", "int ticker", "str date", "datetime", "int row",
+        "int matrix", "int tickers", "None dates"])
 def test_the_constructor_refuses_fields_of_the_wrong_type(tickers, dates, cents, message):
     with pytest.raises(CsvFormatError) as err:
         PriceSeries(tickers, dates, cents)
     assert str(err.value) == message
+
+
+def test_unchecked_refuses_a_missing_field():
+    with pytest.raises(TypeError) as err:
+        PriceSeries._unchecked(("A",), (date(2020, 1, 2),))
+    assert str(err.value) == "PriceSeries takes 3 fields, got 2"
 
 
 def test_the_constructor_stores_tuples():
