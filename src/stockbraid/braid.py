@@ -40,7 +40,8 @@ class _Value:
     Instances compare equal and hash alike when they are of the same
     class with equal fields, print as ClassName(field=value, ...), refuse
     assignment and deletion of fields with AttributeError, and pickle and
-    copy by calling __init__ again.
+    copy by calling __init__ again.  _unchecked builds a value from fields
+    its caller already knows to be valid, without the subclass's checks.
     """
 
     __slots__ = ()
@@ -58,6 +59,13 @@ class _Value:
                 f"{type(self).__qualname__} takes {len(self._stores)} fields, got {len(fields)}")
         for store, value in zip(self._stores, fields):
             store(self, value)
+
+    @classmethod
+    def _unchecked(cls, *fields):
+        """The value of fields, in slot order, already valid for cls's __init__."""
+        value = object.__new__(cls)
+        _Value.__init__(value, *fields)
+        return value
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -152,7 +160,8 @@ class BraidWord(_Value):
         0, or one of absolute value n_strands or more raises
         WordFormatError.  Each distinct value is built into one Generator
         that all its occurrences share.  Values are told apart as dict
-        keys are, so a 1.0 or a True after a 1 reads as that 1.
+        keys are, so a 1.0 or a True after a 1 reads as that 1.  The
+        checked generators are stored as they are, with no second scan.
         """
         _check_strand_count(n_strands)
 
@@ -163,10 +172,10 @@ class BraidWord(_Value):
                 raise WordFormatError(f"generator {value} out of range on {n_strands} strands")
             return Generator.from_int(value)
 
-        return cls(n_strands, tuple(map(_Memo(generator).__getitem__, word)))
+        return cls._unchecked(n_strands, tuple(map(_Memo(generator).__getitem__, word)))
 
     def to_ints(self) -> list[int]:
-        return [g.to_int() for g in self.generators]
+        return [g.index * g.exponent for g in self.generators]
 
     def __len__(self) -> int:
         return len(self.generators)
@@ -187,19 +196,25 @@ def inverse(w: BraidWord) -> BraidWord:
     return BraidWord.from_ints(w.n_strands, values)
 
 
+def _push_reduced(stack: list[int], values: Iterable[int]) -> list[int]:
+    """stack with each signed value pushed in turn, cancelling its inverse
+    on top instead: the package's one free-reduction rule.  A reduced
+    stack stays reduced."""
+    for v in values:
+        if stack and stack[-1] == -v:
+            stack.pop()
+        else:
+            stack.append(v)
+    return stack
+
+
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent sigma_i sigma_i^{-1} pairs until none remain.
 
     Only equal-index inverse pairs are cancelled; braid relations are
     never applied.  The result has the same permutation and writhe.
     """
-    stack: list[Generator] = []
-    for g in w.generators:
-        if stack and stack[-1].index == g.index and stack[-1].exponent == -g.exponent:
-            stack.pop()
-        else:
-            stack.append(g)
-    return BraidWord(w.n_strands, tuple(stack))
+    return BraidWord.from_ints(w.n_strands, _push_reduced([], w.to_ints()))
 
 
 def permutation(w: BraidWord) -> tuple[int, ...]:
@@ -226,7 +241,7 @@ def writhe(w: BraidWord) -> int:
 
 def format_word(w: BraidWord) -> str:
     """Render as ``n: g1 g2 ...`` with signed 1-based indices."""
-    body = " ".join(str(g.to_int()) for g in w.generators)
+    body = " ".join(map(str, w.to_ints()))
     return f"{w.n_strands}:" + (f" {body}" if body else "")
 
 

@@ -44,7 +44,7 @@ from math import isfinite
 from types import SimpleNamespace
 
 from . import __version__
-from .braid import BraidWord, _ascii_int, format_word, free_reduce, parse_word, writhe
+from .braid import BraidWord, _ascii_int, format_word, parse_word, writhe
 from .bracket import (
     CrossingCapExceeded,
     _writhe_corrected_value,
@@ -54,7 +54,7 @@ from .bracket import (
 )
 from .closure import ClosedBraid, diagram_stats
 from .laurent import poly_to_json
-from .outcome import _complex_json, interference_braid, outcome_from_stats, outcome_probability
+from .outcome import _complex_json, _readout_word, outcome_from_stats, outcome_probability
 
 _WORD_RE = re.compile(r"^\s*\d+\s*:")
 
@@ -215,7 +215,7 @@ def _cmd_prob(args: SimpleNamespace) -> int:
         gamma = parse_word(args.gamma)
     else:
         gamma = BraidWord(sigma.n_strands + 1)
-    braid = free_reduce(interference_braid(sigma, gamma))
+    braid = _readout_word(sigma, gamma)
     report = outcome_probability(ClosedBraid(braid, "plat"))
     doc = {"interference_word": format_word(braid)}
     doc.update(report.to_json())

@@ -87,13 +87,6 @@ class PriceSeries(_Value):
                     raise CsvFormatError(f"non-positive price for {t} on {d}")
         _Value.__init__(self, tickers, dates, prices_cents)
 
-    @classmethod
-    def _unchecked(cls, *fields) -> PriceSeries:
-        """The series of fields (tickers, dates, prices_cents) already valid for __init__."""
-        series = object.__new__(cls)
-        _Value.__init__(series, *fields)
-        return series
-
     def price_cents(self, on: date, ticker: str) -> int:
         return self.prices_cents[self.date_index(on)][self.ticker_index(ticker)]
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .braid import BraidWord, _Value, compose, inverse, writhe
+from .braid import BraidWord, _push_reduced, _Value, compose, inverse, writhe
 from .bracket import _writhe_corrected_value, bracket_eval
 from .closure import ClosedBraid, ClosureError, component_count, minima_count
 
@@ -85,14 +85,43 @@ def interference_braid(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
     is returned unreduced; free_reduce it to see the cancellation when
     gamma is trivial.
     """
+    n = _readout_strands(sigma, gamma)
+    lifted = BraidWord(n, sigma.generators)
+    return compose(lifted, compose(gamma, inverse(lifted)))
+
+
+def _readout_strands(sigma: BraidWord, gamma: BraidWord) -> int:
     n = sigma.n_strands + 1
     if gamma.n_strands != n:
         raise ValueError(
             f"gamma must be on {n} strands (system plus test strand), "
             f"got {gamma.n_strands}"
         )
-    lifted = BraidWord(n, sigma.generators)
-    return compose(lifted, compose(gamma, inverse(lifted)))
+    return n
+
+
+def _readout_word(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
+    """free_reduce(interference_braid(sigma, gamma)), built as one word.
+
+    sigma's values are reduced once and gamma's pushed onto them,
+    cancelling as they go.  Then sigma's reduced inverse cancels against
+    the top until one of its values stays, and the rest of it is appended
+    in one step: a reduced word has no adjacent inverse pair, so nothing
+    after that point can cancel.  Free reduction is confluent, so the
+    word is the one free_reduce gives on the whole sandwich.
+    """
+    n = _readout_strands(sigma, gamma)
+    reduced = _push_reduced([], sigma.to_ints())
+    stack = _push_reduced(reduced.copy(), gamma.to_ints())
+    tail = [-v for v in reversed(reduced)]
+    cancelled = 0
+    for v in tail:
+        if not stack or stack[-1] != -v:
+            break
+        stack.pop()
+        cancelled += 1
+    stack += tail[cancelled:]
+    return BraidWord.from_ints(n, stack)
 
 
 def plat_amplitude(k: ClosedBraid) -> complex:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -161,6 +163,35 @@ def test_equal_generators_are_shared_within_a_word():
     assert g[0] is g[2] is g[3] and g[1] is g[4]
     with pytest.raises(WordFormatError, match="generator 4 out of range"):
         parse_word("4: 1 1 4 1")
+
+
+def test_from_ints_words_behave_like_checked_words():
+    # from_ints stores the generators it has checked without a second scan;
+    # the word it builds must be the value BraidWord(n, gens) builds from
+    # the same generators.
+    for n, ints in ((1, []), (2, []), (3, [1, -2, 1, 1]), (5, [4, -4, -1, 3, 2])):
+        built = BraidWord.from_ints(n, ints)
+        checked = BraidWord(n, built.generators)
+        assert type(built) is BraidWord
+        assert built == BraidWord(n, [Generator.from_int(v) for v in ints])
+        assert built == checked and not built != checked
+        assert hash(built) == hash(checked)
+        assert repr(built) == repr(checked)
+        assert pickle.dumps(built) == pickle.dumps(checked)
+        for twin in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
+            assert twin == checked and repr(twin) == repr(checked)
+        assert type(built.generators) is tuple
+        with pytest.raises(AttributeError):
+            built.n_strands = 9
+
+
+def test_checked_words_still_refuse_bad_generators():
+    with pytest.raises(WordFormatError, match="^generator index 3 out of range on 3 strands$"):
+        BraidWord(3, (Generator(1, 1), Generator(3, -1)))
+    with pytest.raises(WordFormatError, match=r"^generator \(1, 1\) is not a Generator$"):
+        BraidWord(3, [(1, 1)])
+    with pytest.raises(WordFormatError, match="^generator None is not a Generator$"):
+        BraidWord(3, [Generator(1, 1), None])
 
 
 def test_parse_and_format():

@@ -256,6 +256,34 @@ def test_prob_gamma_word(capsys):
     assert doc["writhe"] == 0
 
 
+def test_prob_builds_three_words(capsys, monkeypatch):
+    # sigma, gamma and the readout word: the readout word is reduced on
+    # signed values and built once, not lifted, inverted, composed twice
+    # and reduced as words.
+    built = []
+    checked, unchecked = BraidWord.__init__, BraidWord._unchecked.__func__
+
+    def counted_init(self, *args):
+        built.append("init")
+        checked(self, *args)
+
+    def counted_unchecked(cls, *fields):
+        built.append("unchecked")
+        return unchecked(cls, *fields)
+
+    monkeypatch.setattr(BraidWord, "__init__", counted_init)
+    monkeypatch.setattr(BraidWord, "_unchecked", classmethod(counted_unchecked))
+    code, out, _ = run_cli(capsys, "prob", "3: 1 -1 2 1", "--gamma", "4: -1 -2 3")
+    assert code == 0
+    assert json.loads(out)["interference_word"] == "4: 3 -1 -2"
+    assert len(built) == 3
+    built.clear()
+    code, out, _ = run_cli(capsys, "prob", "3: 2 -2 1 2", "--gamma", "4: -2 -1")
+    assert code == 0
+    assert json.loads(out)["interference_word"] == "4: -2 -1"
+    assert len(built) == 3
+
+
 def test_prob_prints_values_of_the_documented_range(capsys):
     # The README's range of probability, [(1 - phi)/(1 + phi^2), (1 +
     # phi)/(1 + phi^2)]: an empty gamma prints its top, phi / sqrt 5, and

@@ -4,12 +4,15 @@ import random
 from decimal import Decimal, localcontext
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stockbraid import (
     FIBONACCI_POINT,
     GOLDEN_RATIO,
     BraidWord,
     ClosureError,
+    format_word,
     free_reduce,
     interference_braid,
     outcome_from_stats,
@@ -20,7 +23,7 @@ from stockbraid import (
     trace_close,
     writhe,
 )
-from stockbraid.outcome import _golden_power
+from stockbraid.outcome import _golden_power, _readout_word
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -90,8 +93,64 @@ def test_interference_writhe_equals_gamma_writhe(rand_word):
 
 
 def test_interference_strand_mismatch():
-    with pytest.raises(ValueError, match="strand"):
+    message = "^gamma must be on 4 strands \\(system plus test strand\\), got 3$"
+    with pytest.raises(ValueError, match=message):
         interference_braid(BraidWord(3), BraidWord(3))
+    with pytest.raises(ValueError, match=message):
+        _readout_word(BraidWord(3), BraidWord(3))
+
+
+def _letters(n: int, alphabet: list[int]):
+    return st.lists(st.sampled_from([s * i for i in alphabet for s in (1, -1)]), max_size=24)
+
+
+@st.composite
+def _readout_inputs(draw):
+    """(n, sigma, gamma) as signed values: sigma on n = 1-8 strands over at
+    most two indices, as in market words, so that adjacent inverse pairs
+    occur, and gamma on n + 1 strands of one of five kinds.  A "cancel"
+    gamma starts by cancelling a suffix of sigma's reduced word; a
+    "junction" gamma ends with one, which the reduced inverse then
+    cancels; a "trivial" gamma reduces to nothing, so the whole readout
+    word cancels down to "n+1:"."""
+    n = draw(st.integers(1, 8))
+    alphabet = draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True)) if n > 1 else []
+    sigma = draw(_letters(n, alphabet)) if alphabet else []
+    reduced = free_reduce(BraidWord.from_ints(n, sigma)).to_ints()
+    kind = draw(st.sampled_from(["free", "empty", "cancel", "junction", "trivial"]))
+    if kind == "empty":
+        return n, sigma, []
+    head = draw(_letters(n + 1, draw(st.lists(st.integers(1, n), min_size=1, max_size=2, unique=True))))
+    if kind == "trivial":
+        return n, sigma, head + [-v for v in reversed(head)]
+    suffix = reduced[draw(st.integers(0, len(reduced))):]
+    if kind == "cancel":
+        return n, sigma, [-v for v in reversed(suffix)] + head
+    if kind == "junction":
+        return n, sigma, head + suffix
+    return n, sigma, head
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_readout_inputs())
+@example((1, [], []))
+@example((4, [], []))
+@example((4, [1, -1, 2, 3, -3, 2], []))
+@example((3, [], [1, 2, -2, -1]))
+@example((3, [1, -1, 2, 1], [-1, -2, 3]))
+@example((3, [1, 2, 1], [3, 2, 1]))
+@example((3, [1, 2, 1], [-1, -2, 3]))
+def test_readout_word_is_the_reduced_interference_braid(inputs):
+    n, sigma_values, gamma_values = inputs
+    sigma = BraidWord.from_ints(n, sigma_values)
+    gamma = BraidWord.from_ints(n + 1, gamma_values)
+    expected = free_reduce(interference_braid(sigma, gamma))
+    word = _readout_word(sigma, gamma)
+    assert word == expected
+    assert format_word(word) == format_word(expected)
+    reduced_gamma = free_reduce(gamma).to_ints()
+    if not reduced_gamma:
+        assert format_word(word) == f"{n + 1}:"
 
 
 # --- plat amplitude ----------------------------------------------------------
