@@ -100,7 +100,7 @@ def test_interference_strand_mismatch():
         _readout_word(BraidWord(3), BraidWord(3))
 
 
-def _letters(n: int, alphabet: list[int]):
+def _letters(alphabet: list[int]):
     return st.lists(st.sampled_from([s * i for i in alphabet for s in (1, -1)]), max_size=24)
 
 
@@ -114,13 +114,13 @@ def _readout_inputs(draw):
     cancels; a "trivial" gamma reduces to nothing, so the whole readout
     word cancels down to "n+1:"."""
     n = draw(st.integers(1, 8))
-    alphabet = draw(st.lists(st.integers(1, n - 1), max_size=2, unique=True)) if n > 1 else []
-    sigma = draw(_letters(n, alphabet)) if alphabet else []
+    alphabet = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2, unique=True)) if n > 1 else []
+    sigma = draw(_letters(alphabet)) if alphabet else []
     reduced = free_reduce(BraidWord.from_ints(n, sigma)).to_ints()
     kind = draw(st.sampled_from(["free", "empty", "cancel", "junction", "trivial"]))
     if kind == "empty":
         return n, sigma, []
-    head = draw(_letters(n + 1, draw(st.lists(st.integers(1, n), min_size=1, max_size=2, unique=True))))
+    head = draw(_letters(draw(st.lists(st.integers(1, n), min_size=1, max_size=2, unique=True))))
     if kind == "trivial":
         return n, sigma, head + [-v for v in reversed(head)]
     suffix = reduced[draw(st.integers(0, len(reduced))):]
