@@ -123,20 +123,20 @@ def smoothing_states(k: ClosedBraid) -> Iterator[SmoothingState]:
     """Enumerate all 2^c smoothing states with their loop counts."""
     word = k.braid
     n = word.n_strands
-    gens = word.generators
-    c = len(gens)
+    values = word.values
+    c = len(values)
     for bits in range(1 << c):
         uf = _UnionFind(n + c)
         frontier = list(range(n))
         next_node = n
         loops = 0
         choices = []
-        for j, g in enumerate(gens):
+        for j, v in enumerate(values):
             a_choice = bool((bits >> j) & 1)
             choices.append(a_choice)
-            cupcap = a_choice if g.exponent > 0 else not a_choice
+            cupcap = a_choice if v > 0 else not a_choice
             if cupcap:
-                i = g.index - 1
+                i = abs(v) - 1
                 if uf.union(frontier[i], frontier[i + 1]):
                     loops += 1
                 frontier[i] = frontier[i + 1] = next_node
@@ -220,8 +220,8 @@ def _word_schedule(k: ClosedBraid) -> _Schedule:
     else:
         start = close = _involution(arcs, 2 * n)
         offset = n
-    steps = [(offset + g.index - 1, offset + g.index, g.exponent) for g in k.braid.generators]
-    return _Schedule(start, steps, close)
+    step = _Memo(lambda v: (offset + abs(v) - 1, offset + abs(v), 1 if v > 0 else -1))
+    return _Schedule(start, list(map(step.__getitem__, k.braid.values)), close)
 
 
 def _radial_schedule(word: BraidWord, tracks: tuple) -> _Schedule:
@@ -245,10 +245,10 @@ def _radial_schedule(word: BraidWord, tracks: tuple) -> _Schedule:
     cap-cup smoothing and the other way round, so sigma_i^s is weighted
     like sigma_i^(-s).
     """
-    gens = word.generators
+    values = word.values
     index, touches, order, _ = tracks
-    left = [0] * len(gens)
-    right = [0] * len(gens)
+    left = [0] * len(values)
+    right = [0] * len(values)
     pairs: list[tuple[int, int]] = []
     arcs: list[tuple[int, int]] = []
     # Track p's lower legs belong to sigma_(p+1); the points of an upper
@@ -271,7 +271,7 @@ def _radial_schedule(word: BraidWord, tracks: tuple) -> _Schedule:
             else:
                 arcs.append((right[x], left[y]))
     size = 2 * len(pairs)
-    steps = [(left[x], right[x], -gens[x].exponent) for x in order]
+    steps = [(left[x], right[x], -1 if values[x] > 0 else 1) for x in order]
     return _Schedule(_involution(pairs, size), steps, _involution(arcs, size))
 
 
@@ -452,7 +452,7 @@ def _tracks(word: BraidWord) -> tuple[list[int], list[list[int]], list[int], lis
     index, word position), and rank[x] is x's place in it.
     """
     c = len(word)
-    index = [g.index for g in word.generators]
+    index = list(map(abs, word.values))
     touches: list[list[int]] = [[] for _ in range(word.n_strands)]
     for x, i in enumerate(index):
         touches[i - 1].append(x)

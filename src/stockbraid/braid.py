@@ -1,18 +1,18 @@
 """Braid words on n strands and their group operations.
 
 A word is a sequence of Artin generators sigma_i^{+/-1}, stored as
-(index, exponent) pairs.  Convention pinned for the whole package:
-generators apply bottom to top, left to right in list order, and the
-positive generator sigma_i is the overcrossing in which the strand
-entering at position i+1 passes in front of the strand entering at
-position i.
+signed ints: e * i stands for sigma_i^e.  Convention pinned for the
+whole package: generators apply bottom to top, left to right in list
+order, and the positive generator sigma_i is the overcrossing in which
+the strand entering at position i+1 passes in front of the strand
+entering at position i.
 
 Words are immutable values and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
+from operator import attrgetter, neg
 from typing import Callable, Iterable
 
 
@@ -40,7 +40,8 @@ class _Value:
     Instances compare equal and hash alike when they are of the same
     class with equal fields, print as ClassName(field=value, ...), refuse
     assignment and deletion of fields with AttributeError, and pickle and
-    copy by calling __init__ again.  _unchecked builds a value from fields
+    copy by calling __init__ again (or the checked constructor that a
+    subclass's __reduce__ names).  _unchecked builds a value from fields
     its caller already knows to be valid, without the subclass's checks.
     """
 
@@ -62,7 +63,7 @@ class _Value:
 
     @classmethod
     def _unchecked(cls, *fields):
-        """The value of fields, in slot order, already valid for cls's __init__."""
+        """The value of fields, in slot order, already known to be valid."""
         value = object.__new__(cls)
         _Value.__init__(value, *fields)
         return value
@@ -128,14 +129,32 @@ def _check_strand_count(n_strands: int) -> None:
         raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
 
 
-class BraidWord(_Value):
-    """An element of the braid group B_n given as a word in the generators."""
+def _checked_values(n_strands: int) -> _Memo:
+    """from_ints' checks, the strand count's first: a memo from each
+    signed value to the plain int it reads on n_strands strands."""
+    _check_strand_count(n_strands)
 
-    __slots__ = ("n_strands", "generators")
+    def checked(value) -> int:
+        if not _is_int(value):
+            raise WordFormatError(f"bad generator token {value!r}")
+        if value == 0:
+            raise WordFormatError("generator 0 is not defined")
+        if abs(value) >= n_strands:
+            raise WordFormatError(f"generator {value} out of range on {n_strands} strands")
+        return int(value)
+
+    return _Memo(checked)
+
+
+class BraidWord(_Value):
+    """An element of the braid group B_n given as a word in the generators,
+    stored as its signed values, the ints format_word prints."""
+
+    __slots__ = ("n_strands", "values")
 
     def __init__(self, n_strands: int, generators: tuple[Generator, ...] = ()) -> None:
         _check_strand_count(n_strands)
-        generators = tuple(generators)
+        values = []
         # A value that is not a Generator fails the attribute lookup or the
         # comparison; checking each one's type would cost every word built.
         try:
@@ -144,9 +163,10 @@ class BraidWord(_Value):
                     raise WordFormatError(
                         f"generator index {g.index} out of range on {n_strands} strands"
                     )
+                values.append(g.index * g.exponent)
         except (AttributeError, TypeError):
             raise WordFormatError(f"generator {g!r} is not a Generator") from None
-        _Value.__init__(self, n_strands, generators)
+        _Value.__init__(self, n_strands, tuple(values))
 
     @classmethod
     def from_ints(cls, n_strands: int, word: Iterable[int]) -> "BraidWord":
@@ -158,27 +178,25 @@ class BraidWord(_Value):
         on its first occurrence, so the first faulty value in word order
         is the one reported: a value that is not an int (a bool is not),
         0, or one of absolute value n_strands or more raises
-        WordFormatError.  Each distinct value is built into one Generator
-        that all its occurrences share.  Values are told apart as dict
-        keys are, so a 1.0 or a True after a 1 reads as that 1.  The
-        checked generators are stored as they are, with no second scan.
+        WordFormatError.  Values are told apart as dict keys are, so a 1.0
+        or a True after a 1 reads as that 1, and each is stored as the
+        plain int its check read.  No Generator is built.
         """
-        _check_strand_count(n_strands)
+        return cls._unchecked(n_strands, tuple(map(_checked_values(n_strands).__getitem__, word)))
 
-        def generator(value: int) -> Generator:
-            if not _is_int(value):
-                raise WordFormatError(f"bad generator token {value!r}")
-            if abs(value) >= n_strands:
-                raise WordFormatError(f"generator {value} out of range on {n_strands} strands")
-            return Generator.from_int(value)
-
-        return cls._unchecked(n_strands, tuple(map(_Memo(generator).__getitem__, word)))
+    @property
+    def generators(self) -> tuple[Generator, ...]:
+        """The word as Generators, one shared Generator per distinct value."""
+        return tuple(map(_Memo(Generator.from_int).__getitem__, self.values))
 
     def to_ints(self) -> list[int]:
-        return [g.index * g.exponent for g in self.generators]
+        return list(self.values)
 
     def __len__(self) -> int:
-        return len(self.generators)
+        return len(self.values)
+
+    def __reduce__(self) -> tuple:
+        return type(self).from_ints, self._key(self)  # __init__ takes Generators, not values
 
 
 def compose(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -187,13 +205,12 @@ def compose(a: BraidWord, b: BraidWord) -> BraidWord:
         raise WordFormatError(
             f"cannot compose words on {a.n_strands} and {b.n_strands} strands"
         )
-    return BraidWord(a.n_strands, a.generators + b.generators)
+    return BraidWord._unchecked(a.n_strands, a.values + b.values)
 
 
 def inverse(w: BraidWord) -> BraidWord:
     """The group inverse: generators reversed with exponents negated."""
-    values = [g.index * -g.exponent for g in reversed(w.generators)]
-    return BraidWord.from_ints(w.n_strands, values)
+    return BraidWord._unchecked(w.n_strands, tuple(map(neg, reversed(w.values))))
 
 
 def _push_reduced(stack: list[int], values: Iterable[int]) -> list[int]:
@@ -214,7 +231,7 @@ def free_reduce(w: BraidWord) -> BraidWord:
     Only equal-index inverse pairs are cancelled; braid relations are
     never applied.  The result has the same permutation and writhe.
     """
-    return BraidWord.from_ints(w.n_strands, _push_reduced([], w.to_ints()))
+    return BraidWord._unchecked(w.n_strands, tuple(_push_reduced([], w.values)))
 
 
 def permutation(w: BraidWord) -> tuple[int, ...]:
@@ -224,24 +241,23 @@ def permutation(w: BraidWord) -> tuple[int, ...]:
     position p.  Composition order: permutation(compose(a, b)) applies
     a's permutation first, then b's.
     """
-    strand_at = list(range(w.n_strands))  # strand_at[pos] = strand id (0-based)
-    for g in w.generators:
-        i = g.index - 1
+    strand_at = [-1, *range(w.n_strands)]  # strand_at[pos] = strand id (0-based); pos is 1-based
+    for i in map(abs, w.values):
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
     top = [0] * w.n_strands
-    for pos, strand in enumerate(strand_at):
-        top[strand] = pos + 1
+    for pos, strand in enumerate(strand_at[1:], 1):
+        top[strand] = pos
     return tuple(top)
 
 
 def writhe(w: BraidWord) -> int:
     """Positive crossings minus negative crossings: the sum of exponents."""
-    return sum(g.exponent for g in w.generators)
+    return len(w.values) - 2 * len([v for v in w.values if v < 0])
 
 
 def format_word(w: BraidWord) -> str:
     """Render as ``n: g1 g2 ...`` with signed 1-based indices."""
-    body = " ".join(map(str, w.to_ints()))
+    body = " ".join(map(_Memo(str).__getitem__, w.values))
     return f"{w.n_strands}:" + (f" {body}" if body else "")
 
 
@@ -261,13 +277,14 @@ def parse_word(text: str) -> BraidWord:
         n = _ascii_int(head.strip())
     except ValueError:
         raise WordFormatError(f"bad strand count {head.strip()!r}") from None
-    # Each distinct token is read once.  One that is not a number stays
-    # text, which from_ints reports as a bad token in its place in the word.
-    tokens = tail.split()
-    values: dict[str, int | str] = {}
-    for token in set(tokens):
+    checked = _checked_values(n)
+
+    def value(token: str) -> int:
         try:
-            values[token] = _ascii_int(token)
+            number = _ascii_int(token)
         except ValueError:
-            values[token] = token
-    return BraidWord.from_ints(n, map(values.__getitem__, tokens))
+            number = token  # not a number: the check reports it as a bad token
+        return checked[number]
+
+    # Each distinct token is read and checked once, in word order, as from_ints checks values.
+    return BraidWord._unchecked(n, tuple(map(_Memo(value).__getitem__, tail.split())))

@@ -45,7 +45,7 @@ import json
 from datetime import date
 from decimal import Decimal
 from itertools import islice
-from typing import Callable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .braid import BraidWord, _Memo
 from .market import PriceSeries, cents_to_decimal
@@ -223,7 +223,7 @@ _RECORD = (
 )
 # Records per write of write_audit.
 _CHUNK = 512
-_SIGN_NAMES = {sign.exponent: sign.value for sign in CrossingSign}
+_SIGN_NAMES = {sign.exponent > 0: sign.value for sign in CrossingSign}
 
 
 def _decimal_text(cents: int) -> str:
@@ -232,16 +232,16 @@ def _decimal_text(cents: int) -> str:
 
 
 def _audit_values(
-    events: list[CrossingEvent], exponents: list[int], ticker_text: Callable[[str], str] = str
+    events: list[CrossingEvent], values: Iterable[int], ticker_text: Callable[[str], str] = str
 ) -> Iterator[tuple]:
     """The values of each event's audit record in _AUDIT_KEYS order,
-    given its generator exponent, with tickers written by ticker_text.
+    given its signed generator value, with tickers written by ticker_text.
     Each date, ticker and distinct price change is formatted once per
     call."""
     dates = _Memo(date.isoformat)
     names = _Memo(ticker_text)
     deltas = _Memo(_decimal_text)
-    for event, exponent in zip(events, exponents, strict=True):
+    for event, value in zip(events, values, strict=True):
         from_date, to_date, position, lower, upper, delta_lower, delta_upper, _, _ = event
         yield (
             dates[from_date],
@@ -251,15 +251,15 @@ def _audit_values(
             names[upper],
             deltas[delta_lower],
             deltas[delta_upper],
-            _SIGN_NAMES[exponent],
-            position * exponent,
+            _SIGN_NAMES[value > 0],
+            value,
         )
 
 
 def audit_entries(events: list[CrossingEvent]) -> list[dict]:
     """audit_log's records of the given events."""
-    exponents = [_exponent(event) for event in events]
-    return [dict(zip(_AUDIT_KEYS, values)) for values in _audit_values(events, exponents)]
+    values = [event.position * _exponent(event) for event in events]
+    return [dict(zip(_AUDIT_KEYS, record)) for record in _audit_values(events, values)]
 
 
 def write_audit(fh: TextIO, events: list[CrossingEvent], word: BraidWord) -> None:
@@ -270,8 +270,7 @@ def write_audit(fh: TextIO, events: list[CrossingEvent], word: BraidWord) -> Non
     Tickers are quoted by json.dumps; records fill a fixed template
     and go out _CHUNK at a time.
     """
-    exponents = [g.exponent for g in word.generators]
-    records = map(_RECORD.__mod__, _audit_values(events, exponents, json.dumps))
+    records = map(_RECORD.__mod__, _audit_values(events, word.values, json.dumps))
     head = "[\n"
     while chunk := list(islice(records, _CHUNK)):
         fh.write(head + ",\n".join(chunk))

@@ -86,7 +86,7 @@ def interference_braid(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
     gamma is trivial.
     """
     n = _readout_strands(sigma, gamma)
-    lifted = BraidWord(n, sigma.generators)
+    lifted = BraidWord._unchecked(n, sigma.values)
     return compose(lifted, compose(gamma, inverse(lifted)))
 
 
@@ -111,8 +111,8 @@ def _readout_word(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
     word is the one free_reduce gives on the whole sandwich.
     """
     n = _readout_strands(sigma, gamma)
-    reduced = _push_reduced([], sigma.to_ints())
-    stack = _push_reduced(reduced.copy(), gamma.to_ints())
+    reduced = _push_reduced([], sigma.values)
+    stack = _push_reduced(reduced.copy(), gamma.values)
     tail = [-v for v in reversed(reduced)]
     cancelled = 0
     for v in tail:
@@ -121,7 +121,7 @@ def _readout_word(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
         stack.pop()
         cancelled += 1
     stack += tail[cancelled:]
-    return BraidWord.from_ints(n, stack)
+    return BraidWord._unchecked(n, tuple(stack))
 
 
 def plat_amplitude(k: ClosedBraid) -> complex:

@@ -24,9 +24,9 @@ def render_ascii(word: BraidWord) -> str:
     """Plain-text diagram, top line carrying the strand count."""
     n = word.n_strands
     lines = [f"strands: {n}", _pipes_row(n)]
-    for g in word.generators:
-        c1 = _COL_SPACING * (g.index - 1)
-        c2 = _COL_SPACING * g.index
+    for v in word.values:
+        c1 = _COL_SPACING * (abs(v) - 1)
+        c2 = _COL_SPACING * abs(v)
         rows = [list(_pipes_row(n)) for _ in range(3)]
         for r in rows:
             r[c1] = " "
@@ -34,7 +34,7 @@ def render_ascii(word: BraidWord) -> str:
         rows[0][c1 + 1] = "\\"
         rows[0][c2 - 1] = "/"
         # the middle glyph belongs to the strand in front
-        rows[1][(c1 + c2) // 2] = "/" if g.exponent > 0 else "\\"
+        rows[1][(c1 + c2) // 2] = "/" if v > 0 else "\\"
         rows[2][c1 + 1] = "/"
         rows[2][c2 - 1] = "\\"
         lines.extend("".join(r).rstrip() for r in rows)
@@ -58,23 +58,23 @@ def render_svg(word: BraidWord) -> str:
     """Vector drawing equivalent to the ASCII form."""
     n = word.n_strands
     xs = [_MARGIN + _X_STEP * p for p in range(n)]
-    height = _MARGIN * 2 + _BAND_H * max(len(word.generators), 1)
+    height = _MARGIN * 2 + _BAND_H * max(len(word.values), 1)
     width = _MARGIN * 2 + _X_STEP * (n - 1)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" data-strands="{n}">'
     ]
-    if not word.generators:
+    if not word.values:
         for x in xs:
             parts.append(_svg_line(x, _MARGIN, x, height - _MARGIN))
     y = _MARGIN
-    for g in word.generators:
-        i = g.index - 1
+    for v in word.values:
+        i = abs(v) - 1
         for p in range(n):
             if p not in (i, i + 1):
                 parts.append(_svg_line(xs[p], y, xs[p], y + _BAND_H))
         x_left, x_right = xs[i], xs[i + 1]
-        if g.exponent > 0:
+        if v > 0:
             over = (x_right, x_left)
             under = (x_left, x_right)
         else:

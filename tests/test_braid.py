@@ -3,6 +3,8 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stockbraid import (
     BraidWord,
@@ -156,7 +158,8 @@ def test_equal_generators_are_shared_within_a_word():
     assert g[0] is g[2] is g[3] and g[1] is g[4]
     inv = inverse(w)
     assert inv.to_ints() == [-3, 2, -1, -1, 2, -1]
-    assert inv.generators[1] is inv.generators[4] and inv.generators[2] is inv.generators[5]
+    g = inv.generators
+    assert g[1] is g[4] and g[2] is g[5]
     built = BraidWord.from_ints(4, [1, -2, 1, 1, -2, 3])
     assert built == w
     g = built.generators
@@ -166,7 +169,7 @@ def test_equal_generators_are_shared_within_a_word():
 
 
 def test_from_ints_words_behave_like_checked_words():
-    # from_ints stores the generators it has checked without a second scan;
+    # from_ints stores the values it has checked and builds no Generator;
     # the word it builds must be the value BraidWord(n, gens) builds from
     # the same generators.
     for n, ints in ((1, []), (2, []), (3, [1, -2, 1, 1]), (5, [4, -4, -1, 3, 2])):
@@ -216,3 +219,76 @@ def test_round_trip_random_words(rand_word):
     for _ in range(100):
         w = rand_word(rng)
         assert parse_word(format_word(w)) == w
+
+
+def test_from_ints_stores_each_value_as_the_int_its_check_read():
+    # Values are told apart as dict keys are, so a 1.0 or a True after a 1
+    # reads as that 1 and is stored as it: the word holds ints only.
+    mixed = BraidWord.from_ints(3, [1, 1.0, True, -2])
+    plain = BraidWord.from_ints(3, [1, 1, 1, -2])
+    assert format_word(mixed) == "3: 1 1 1 -2"
+    assert [type(v) for v in mixed.to_ints()] == [int] * 4
+    assert mixed == plain and hash(mixed) == hash(plain)
+
+
+def _reference_permutation(n, gens):
+    strand_at = list(range(n))
+    for g in gens:
+        i = g.index - 1
+        strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
+    top = [0] * n
+    for pos, strand in enumerate(strand_at):
+        top[strand] = pos + 1
+    return tuple(top)
+
+
+def _reference_free_reduce(gens):
+    stack = []
+    for g in gens:
+        if stack and stack[-1].index == g.index and stack[-1].exponent == -g.exponent:
+            stack.pop()
+        else:
+            stack.append(g)
+    return stack
+
+
+@st.composite
+def _word_values(draw):
+    """A strand count of 1-12 and two lists of 0-60 signed values on it."""
+    n = draw(st.integers(1, 12))
+    if n == 1:
+        return n, [], []
+    value = st.builds(int.__mul__, st.integers(1, n - 1), st.sampled_from([1, -1]))
+    return n, draw(st.lists(value, max_size=60)), draw(st.lists(value, max_size=60))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_word_values())
+@example((1, [], []))
+@example((2, [1, -1, 1], [-1]))
+@example((12, [11, -11, -1, 1, 5], [-5, 11]))
+def test_words_from_ints_match_words_of_generators(drawn):
+    n, ints, more = drawn
+    gens = [Generator.from_int(v) for v in ints]
+    more_gens = [Generator.from_int(v) for v in more]
+    w = BraidWord.from_ints(n, ints)
+    checked = BraidWord(n, gens)
+    assert w == checked and hash(w) == hash(checked)
+    for twin in (
+        pickle.loads(pickle.dumps(w, protocol=0)),
+        pickle.loads(pickle.dumps(w, protocol=5)),
+        copy.copy(w),
+        copy.deepcopy(w),
+    ):
+        assert type(twin) is BraidWord
+        assert twin == checked and hash(twin) == hash(checked)
+    assert w.generators == tuple(gens)
+    assert w.to_ints() == ints
+    assert len(w) == len(ints)
+    assert format_word(w) == f"{n}:" + "".join(f" {g.index * g.exponent}" for g in gens)
+    assert parse_word(format_word(w)) == w
+    assert writhe(w) == sum(g.exponent for g in gens)
+    assert permutation(w) == _reference_permutation(n, gens)
+    assert inverse(w) == BraidWord(n, [Generator(g.index, -g.exponent) for g in reversed(gens)])
+    assert compose(w, BraidWord.from_ints(n, more)) == BraidWord(n, gens + more_gens)
+    assert free_reduce(w) == BraidWord(n, _reference_free_reduce(gens))

@@ -16,6 +16,7 @@ from test_fuzz import _VALID_PRICES, csv_documents
 from stockbraid import (
     BraidWord,
     ClosedBraid,
+    Generator,
     bracket,
     cli,
     crossings,
@@ -282,6 +283,31 @@ def test_prob_builds_three_words(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["interference_word"] == "4: -2 -1"
     assert len(built) == 3
+
+
+def test_cli_paths_build_no_generator(capsys, monkeypatch, tmp_path):
+    # Words are kept as signed values end to end: reading, building,
+    # sweeping, drawing and printing a word constructs no Generator.
+    built = []
+    init = Generator.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Generator, "__init__", counted)
+    runs = [
+        ("braid", str(DOW4_CSV), "--audit", str(tmp_path / "audit.json")),
+        ("invariant", "4: 1 -2 3 2 -1", "--bracket", "--jones", "--closure", "plat"),
+        ("invariant", "4: 1 -2 3 2 -1", "--bracket", "--jones", "--closure", "trace"),
+        ("render", "4: 1 -2 3"),
+        ("prob", "3: 1 -1 2 1", "--gamma", "4: -1 -2 3"),
+        ("prob", "3: 2 -2 1 2", "--gamma", "4: -2 -1"),
+    ]
+    for argv in runs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
+    assert built == []
 
 
 def test_prob_prints_values_of_the_documented_range(capsys):

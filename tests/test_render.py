@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 from stockbraid import BraidWord, free_reduce, parse_word, render_ascii, render_svg
 
 
@@ -47,3 +50,21 @@ def test_svg_structure():
 def test_svg_identity_word():
     doc = render_svg(BraidWord(4))
     assert doc.count("<line") == 4
+
+
+def _seeded_words(count=100, seed=20240):
+    """count words on 1-10 strands with 0-30 crossings each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        c = rng.randint(0, 30) if n > 1 else 0
+        yield BraidWord.from_ints(n, [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(c)])
+
+
+def test_drawings_of_seeded_words_are_pinned():
+    ascii_digest, svg_digest = hashlib.sha256(), hashlib.sha256()
+    for word in _seeded_words():
+        ascii_digest.update(render_ascii(word).encode())
+        svg_digest.update(render_svg(word).encode())
+    assert ascii_digest.hexdigest() == "3f91a1f9201d9f14df2b3485ab193f0c157729021559074f1fca0aad9a7a783d"
+    assert svg_digest.hexdigest() == "4e4c4f970000f0fe9b2f0aeb6929add2de0af8a687222950a40caac39dee3f0d"
