@@ -129,28 +129,11 @@ def _check_strand_count(n_strands: int) -> None:
         raise WordFormatError(f"strand count must be >= 1, got {n_strands}")
 
 
-def _checked_values(n_strands: int) -> _Memo:
-    """from_ints' checks, the strand count's first: a memo from each
-    signed value to the plain int it reads on n_strands strands."""
-    _check_strand_count(n_strands)
-
-    def checked(value) -> int:
-        if not _is_int(value):
-            raise WordFormatError(f"bad generator token {value!r}")
-        if value == 0:
-            raise WordFormatError("generator 0 is not defined")
-        if abs(value) >= n_strands:
-            raise WordFormatError(f"generator {value} out of range on {n_strands} strands")
-        return int(value)
-
-    return _Memo(checked)
-
-
 class BraidWord(_Value):
-    """An element of the braid group B_n given as a word in the generators,
-    stored as its signed values, the ints format_word prints."""
+    """An element of B_n, stored as the signed values format_word prints."""
 
     __slots__ = ("n_strands", "values")
+    _GENERATORS = _Memo(Generator.from_int)  # the one Generator of each value, for generators
 
     def __init__(self, n_strands: int, generators: tuple[Generator, ...] = ()) -> None:
         _check_strand_count(n_strands)
@@ -182,12 +165,23 @@ class BraidWord(_Value):
         or a True after a 1 reads as that 1, and each is stored as the
         plain int its check read.  No Generator is built.
         """
-        return cls._unchecked(n_strands, tuple(map(_checked_values(n_strands).__getitem__, word)))
+        _check_strand_count(n_strands)
+
+        def checked(value) -> int:
+            if not _is_int(value):
+                raise WordFormatError(f"bad generator token {value!r}")
+            if value == 0:
+                raise WordFormatError("generator 0 is not defined")
+            if abs(value) >= n_strands:
+                raise WordFormatError(f"generator {value} out of range on {n_strands} strands")
+            return int(value)
+
+        return cls._unchecked(n_strands, tuple(map(_Memo(checked).__getitem__, word)))
 
     @property
     def generators(self) -> tuple[Generator, ...]:
-        """The word as Generators, one shared Generator per distinct value."""
-        return tuple(map(_Memo(Generator.from_int).__getitem__, self.values))
+        """The word as Generators: the same Generator for a value on every read."""
+        return tuple(map(self._GENERATORS.__getitem__, self.values))
 
     def to_ints(self) -> list[int]:
         return list(self.values)
@@ -241,12 +235,13 @@ def permutation(w: BraidWord) -> tuple[int, ...]:
     position p.  Composition order: permutation(compose(a, b)) applies
     a's permutation first, then b's.
     """
-    strand_at = [-1, *range(w.n_strands)]  # strand_at[pos] = strand id (0-based); pos is 1-based
-    for i in map(abs, w.values):
+    strand_at = list(range(w.n_strands))  # strand_at[pos] = strand id (0-based)
+    for v in w.values:
+        i = abs(v) - 1
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
     top = [0] * w.n_strands
-    for pos, strand in enumerate(strand_at[1:], 1):
-        top[strand] = pos
+    for pos, strand in enumerate(strand_at):
+        top[strand] = pos + 1
     return tuple(top)
 
 
@@ -277,14 +272,13 @@ def parse_word(text: str) -> BraidWord:
         n = _ascii_int(head.strip())
     except ValueError:
         raise WordFormatError(f"bad strand count {head.strip()!r}") from None
-    checked = _checked_values(n)
-
-    def value(token: str) -> int:
+    # Each distinct token is read once.  One that is not a number stays
+    # text, which from_ints reports as a bad token in its place in the word.
+    tokens = tail.split()
+    values: dict[str, int | str] = {}
+    for token in set(tokens):
         try:
-            number = _ascii_int(token)
+            values[token] = _ascii_int(token)
         except ValueError:
-            number = token  # not a number: the check reports it as a bad token
-        return checked[number]
-
-    # Each distinct token is read and checked once, in word order, as from_ints checks values.
-    return BraidWord._unchecked(n, tuple(map(_Memo(value).__getitem__, tail.split())))
+            values[token] = token
+    return BraidWord.from_ints(n, map(values.__getitem__, tokens))

@@ -158,8 +158,7 @@ def test_equal_generators_are_shared_within_a_word():
     assert g[0] is g[2] is g[3] and g[1] is g[4]
     inv = inverse(w)
     assert inv.to_ints() == [-3, 2, -1, -1, 2, -1]
-    g = inv.generators
-    assert g[1] is g[4] and g[2] is g[5]
+    assert inv.generators[1] is inv.generators[4] and inv.generators[2] is inv.generators[5]
     built = BraidWord.from_ints(4, [1, -2, 1, 1, -2, 3])
     assert built == w
     g = built.generators
@@ -283,6 +282,7 @@ def test_words_from_ints_match_words_of_generators(drawn):
         assert type(twin) is BraidWord
         assert twin == checked and hash(twin) == hash(checked)
     assert w.generators == tuple(gens)
+    assert all(a is b for a, b in zip(w.generators, w.generators))
     assert w.to_ints() == ints
     assert len(w) == len(ints)
     assert format_word(w) == f"{n}:" + "".join(f" {g.index * g.exponent}" for g in gens)
