@@ -31,6 +31,14 @@ class _Memo(dict):
         return value
 
 
+# _quote(s) is json.dumps(s) for a str s: json's ASCII escaper, taken from
+# its C module so that writing JSON text does not load the json package.
+try:
+    from _json import encode_basestring_ascii as _quote
+except ImportError:
+    from json.encoder import encode_basestring_ascii as _quote
+
+
 class _Value:
     """Base of the package's immutable value classes.
 

@@ -35,16 +35,14 @@ built, only on the first call that needs it.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 from types import SimpleNamespace
 
 from . import __version__
-from .braid import BraidWord, _ascii_int, format_word, parse_word, writhe
+from .braid import BraidWord, _ascii_int, _quote, format_word, parse_word, writhe
 from .bracket import (
     CrossingCapExceeded,
     _writhe_corrected_value,
@@ -105,9 +103,13 @@ def _load_word(source: str, start: str | None, end: str | None) -> BraidWord:
     return build_braid(_load_series(source, start, end))
 
 
-# Other scalars (bools, infinities, NaN) go through json's own indent-2
-# encoder, so their text and the non-finite refusal are json's.
-_scalar_json = json.JSONEncoder(indent=2, allow_nan=False).encode
+def _scalar_json(value) -> str:
+    # Every other scalar (an infinity, a NaN) goes through json's own indent-2
+    # encoder, so its text and the non-finite refusal are json's.  No
+    # successful command reaches it, so json is imported only here.
+    import json
+
+    return json.JSONEncoder(indent=2, allow_nan=False).encode(value)
 
 
 def _json_text(value, newline: str = "\n") -> str:
@@ -115,9 +117,9 @@ def _json_text(value, newline: str = "\n") -> str:
     value nested where `newline` (a newline plus its indent) starts a line.
 
     Containers must be dicts with str keys and lists.  Strings are quoted
-    by json's ASCII escaper, ints and finite floats are their repr, and a
-    list of [int, int] rows, such as a polynomial's terms, fills one
-    template per row.
+    by json's ASCII escaper, ints and finite floats are their repr, None
+    and bools are json's literals, and a list of [int, int] rows, such as
+    a polynomial's terms, fills one template per row.
     """
     kind = type(value)
     if kind is str:
@@ -127,6 +129,8 @@ def _json_text(value, newline: str = "\n") -> str:
         return repr(value)
     if value is None:
         return "null"
+    if kind is bool:
+        return "true" if value else "false"
     if kind is dict:
         if not value:
             return "{}"

@@ -41,13 +41,12 @@ made.
 from __future__ import annotations
 
 import enum
-import json
 from datetime import date
 from decimal import Decimal
 from itertools import islice
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
-from .braid import BraidWord, _Memo
+from .braid import BraidWord, _Memo, _quote
 from .market import PriceSeries, cents_to_decimal
 
 
@@ -267,10 +266,11 @@ def write_audit(fh: TextIO, events: list[CrossingEvent], word: BraidWord) -> Non
     indent=2) followed by a newline would, taking each sign from the
     word that braid_with_events returned with the events.
 
-    Tickers are quoted by json.dumps; records fill a fixed template
-    and go out _CHUNK at a time.
+    Tickers are quoted by json's ASCII escaper, which is what json.dumps
+    writes for a str; records fill a fixed template and go out _CHUNK at
+    a time.
     """
-    records = map(_RECORD.__mod__, _audit_values(events, word.values, json.dumps))
+    records = map(_RECORD.__mod__, _audit_values(events, word.values, _quote))
     head = "[\n"
     while chunk := list(islice(records, _CHUNK)):
         fh.write(head + ",\n".join(chunk))

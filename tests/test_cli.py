@@ -578,8 +578,44 @@ _JSON_DOCUMENTS = st.recursive(
 @given(_JSON_DOCUMENTS)
 @example({"terms": [[1, 2], [True, 1]], "e": [], "d": {}})
 @example([[[-3, 1], [0, -(10**30)]], [[1, 2.5]], [[1, 2, 3]]])
+@example(True)
+@example(False)
+@example([True, False, None, 0, 1])
+@example({"in_range": True, "out": False, "rows": [[False, True]]})
 def test_json_writer_matches_json_dumps_indent_2(doc):
     assert cli._json_text(doc) == json.dumps(doc, indent=2, allow_nan=False)
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython", reason="json's C escaper is CPython's")
+def test_strings_are_quoted_by_jsons_c_escaper():
+    assert cli._quote is json.encoder.encode_basestring_ascii
+    assert crossings._quote is cli._quote
+
+
+def test_non_finite_refusal_is_jsons_in_an_interpreter_without_json():
+    # _json_text imports json only to refuse; the message must still be json's.
+    script = (
+        "import math, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from stockbraid import cli\n"
+        "print('json' in sys.modules)\n"
+        "doc = {'a': [1, math.nan]}\n"
+        "try:\n"
+        "    cli._json_text(doc)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "import json\n"
+        "try:\n"
+        "    json.dumps(doc, indent=2, allow_nan=False)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    out = subprocess.run(
+        [sys.executable, "-I", "-c", script, src], capture_output=True, text=True, check=True
+    ).stdout.splitlines()
+    assert len(out) == 3 and out[0] == "False"
+    assert out[1] == out[2] and out[1].startswith("Out of range float values are not JSON compliant")
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -163,6 +163,11 @@ DOW4_CSV = Path(__file__).parent / "data" / "dow4_2013.csv"
 LAZY_MODULES = {"stockbraid.market", "stockbraid.crossings", "stockbraid.render", "decimal", "csv"}
 # Modules that only help, --version and usage errors need.
 PARSER_MODULES = {"argparse", "gettext"}
+# The json package, which only the refusal of a non-finite float needs.
+JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder"}
+# Modules that every command needs, loaded with stockbraid.cli itself.
+EAGER_MODULES = {"stockbraid.bracket", "stockbraid.outcome", "stockbraid.closure",
+                 "stockbraid.laurent", "cmath"}
 
 
 def new_modules(code: str) -> set[str]:
@@ -185,11 +190,12 @@ def new_modules(code: str) -> set[str]:
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = new_modules("import stockbraid.cli")
-    assert "stockbraid.cli" in out
+    assert {"stockbraid.cli"} | EAGER_MODULES <= out
     assert "dataclasses" not in out
     assert "inspect" not in out
     assert not out & LAZY_MODULES
     assert not out & PARSER_MODULES
+    assert not out & JSON_MODULES
 
 
 def test_word_commands_load_no_ingest_crossing_or_render_module():
@@ -201,15 +207,30 @@ def test_word_commands_load_no_ingest_crossing_or_render_module():
     assert {"stockbraid.bracket", "stockbraid.outcome"} <= out
     assert not out & LAZY_MODULES
     assert not out & PARSER_MODULES
+    assert not out & JSON_MODULES
 
 
-def test_braid_loads_the_ingest_and_crossing_modules():
+def test_braid_loads_the_ingest_and_crossing_modules(tmp_path):
+    audit = str(tmp_path / "audit.json")
     out = new_modules(
         "from stockbraid.cli import main\n"
-        f"assert main(['braid', {str(DOW4_CSV)!r}, '--from', '2013-05-16', '--to', '6/5/2013']) == 0"
+        f"assert main(['braid', {str(DOW4_CSV)!r}, '--from', '2013-05-16', '--to', '6/5/2013']) == 0\n"
+        f"assert main(['braid', {str(DOW4_CSV)!r}, '--audit', {audit!r}]) == 0"
     )
     assert LAZY_MODULES - {"stockbraid.render"} <= out
     assert not out & PARSER_MODULES
+    assert not out & JSON_MODULES
+
+
+def test_render_loads_the_render_module_and_no_json():
+    out = new_modules(
+        "from stockbraid.cli import main\n"
+        "assert main(['render', '4: 1 -2 3']) == 0\n"
+        "assert main(['render', '4: 1 -2 3', '--format', 'svg']) == 0"
+    )
+    assert "stockbraid.render" in out
+    assert not out & PARSER_MODULES
+    assert not out & JSON_MODULES
 
 
 def test_a_usage_error_loads_argparse_and_prints_its_usage():
