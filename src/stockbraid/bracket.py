@@ -63,7 +63,7 @@ from collections import Counter
 from itertools import accumulate
 from typing import Iterator, NamedTuple
 
-from .braid import BraidWord, Generator, _Memo, compose, writhe
+from .braid import BraidWord, WordFormatError, _is_int, _Memo, compose, writhe
 from .closure import ClosedBraid, _cycles, _involution, closure_arcs
 from .laurent import LaurentPoly
 
@@ -671,8 +671,11 @@ def verify_jones_skein(
     """
     n = w_left.n_strands
     body = compose(w_left, w_right)
-    plus = BraidWord(n, w_left.generators + (Generator(i, 1),) + w_right.generators)
-    minus = BraidWord(n, w_left.generators + (Generator(i, -1),) + w_right.generators)
+    # -i is a valid value too, so an index below 1 would swap K+ and K-.
+    if not (_is_int(i) and i >= 1):
+        raise WordFormatError(f"generator index must be an int >= 1, got {i!r}")
+    plus = BraidWord(n, w_left.values + (i,) + w_right.values)
+    minus = BraidWord(n, w_left.values + (-i,) + w_right.values)
     close = ClosedBraid
     v_plus = jones_eval(close(plus, closure), t)
     v_minus = jones_eval(close(minus, closure), t)

@@ -48,8 +48,7 @@ class _Value:
     Instances compare equal and hash alike when they are of the same
     class with equal fields, print as ClassName(field=value, ...), refuse
     assignment and deletion of fields with AttributeError, and pickle and
-    copy by calling __init__ again (or the checked constructor that a
-    subclass's __reduce__ names).  _unchecked builds a value from fields
+    copy by calling __init__ again.  _unchecked builds a value from fields
     its caller already knows to be valid, without the subclass's checks.
     """
 
@@ -143,24 +142,7 @@ class BraidWord(_Value):
     __slots__ = ("n_strands", "values")
     _GENERATORS = _Memo(Generator.from_int)  # the one Generator of each value, for generators
 
-    def __init__(self, n_strands: int, generators: tuple[Generator, ...] = ()) -> None:
-        _check_strand_count(n_strands)
-        values = []
-        # A value that is not a Generator fails the attribute lookup or the
-        # comparison; checking each one's type would cost every word built.
-        try:
-            for g in generators:
-                if g.index > n_strands - 1:
-                    raise WordFormatError(
-                        f"generator index {g.index} out of range on {n_strands} strands"
-                    )
-                values.append(g.index * g.exponent)
-        except (AttributeError, TypeError):
-            raise WordFormatError(f"generator {g!r} is not a Generator") from None
-        _Value.__init__(self, n_strands, tuple(values))
-
-    @classmethod
-    def from_ints(cls, n_strands: int, word: Iterable[int]) -> "BraidWord":
+    def __init__(self, n_strands: int, values: Iterable[int] = ()) -> None:
         """The word of signed generator values, read once from any
         iterable: e * i stands for sigma_i^e, the integer format_word
         prints.
@@ -171,7 +153,7 @@ class BraidWord(_Value):
         0, or one of absolute value n_strands or more raises
         WordFormatError.  Values are told apart as dict keys are, so a 1.0
         or a True after a 1 reads as that 1, and each is stored as the
-        plain int its check read.  No Generator is built.
+        plain int its check read.
         """
         _check_strand_count(n_strands)
 
@@ -184,7 +166,10 @@ class BraidWord(_Value):
                 raise WordFormatError(f"generator {value} out of range on {n_strands} strands")
             return int(value)
 
-        return cls._unchecked(n_strands, tuple(map(_Memo(checked).__getitem__, word)))
+        _Value.__init__(self, n_strands, tuple(map(_Memo(checked).__getitem__, values)))
+
+    # The constructor under its older name.
+    from_ints = classmethod(lambda cls, n_strands, values: cls(n_strands, values))
 
     @property
     def generators(self) -> tuple[Generator, ...]:
@@ -196,9 +181,6 @@ class BraidWord(_Value):
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def __reduce__(self) -> tuple:
-        return type(self).from_ints, self._key(self)  # __init__ takes Generators, not values
 
 
 def compose(a: BraidWord, b: BraidWord) -> BraidWord:
@@ -281,7 +263,7 @@ def parse_word(text: str) -> BraidWord:
     except ValueError:
         raise WordFormatError(f"bad strand count {head.strip()!r}") from None
     # Each distinct token is read once.  One that is not a number stays
-    # text, which from_ints reports as a bad token in its place in the word.
+    # text, which BraidWord reports as a bad token in its place in the word.
     tokens = tail.split()
     values: dict[str, int | str] = {}
     for token in set(tokens):
@@ -289,4 +271,4 @@ def parse_word(text: str) -> BraidWord:
             values[token] = _ascii_int(token)
         except ValueError:
             values[token] = token
-    return BraidWord.from_ints(n, map(values.__getitem__, tokens))
+    return BraidWord(n, map(values.__getitem__, tokens))

@@ -30,12 +30,12 @@ O(tickers^2) comparisons at most, only between the first and last moved
 positions, plus one event per swap.  An event is a named tuple built
 without a Python call frame.  One rule, _exponent, signs a crossing from
 the event's fields; braid_with_events applies it once per event and
-assembles the word from the signed values through BraidWord.from_ints,
-and classify_crossing names its result.  write_audit streams the audit
-file from that word's signs: one fixed template per record, each date,
-ticker and distinct price change formatted once per file, and one write
-per chunk of records, so no per-crossing dict or JSON encoder call is
-made.
+hands the signed values to BraidWord(n, values), which checks each
+distinct value once, and classify_crossing names its result.
+write_audit streams the audit file from that word's signs: one fixed
+template per record, each date, ticker and distinct price change
+formatted once per file, and one write per chunk of records, so no
+per-crossing dict or JSON encoder call is made.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def braid_with_events(series: PriceSeries) -> tuple[BraidWord, list[CrossingEven
         raise ValueError("braid construction needs at least two tickers")
     events = detect_crossings(series)
     values = [event.position * _exponent(event) for event in events]
-    return BraidWord.from_ints(len(series.tickers), values), events
+    return BraidWord(len(series.tickers), values), events
 
 
 # The keys of an audit record, in order.

@@ -138,7 +138,8 @@ def outcome_from_stats(
     minima: int,
     writhe_value: int,
 ) -> OutcomeReport:
-    """Evaluate the outcome formula at the Fibonacci point on raw diagram statistics."""
+    """Evaluate the outcome formula at the Fibonacci point on raw diagram
+    statistics.  An amplitude that is not finite raises OverflowError."""
     if not cmath.isfinite(jones_value):
         raise ValueError("Jones value must be finite")
     if minima not in _MINIMA_RANGE:
@@ -155,6 +156,8 @@ def outcome_from_stats(
     sign = -1 if (components - 1 + writhe_value) % 2 else 1
     numerator = sign * turn * jones_value
     amplitude = 1 + numerator / scale
+    if not cmath.isfinite(amplitude):
+        raise OverflowError(f"the amplitude overflows for minima {minima}")
     full = amplitude / (1 + phi2)
     probability = full.real
     return OutcomeReport(

@@ -31,7 +31,7 @@ def rand_word():
         if n == 1:
             return BraidWord(1)
         ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(length)]
-        return BraidWord.from_ints(n, ints)
+        return BraidWord(n, ints)
 
     return make
 
@@ -45,7 +45,7 @@ def flipped_skein_residue():
     def residue(wl: BraidWord, i: int, wr: BraidWord, t: complex) -> complex:
         n = wl.n_strands
         v_plus, v_minus, v_zero = (
-            jones_eval(plat_close(BraidWord.from_ints(n, wl.to_ints() + mid + wr.to_ints())), t)
+            jones_eval(plat_close(BraidWord(n, wl.to_ints() + mid + wr.to_ints())), t)
             for mid in ([i], [-i], [])
         )
         root = cmath.sqrt(t)

@@ -45,7 +45,7 @@ def state_steps(schedule) -> int:
 
 def draw_word(rng: random.Random) -> BraidWord:
     n = rng.randrange(2, 31)
-    return BraidWord.from_ints(
+    return BraidWord(
         n, [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.randrange(25))])
 
 

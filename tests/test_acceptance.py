@@ -44,7 +44,7 @@ FIB_T = cmath.exp(2j * math.pi / 5)
 def _random_word(rng, n, max_len):
     length = rng.randrange(0, max_len + 1)
     ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(length)]
-    return BraidWord.from_ints(n, ints)
+    return BraidWord(n, ints)
 
 
 def test_criterion_1_crossing_worked_example(dow4_series):
@@ -69,7 +69,7 @@ def test_criterion_1_crossing_worked_example(dow4_series):
 
 
 def test_criterion_2_writhe_worked_example():
-    word = BraidWord.from_ints(3, [1, 2, -1, 2])  # 3 positive, 1 negative
+    word = BraidWord(3, [1, 2, -1, 2])  # 3 positive, 1 negative
     assert writhe(word) == 2
     print("criterion 2: PASS - writhe of 3 positive + 1 negative crossings = 2")
 
@@ -149,13 +149,13 @@ def test_criterion_5_regular_isotopy_suite(rand_word):
         i = rng.randrange(1, n)
         sign = rng.choice([1, -1])
         ints = word.to_ints()
-        padded = BraidWord.from_ints(n, ints[:spot] + [sign * i, -sign * i] + ints[spot:])
+        padded = BraidWord(n, ints[:spot] + [sign * i, -sign * i] + ints[spot:])
         assert bracket_poly(closure(padded)) == base
         # R3: substitute the braid-relation triple
         if n >= 3:
             j = rng.randrange(1, n - 1)
-            left = BraidWord.from_ints(n, ints + [j, j + 1, j])
-            right = BraidWord.from_ints(n, ints + [j + 1, j, j + 1])
+            left = BraidWord(n, ints + [j, j + 1, j])
+            right = BraidWord(n, ints + [j + 1, j, j + 1])
             assert bracket_poly(closure(left)) == bracket_poly(closure(right))
     # kink appending on plat diagrams
     for _ in range(100):
@@ -163,7 +163,7 @@ def test_criterion_5_regular_isotopy_suite(rand_word):
         word = _random_word(rng, n, max_len=6)
         j = rng.choice([x for x in range(1, n) if x % 2 == 1])
         sign = rng.choice([1, -1])
-        kinked = BraidWord.from_ints(n, word.to_ints() + [sign * j])
+        kinked = BraidWord(n, word.to_ints() + [sign * j])
         base = bracket_poly(plat_close(word))
         assert bracket_poly(plat_close(kinked)) == base.shifted(3 * sign, -1)
         assert kauffman_invariant(plat_close(kinked)) == kauffman_invariant(plat_close(word))
@@ -206,7 +206,7 @@ def test_criterion_7_jones_skein_family(rand_word, flipped_skein_residue):
         i = rng.randrange(1, n)
         assert verify_jones_skein(wl, i, wr, FIB_T, closure=closure)
     # negative control: V+ = V- = V0 = 1, so the flipped sign misses by 2 t^{-1/2}
-    wl = BraidWord.from_ints(2, [1])
+    wl = BraidWord(2, [1])
     wr = BraidWord(2)
     assert abs(flipped_skein_residue(wl, 1, wr, FIB_T)) > 1e-6
     print(

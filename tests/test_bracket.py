@@ -7,6 +7,7 @@ import pytest
 from stockbraid import (
     BraidWord,
     CrossingCapExceeded,
+    WordFormatError,
     bracket,
     bracket_eval,
     bracket_poly,
@@ -102,7 +103,7 @@ def test_bracket_eval_rejects_non_finite():
 def test_jones_eval_at_a_tiny_point_is_an_overflow():
     # t^(1/4) = 1e-75, so (-A)^(3 Wr) = A^6 underflows to 0 and its reciprocal overflows.
     with pytest.raises(OverflowError, match=r"overflows at A = \(1\.0+6e-75\+0j\) for writhe 2"):
-        jones_eval(plat_close(BraidWord.from_ints(2, [1, 1])), 1e-300)
+        jones_eval(plat_close(BraidWord(2, [1, 1])), 1e-300)
     with pytest.raises(OverflowError):
         bracket._writhe_corrected_value(1.0, 1e-120, 1)
 
@@ -110,7 +111,7 @@ def test_jones_eval_at_a_tiny_point_is_an_overflow():
 def test_a_non_finite_bracket_value_is_an_overflow():
     # A^2 and d overflow at 1e170; at 1e-150 they do not, and the value
     # stays finite.  (tests/test_cli.py runs the tiny points.)
-    k = plat_close(BraidWord.from_ints(2, [1]))
+    k = plat_close(BraidWord(2, [1]))
     with pytest.raises(OverflowError, match=r"^the bracket is not finite at A = \(1e\+170\+0j\)$"):
         bracket_eval(k, 1e170)
     assert cmath.isfinite(bracket_eval(k, 1e-150))
@@ -142,7 +143,7 @@ def test_trace_eval_of_a_wide_word_runs_the_exact_plan(monkeypatch):
     # Swept in word order and closed at the end, this 30-strand trace word
     # holds states of a 60-point module and did not finish in 20 s; on the
     # exact path's plan, closed early, it takes a handful of moves.
-    word = BraidWord.from_ints(30, [*range(1, 30, 2), *range(2, 19, 2)])
+    word = BraidWord(30, [*range(1, 30, 2), *range(2, 19, 2)])
     k = trace_close(word)
     calls = []
     cupcap = bracket._cupcap
@@ -165,7 +166,7 @@ def test_trace_eval_agrees_with_the_exact_bracket_on_wide_words():
     for _ in range(150):
         n = rng.randrange(2, 17)
         ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.randrange(25))]
-        k = trace_close(BraidWord.from_ints(n, ints))
+        k = trace_close(BraidWord(n, ints))
         plans.add(bracket._trace_plan(bracket._tracks(k.braid)))
         exact = bracket_poly(k)
         for a in (FIB_A, 1j, 0.8 + 0.6j):
@@ -188,7 +189,7 @@ def test_trace_eval_of_words_past_twice_the_crossing_cap(monkeypatch):
     ]
     plans = []
     for n, ints in words:
-        k = trace_close(BraidWord.from_ints(n, ints))
+        k = trace_close(BraidWord(n, ints))
         plans.append(bracket._trace_plan(bracket._tracks(k.braid)))
         assert bracket_eval(k, 1j) == _value_at_i(bracket_poly(k))
     assert plans == [False, False, True, True]
@@ -216,7 +217,7 @@ def test_a_long_readout_trace_word_is_swept_in_word_order(monkeypatch):
 
 def test_crossing_cap(monkeypatch):
     assert bracket.CROSSING_CAP == 24
-    w = BraidWord.from_ints(2, [1] * 25)
+    w = BraidWord(2, [1] * 25)
     with pytest.raises(CrossingCapExceeded, match="bracket_eval"):
         bracket_poly(trace_close(w))
     with pytest.raises(CrossingCapExceeded, match="bracket_eval"):
@@ -227,7 +228,7 @@ def test_crossing_cap(monkeypatch):
     assert bracket_poly(trace_close(w))
     monkeypatch.setattr(bracket, "CROSSING_CAP", 10)
     with pytest.raises(CrossingCapExceeded):
-        bracket_poly(trace_close(BraidWord.from_ints(2, [1] * 11)))
+        bracket_poly(trace_close(BraidWord(2, [1] * 11)))
 
 
 # --- writhe-corrected invariants -------------------------------------------
@@ -247,7 +248,7 @@ def test_kauffman_invariant_stable_under_pair_insertion(rand_word):
         if i is None:
             continue
         ints = w.to_ints()
-        padded = BraidWord.from_ints(w.n_strands, ints[:spot] + [i, -i] + ints[spot:])
+        padded = BraidWord(w.n_strands, ints[:spot] + [i, -i] + ints[spot:])
         assert kauffman_invariant(trace_close(padded)) == kauffman_invariant(k)
 
 
@@ -310,6 +311,15 @@ def test_skein_pinned_form_holds_on_random_triples(rand_word):
         assert verify_jones_skein(wl, rng.randrange(1, n), wr, FIB_T, closure="trace")
 
 
+@pytest.mark.parametrize("i", [0, -1, True, 1.5])
+def test_skein_refuses_an_index_that_is_not_an_int_of_at_least_one(i):
+    # -i is a valid signed value, so taking i = -1 would swap K+ and K-.
+    wl, wr = parse_word("4: 1 -2 3"), parse_word("4: 2")
+    with pytest.raises(WordFormatError, match="^generator index must be "):
+        verify_jones_skein(wl, i, wr, FIB_T)
+    assert verify_jones_skein(wl, 1, wr, FIB_T)
+
+
 def test_skein_flipped_form_fails_negative_control(flipped_skein_residue):
     # V+ = V- = V0 = 1 here, so the flipped form misses by 2 t^{-1/2}
     wl, wr = parse_word("2: 1"), parse_word("2:")
@@ -331,7 +341,7 @@ def test_r2_insertion_leaves_bracket_unchanged(rand_word):
         i = rng.randrange(1, w.n_strands)
         sign = rng.choice([1, -1])
         ints = w.to_ints()
-        padded = BraidWord.from_ints(w.n_strands, ints[:spot] + [sign * i, -sign * i] + ints[spot:])
+        padded = BraidWord(w.n_strands, ints[:spot] + [sign * i, -sign * i] + ints[spot:])
         assert bracket_poly(trace_close(padded)) == bracket_poly(k)
 
 
@@ -341,8 +351,8 @@ def test_r3_substitution_leaves_bracket_unchanged(rand_word):
         n = rng.choice([3, 4, 5, 6])
         wl, wr = rand_word(rng, n=n, max_len=5), rand_word(rng, n=n, max_len=5)
         i = rng.randrange(1, n - 1)
-        one = BraidWord.from_ints(n, wl.to_ints() + [i, i + 1, i] + wr.to_ints())
-        other = BraidWord.from_ints(n, wl.to_ints() + [i + 1, i, i + 1] + wr.to_ints())
+        one = BraidWord(n, wl.to_ints() + [i, i + 1, i] + wr.to_ints())
+        other = BraidWord(n, wl.to_ints() + [i + 1, i, i + 1] + wr.to_ints())
         assert bracket_poly(trace_close(one)) == bracket_poly(trace_close(other))
         if n % 2 == 0:
             assert bracket_poly(plat_close(one)) == bracket_poly(plat_close(other))
@@ -355,8 +365,8 @@ def test_far_generators_commute(rand_word):
         wl, wr = rand_word(rng, n=n, max_len=4), rand_word(rng, n=n, max_len=4)
         i = rng.randrange(1, n - 2)
         j = rng.randrange(i + 2, n)
-        one = BraidWord.from_ints(n, wl.to_ints() + [i, j] + wr.to_ints())
-        other = BraidWord.from_ints(n, wl.to_ints() + [j, i] + wr.to_ints())
+        one = BraidWord(n, wl.to_ints() + [i, j] + wr.to_ints())
+        other = BraidWord(n, wl.to_ints() + [j, i] + wr.to_ints())
         assert bracket_poly(trace_close(one)) == bracket_poly(trace_close(other))
 
 
@@ -368,7 +378,7 @@ def test_plat_kink_appending_scales_bracket(rand_word):
         j = rng.choice([x for x in range(1, n) if x % 2 == 1])
         sign = rng.choice([1, -1])
         base = bracket_poly(plat_close(w))
-        kinked_word = BraidWord.from_ints(n, w.to_ints() + [sign * j])
+        kinked_word = BraidWord(n, w.to_ints() + [sign * j])
         kinked = bracket_poly(plat_close(kinked_word))
         assert kinked == base.shifted(3 * sign, -1)  # times -A^{+/-3}
         assert kauffman_invariant(plat_close(kinked_word)) == kauffman_invariant(plat_close(w))
@@ -378,7 +388,7 @@ def test_mirror_symmetry(rand_word):
     rng = random.Random(42)
     for _ in range(50):
         w = rand_word(rng, max_len=8)
-        mirrored = BraidWord.from_ints(w.n_strands, [-v for v in w.to_ints()])
+        mirrored = BraidWord(w.n_strands, [-v for v in w.to_ints()])
         assert bracket_poly(trace_close(mirrored)) == bracket_poly(trace_close(w)).mirrored()
         if w.n_strands % 2 == 0:
             assert bracket_poly(plat_close(mirrored)) == bracket_poly(plat_close(w)).mirrored()
@@ -389,7 +399,7 @@ def test_disjoint_circle_multiplies_by_loop_value(rand_word):
     for _ in range(30):
         n = rng.choice([2, 4])
         w = rand_word(rng, n=n, max_len=6)
-        widened = BraidWord(n + 2, w.generators)
+        widened = BraidWord(n + 2, w.values)
         assert bracket_poly(plat_close(widened)) == D_POLY * bracket_poly(plat_close(w))
 
 
@@ -416,11 +426,11 @@ def test_bracket_poly_does_no_laurent_arithmetic(monkeypatch):
         for n in (2, 4, 8)
         for c in (0, 5, 24)
     ]
-    plans = [bracket._trace_plan(bracket._tracks(BraidWord.from_ints(n, g))) for n, g in words]
+    plans = [bracket._trace_plan(bracket._tracks(BraidWord(n, g))) for n, g in words]
     assert not all(plans)
     assert any(plans)
-    want = [bracket_poly(close(BraidWord.from_ints(n, g))) for n, g in words for close in (plat_close, trace_close)]
+    want = [bracket_poly(close(BraidWord(n, g))) for n, g in words for close in (plat_close, trace_close)]
     for name in ("__mul__", "__rmul__", "__add__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
-    got = [bracket_poly(close(BraidWord.from_ints(n, g))) for n, g in words for close in (plat_close, trace_close)]
+    got = [bracket_poly(close(BraidWord(n, g))) for n, g in words for close in (plat_close, trace_close)]
     assert got == want

@@ -1,8 +1,9 @@
 """Generated cross-checks of the three bracket paths: the exact sweep
 against the state-sum oracle and against the sweep on the Laurent ring,
 the numeric sweep against the exact bracket evaluated at a point of the
-unit circle, and the Jones polynomial against the bracket times an
-explicit writhe monomial.  The exact sweep closes each closure arc as
+unit circle, and on long plat words at the Fibonacci point against the
+exact bracket's cyclotomic decode, and the Jones polynomial against the
+bracket times an explicit writhe monomial.  The exact sweep closes each closure arc as
 soon as it can and sweeps a trace word either in word order as given or
 outward through its annulus (radial order), while the Laurent-ring
 reference sweeps the word in word order and closes it at the end.  Both
@@ -21,6 +22,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockbraid import (
+    FIBONACCI_POINT,
+    GOLDEN_RATIO,
     BraidWord,
     ClosedBraid,
     bracket,
@@ -34,6 +37,7 @@ from stockbraid import (
 )
 from stockbraid.laurent import LaurentPoly
 
+from fibonacci_decode import value_at_fibonacci_point
 from laurent_ring import D, laurent_ring_bracket
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -45,7 +49,7 @@ def closed_braids(draw, max_crossings: int = 12) -> ClosedBraid:
     n = draw(st.sampled_from([2, 4, 6, 8]) if closure == "plat" else st.integers(2, 8))
     generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
     gens = draw(st.lists(generator, max_size=max_crossings))
-    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in gens]), closure)
+    return ClosedBraid(BraidWord(n, [i * s for i, s in gens]), closure)
 
 
 @st.composite
@@ -59,7 +63,7 @@ def wide_closed_braids(draw) -> ClosedBraid:
     length = draw(st.integers(0, 12 if closure == "trace" and n > 6 else 24))
     generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
     gens = draw(st.lists(generator, min_size=length, max_size=length))
-    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in gens]), closure)
+    return ClosedBraid(BraidWord(n, [i * s for i, s in gens]), closure)
 
 
 @SETTINGS
@@ -75,6 +79,38 @@ def test_numeric_sweep_matches_exact_bracket(k, theta):
     poly = bracket_poly(k)
     scale = 1 + sum(abs(c) for c in poly.terms.values())
     assert abs(bracket_eval(k, a) - poly.evaluate(a)) <= 1e-9 * scale
+
+
+@st.composite
+def long_plat_words(draw) -> ClosedBraid:
+    """Plat closures on 4 or 6 strands of 100-200 crossings."""
+    n = draw(st.sampled_from([4, 6]))
+    length = draw(st.integers(100, 200))
+    generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
+    gens = draw(st.lists(generator, min_size=length, max_size=length))
+    return ClosedBraid(BraidWord(n, [i * s for i, s in gens]), "plat")
+
+
+def test_the_decode_is_the_value_at_the_fibonacci_point():
+    assert abs(value_at_fibonacci_point(D) + GOLDEN_RATIO) < 1e-15
+    k = ClosedBraid(BraidWord(4, [1, -2, 3, 2, -1, 3]), "plat")
+    poly = bracket_poly(k)
+    assert abs(value_at_fibonacci_point(poly) - poly.evaluate(FIBONACCI_POINT)) < 1e-14
+
+
+def test_numeric_sweep_matches_the_exact_decode_on_long_plat_words(monkeypatch):
+    # The exact sweep is exact at any length; the cap only guards time.
+    # LaurentPoly.evaluate is no reference here: its float sum over the
+    # exact coefficients can be off by far more than 1e-12 on such words.
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 200)
+
+    @settings(SETTINGS, max_examples=15)
+    @given(long_plat_words())
+    def check(k):
+        exact = value_at_fibonacci_point(bracket_poly(k))
+        assert abs(bracket_eval(k, FIBONACCI_POINT) - exact) <= 1e-12 * abs(exact)
+
+    check()
 
 
 @SETTINGS
@@ -108,8 +144,8 @@ def check_exact(k: ClosedBraid) -> None:
 
 
 def rotated(k: ClosedBraid, r: int) -> ClosedBraid:
-    gens = k.braid.generators
-    return ClosedBraid(BraidWord(k.braid.n_strands, gens[r:] + gens[:r]), k.closure)
+    values = k.braid.values
+    return ClosedBraid(BraidWord(k.braid.n_strands, values[r:] + values[:r]), k.closure)
 
 
 @st.composite
@@ -118,7 +154,7 @@ def trace_words(draw) -> ClosedBraid:
     n = draw(st.integers(2, 6))
     generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
     gens = draw(st.lists(generator, max_size=10))
-    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in gens]), "trace")
+    return ClosedBraid(BraidWord(n, [i * s for i, s in gens]), "trace")
 
 
 @settings(SETTINGS, max_examples=40)
@@ -138,7 +174,7 @@ def words_with_absent_indices(draw) -> ClosedBraid:
     present = sorted(set(range(1, n)) - absent)
     generator = st.tuples(st.sampled_from(present), st.sampled_from([1, -1]))
     gens = draw(st.lists(generator, max_size=12))
-    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in gens]), closure)
+    return ClosedBraid(BraidWord(n, [i * s for i, s in gens]), closure)
 
 
 @SETTINGS
@@ -188,7 +224,7 @@ def test_the_planner_chooses_the_cheaper_schedule():
         order = sorted(range(c), key=lambda x: (gens[x], x))
         radial = [order.index(x) for x in range(c)]
         want = schedule_cost(n, gens, radial) < schedule_cost(n, gens, list(range(c)))
-        assert bracket._trace_plan(bracket._tracks(BraidWord.from_ints(n, gens))) == want
+        assert bracket._trace_plan(bracket._tracks(BraidWord(n, gens))) == want
         chosen.add(want)
     assert chosen == {False, True}
 
@@ -217,7 +253,7 @@ def test_a_long_thin_trace_word_stays_small(sweep_steps, monkeypatch):
     # 23: 1 1 2 3 ... 21 22 22, 24 crossings.  Closed only at the end, its
     # sweep passed 4 million states; closing each arc after its last
     # crossing keeps it at a handful.
-    k = ClosedBraid(BraidWord.from_ints(23, [1, *range(1, 23), 22]), "trace")
+    k = ClosedBraid(BraidWord(23, [1, *range(1, 23), 22]), "trace")
     assert peak_states(k, sweep_steps, monkeypatch) <= 4
 
 
@@ -228,7 +264,7 @@ def words_on(draw, n: int, max_crossings: int) -> BraidWord:
         return BraidWord(1)
     generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
     gens = draw(st.lists(generator, max_size=max_crossings))
-    return BraidWord.from_ints(n, [i * s for i, s in gens])
+    return BraidWord(n, [i * s for i, s in gens])
 
 
 @SETTINGS
@@ -239,7 +275,7 @@ def test_trace_stabilisation_multiplies_the_bracket_by_a_kink(beta, s):
     # word grows by s, so f[K] moves by A^(-6s): it is not Markov-stable.
     m = beta.n_strands
     base = ClosedBraid(beta, "trace")
-    stabilised = ClosedBraid(BraidWord.from_ints(m + 1, beta.to_ints() + [s * m]), "trace")
+    stabilised = ClosedBraid(BraidWord(m + 1, beta.to_ints() + [s * m]), "trace")
     check_bracket(stabilised, bracket_poly(base).shifted(-3 * s, -1))
     assert kauffman_invariant(stabilised) == kauffman_invariant(base).shifted(-6 * s)
 
@@ -248,7 +284,7 @@ def test_trace_stabilisation_multiplies_the_bracket_by_a_kink(beta, s):
 @given(st.integers(1, 8).flatmap(lambda n: st.tuples(words_on(n, 12), words_on(n, 6))))
 def test_an_unreduced_conjugate_has_the_trace_bracket_of_the_word(words):
     beta, g = words
-    conjugate = BraidWord(beta.n_strands, g.generators + beta.generators + inverse(g).generators)
+    conjugate = BraidWord(beta.n_strands, g.values + beta.values + inverse(g).values)
     check_bracket(ClosedBraid(conjugate, "trace"), bracket_poly(ClosedBraid(beta, "trace")))
 
 
@@ -269,7 +305,7 @@ def annulus_words(draw) -> ClosedBraid:
     indices = [i for i, m in enumerate(counts, 1) for _ in range(m)][:24]
     order = draw(st.permutations(indices))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(order), max_size=len(order)))
-    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in zip(order, signs)]), "trace")
+    return ClosedBraid(BraidWord(n, [i * s for i, s in zip(order, signs)]), "trace")
 
 
 @SETTINGS
@@ -305,7 +341,7 @@ def test_a_radial_schedule_without_the_weight_swap_is_caught():
     caught = 0
     for _ in range(30):
         n = rng.randrange(2, 9)
-        k = ClosedBraid(BraidWord.from_ints(n, [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(8)]), "trace")
+        k = ClosedBraid(BraidWord(n, [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(8)]), "trace")
         with mock.patch.object(bracket, "_radial_schedule", namespace["_radial_schedule"]):
             if bracket_in(k, radial=True) != bracket_poly_state_sum(k):
                 caught += 1
@@ -317,7 +353,7 @@ def pool_word(rng: random.Random, n: int, c: int) -> BraidWord:
     repeat one seeded order of 1..n-1, with seeded signs."""
     order = list(range(1, n))
     rng.shuffle(order)
-    return BraidWord.from_ints(n, [rng.choice([1, -1]) * order[j % len(order)] for j in range(c)])
+    return BraidWord(n, [rng.choice([1, -1]) * order[j % len(order)] for j in range(c)])
 
 
 def test_the_planner_sweeps_wide_words_radially_and_narrow_ones_in_word_order():
@@ -332,12 +368,12 @@ def test_the_planner_sweeps_wide_words_radially_and_narrow_ones_in_word_order():
     # Ties go to word order: both schedules cost one state per crossing.
     for n in range(1, 13):
         assert not radial(BraidWord(n))
-        assert not radial(BraidWord.from_ints(n + 1, [-n]))
+        assert not radial(BraidWord(n + 1, [-n]))
 
 
 def test_an_interleaved_wide_word_stays_small(sweep_steps, monkeypatch):
     # 30: 1 3 5 ... 29 2 4 ... 18, 24 crossings.  In word order the sweep
     # peaks at 512 states; outward through the annulus it holds one state
     # at a time.
-    k = ClosedBraid(BraidWord.from_ints(30, [*range(1, 30, 2), *range(2, 19, 2)]), "trace")
+    k = ClosedBraid(BraidWord(30, [*range(1, 30, 2), *range(2, 19, 2)]), "trace")
     assert peak_states(k, sweep_steps, monkeypatch) <= 2

@@ -25,26 +25,33 @@ def test_generator_validation():
         Generator(0, 1)
     with pytest.raises(WordFormatError):
         Generator(1, 2)
-    with pytest.raises(WordFormatError):
-        BraidWord(2, (Generator(2, 1),))  # index must be <= n-1
+    with pytest.raises(WordFormatError, match="^generator 2 out of range on 2 strands$"):
+        BraidWord(2, (2,))  # |value| must be <= n-1
     with pytest.raises(WordFormatError, match="^generator 3 out of range on 3 strands$"):
-        BraidWord.from_ints(3, [1, 3])
+        BraidWord(3, [1, 3])
+    with pytest.raises(WordFormatError, match="^generator -3 out of range on 3 strands$"):
+        BraidWord(3, [1, -3])
+    with pytest.raises(WordFormatError, match="^generator 0 is not defined$"):
+        BraidWord(3, [1, 0])
     # A float would print as text parse_word refuses, so it is no generator.
     with pytest.raises(WordFormatError, match="^bad generator token 1.0$"):
-        BraidWord.from_ints(3, [1.0, -2])
+        BraidWord(3, [1.0, -2])
     with pytest.raises(WordFormatError, match="^bad generator token '1'$"):
-        BraidWord.from_ints(3, ["1"])
+        BraidWord(3, ["1"])
     # The strand count is checked before any generator.
     with pytest.raises(WordFormatError, match="^strand count must be >= 1, got 0$"):
         parse_word("0: 1")
+    with pytest.raises(WordFormatError, match="^strand count must be >= 1, got 0$"):
+        BraidWord(0, [5])
     with pytest.raises(WordFormatError, match="^strand count must be an int, got 3.5$"):
         BraidWord(3.5)
     with pytest.raises(WordFormatError, match="^strand count must be an int, got 3.5$"):
-        BraidWord.from_ints(3.5, [1])
-    with pytest.raises(WordFormatError, match="^generator 1 is not a Generator$"):
-        BraidWord(3, [1])
-    # Generator fields and strand counts are ints, and a bool is not one:
-    # each of these would print as text parse_word refuses.
+        BraidWord(3.5, [1.0])
+    # A word takes values, not Generators.
+    with pytest.raises(WordFormatError, match=r"^bad generator token Generator\(index=1, exponent=1\)$"):
+        BraidWord(3, [Generator(1, 1)])
+    # Generator fields, values and strand counts are ints, and a bool is
+    # not one: each of these would print as text parse_word refuses.
     with pytest.raises(WordFormatError, match=r"^generator index must be an int, got 1\.5$"):
         Generator(1.5, 1)
     with pytest.raises(WordFormatError, match="^generator index must be an int, got True$"):
@@ -53,14 +60,14 @@ def test_generator_validation():
         Generator(1, 1.0)
     with pytest.raises(WordFormatError, match=r"^generator exponent must be \+1 or -1, got True$"):
         Generator(1, True)
-    with pytest.raises(WordFormatError, match=r"^generator exponent must be \+1 or -1, got 1\.0$"):
-        BraidWord(3, [Generator(1, 1.0)])
     with pytest.raises(WordFormatError, match="^strand count must be an int, got True$"):
         BraidWord(True)
     with pytest.raises(WordFormatError, match="^strand count must be an int, got False$"):
-        BraidWord.from_ints(False, [])
+        BraidWord(False, [])
     with pytest.raises(WordFormatError, match="^bad generator token True$"):
-        BraidWord.from_ints(3, [True])
+        BraidWord(3, [True])
+    with pytest.raises(WordFormatError, match="^bad generator token False$"):
+        BraidWord(3, [-1, False])
 
 
 def test_compose_identity_element():
@@ -159,7 +166,7 @@ def test_equal_generators_are_shared_within_a_word():
     inv = inverse(w)
     assert inv.to_ints() == [-3, 2, -1, -1, 2, -1]
     assert inv.generators[1] is inv.generators[4] and inv.generators[2] is inv.generators[5]
-    built = BraidWord.from_ints(4, [1, -2, 1, 1, -2, 3])
+    built = BraidWord(4, [1, -2, 1, 1, -2, 3])
     assert built == w
     g = built.generators
     assert g[0] is g[2] is g[3] and g[1] is g[4]
@@ -168,32 +175,33 @@ def test_equal_generators_are_shared_within_a_word():
 
 
 def test_from_ints_words_behave_like_checked_words():
-    # from_ints stores the values it has checked and builds no Generator;
-    # the word it builds must be the value BraidWord(n, gens) builds from
-    # the same generators.
+    # from_ints is the constructor under its older name: the word it builds
+    # is the value BraidWord(n, values) builds, and pickles and copies as it.
     for n, ints in ((1, []), (2, []), (3, [1, -2, 1, 1]), (5, [4, -4, -1, 3, 2])):
         built = BraidWord.from_ints(n, ints)
-        checked = BraidWord(n, built.generators)
+        checked = BraidWord(n, ints)
         assert type(built) is BraidWord
-        assert built == BraidWord(n, [Generator.from_int(v) for v in ints])
         assert built == checked and not built != checked
         assert hash(built) == hash(checked)
-        assert repr(built) == repr(checked)
+        assert repr(built) == repr(checked) == f"BraidWord(n_strands={n}, values={tuple(ints)!r})"
         assert pickle.dumps(built) == pickle.dumps(checked)
         for twin in (pickle.loads(pickle.dumps(built)), copy.copy(built), copy.deepcopy(built)):
             assert twin == checked and repr(twin) == repr(checked)
         assert type(built.generators) is tuple
         with pytest.raises(AttributeError):
             built.n_strands = 9
+    with pytest.raises(WordFormatError, match="^generator 3 out of range on 3 strands$"):
+        BraidWord.from_ints(3, [1, 3])
 
 
 def test_checked_words_still_refuse_bad_generators():
-    with pytest.raises(WordFormatError, match="^generator index 3 out of range on 3 strands$"):
-        BraidWord(3, (Generator(1, 1), Generator(3, -1)))
-    with pytest.raises(WordFormatError, match=r"^generator \(1, 1\) is not a Generator$"):
+    # The first faulty value in word order is the one reported.
+    with pytest.raises(WordFormatError, match="^generator -3 out of range on 3 strands$"):
+        BraidWord(3, (1, -3, 0))
+    with pytest.raises(WordFormatError, match=r"^bad generator token \(1, 1\)$"):
         BraidWord(3, [(1, 1)])
-    with pytest.raises(WordFormatError, match="^generator None is not a Generator$"):
-        BraidWord(3, [Generator(1, 1), None])
+    with pytest.raises(WordFormatError, match="^bad generator token None$"):
+        BraidWord(3, [1, None])
 
 
 def test_parse_and_format():
@@ -220,20 +228,20 @@ def test_round_trip_random_words(rand_word):
         assert parse_word(format_word(w)) == w
 
 
-def test_from_ints_stores_each_value_as_the_int_its_check_read():
+def test_words_store_each_value_as_the_int_its_check_read():
     # Values are told apart as dict keys are, so a 1.0 or a True after a 1
     # reads as that 1 and is stored as it: the word holds ints only.
-    mixed = BraidWord.from_ints(3, [1, 1.0, True, -2])
-    plain = BraidWord.from_ints(3, [1, 1, 1, -2])
+    mixed = BraidWord(3, [1, 1.0, True, -2])
+    plain = BraidWord(3, [1, 1, 1, -2])
     assert format_word(mixed) == "3: 1 1 1 -2"
     assert [type(v) for v in mixed.to_ints()] == [int] * 4
     assert mixed == plain and hash(mixed) == hash(plain)
 
 
-def _reference_permutation(n, gens):
+def _reference_permutation(n, values):
     strand_at = list(range(n))
-    for g in gens:
-        i = g.index - 1
+    for v in values:
+        i = abs(v) - 1
         strand_at[i], strand_at[i + 1] = strand_at[i + 1], strand_at[i]
     top = [0] * n
     for pos, strand in enumerate(strand_at):
@@ -241,13 +249,13 @@ def _reference_permutation(n, gens):
     return tuple(top)
 
 
-def _reference_free_reduce(gens):
+def _reference_free_reduce(values):
     stack = []
-    for g in gens:
-        if stack and stack[-1].index == g.index and stack[-1].exponent == -g.exponent:
+    for v in values:
+        if stack and stack[-1] == -v:
             stack.pop()
         else:
-            stack.append(g)
+            stack.append(v)
     return stack
 
 
@@ -266,13 +274,10 @@ def _word_values(draw):
 @example((1, [], []))
 @example((2, [1, -1, 1], [-1]))
 @example((12, [11, -11, -1, 1, 5], [-5, 11]))
-def test_words_from_ints_match_words_of_generators(drawn):
+def test_words_of_values_match_reference_operations(drawn):
     n, ints, more = drawn
-    gens = [Generator.from_int(v) for v in ints]
-    more_gens = [Generator.from_int(v) for v in more]
-    w = BraidWord.from_ints(n, ints)
-    checked = BraidWord(n, gens)
-    assert w == checked and hash(w) == hash(checked)
+    w = BraidWord(n, ints)
+    assert w == BraidWord(n, iter(ints))
     for twin in (
         pickle.loads(pickle.dumps(w, protocol=0)),
         pickle.loads(pickle.dumps(w, protocol=5)),
@@ -280,15 +285,15 @@ def test_words_from_ints_match_words_of_generators(drawn):
         copy.deepcopy(w),
     ):
         assert type(twin) is BraidWord
-        assert twin == checked and hash(twin) == hash(checked)
-    assert w.generators == tuple(gens)
+        assert twin == w and hash(twin) == hash(w)
+    assert w.generators == tuple(Generator.from_int(v) for v in ints)
     assert all(a is b for a, b in zip(w.generators, w.generators))
     assert w.to_ints() == ints
     assert len(w) == len(ints)
-    assert format_word(w) == f"{n}:" + "".join(f" {g.index * g.exponent}" for g in gens)
+    assert format_word(w) == f"{n}:" + "".join(f" {v}" for v in ints)
     assert parse_word(format_word(w)) == w
-    assert writhe(w) == sum(g.exponent for g in gens)
-    assert permutation(w) == _reference_permutation(n, gens)
-    assert inverse(w) == BraidWord(n, [Generator(g.index, -g.exponent) for g in reversed(gens)])
-    assert compose(w, BraidWord.from_ints(n, more)) == BraidWord(n, gens + more_gens)
-    assert free_reduce(w) == BraidWord(n, _reference_free_reduce(gens))
+    assert writhe(w) == sum(1 if v > 0 else -1 for v in ints)
+    assert permutation(w) == _reference_permutation(n, ints)
+    assert inverse(w) == BraidWord(n, [-v for v in reversed(ints)])
+    assert compose(w, BraidWord(n, more)) == BraidWord(n, ints + more)
+    assert free_reduce(w) == BraidWord(n, _reference_free_reduce(ints))

@@ -483,6 +483,18 @@ def test_prob_stats_rejects_overflow(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "stats,minima",
+    [("1e300,1,-600,0", -600), ("1e300j,1,-600,1", -600), ("1e308,1,0,0", 0), ("-1e308,2,-1472,0", -1472)],
+)
+def test_prob_stats_overflowing_amplitude_is_a_numeric_overflow(capsys, stats, minima):
+    # Each minima is in range, but 1 + V / phi^(m - 2) overflows: the CLI
+    # reports it as invariant does, not through the JSON writer's refusal.
+    code, out, err = run_cli(capsys, "prob", f"--stats={stats}")
+    assert (code, out) == (1, "")
+    assert err == f"error: numeric overflow: the amplitude overflows for minima {minima}\n"
+
+
 @pytest.mark.parametrize("minima", [-1472, -40, -30, 1476])
 def test_prob_stats_extreme_minima_in_range(capsys, minima):
     code, out, _ = run_cli(capsys, "prob", "--stats", f"1,1,{minima},0")
@@ -648,7 +660,7 @@ def _emitting_argvs(draw) -> list[str]:
         n = 2 * draw(st.integers(1, 3)) - (command == "prob")
     gens = draw(st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
                          max_size=10)) if n > 1 else []
-    argv = [command, format_word(BraidWord.from_ints(n, gens))]
+    argv = [command, format_word(BraidWord(n, gens))]
     if command == "invariant":
         argv += ["--closure", closure, "--bracket", "--jones"]
         if draw(st.booleans()):

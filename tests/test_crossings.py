@@ -21,7 +21,7 @@ from stockbraid import (
     rank_order,
     select_window,
 )
-from stockbraid.braid import BraidWord, Generator
+from stockbraid.braid import BraidWord
 from stockbraid.crossings import _CHUNK, _ranker, audit_entries, braid_with_events, write_audit
 from stockbraid.market import PriceSeries
 
@@ -341,7 +341,7 @@ def test_written_audit_across_chunk_boundaries(dow4_series, count):
     word, events = braid_with_events(dow4_series)
     repeats = count // len(events) + 1
     events = (events * repeats)[:count]
-    word = BraidWord(word.n_strands, (word.generators * repeats)[:count])
+    word = BraidWord(word.n_strands, (word.values * repeats)[:count])
     fh = io.StringIO()
     write_audit(fh, events, word)
     assert fh.getvalue() == _audit_oracle(events)
@@ -400,11 +400,8 @@ def _reference_detect_crossings(series):
 
 
 def _reference_word(series):
-    gens = tuple(
-        Generator(e.position, classify_crossing(e).exponent)
-        for e in _reference_detect_crossings(series)
-    )
-    return BraidWord(len(series.tickers), gens)
+    values = [e.position * classify_crossing(e).exponent for e in _reference_detect_crossings(series)]
+    return BraidWord(len(series.tickers), values)
 
 
 def _tie_break_rung(event):

@@ -157,7 +157,7 @@ def words(draw, max_crossings: int = 10) -> str:
         return "1:"
     gens = draw(st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
                          max_size=max_crossings))
-    return format_word(BraidWord.from_ints(n, gens))
+    return format_word(BraidWord(n, gens))
 
 
 @st.composite

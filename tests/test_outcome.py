@@ -116,7 +116,7 @@ def _readout_inputs(draw):
     n = draw(st.integers(1, 8))
     alphabet = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2, unique=True)) if n > 1 else []
     sigma = draw(_letters(alphabet)) if alphabet else []
-    reduced = free_reduce(BraidWord.from_ints(n, sigma)).to_ints()
+    reduced = free_reduce(BraidWord(n, sigma)).to_ints()
     kind = draw(st.sampled_from(["free", "empty", "cancel", "junction", "trivial"]))
     if kind == "empty":
         return n, sigma, []
@@ -142,8 +142,8 @@ def _readout_inputs(draw):
 @example((3, [1, 2, 1], [-1, -2, 3]))
 def test_readout_word_is_the_reduced_interference_braid(inputs):
     n, sigma_values, gamma_values = inputs
-    sigma = BraidWord.from_ints(n, sigma_values)
-    gamma = BraidWord.from_ints(n + 1, gamma_values)
+    sigma = BraidWord(n, sigma_values)
+    gamma = BraidWord(n + 1, gamma_values)
     expected = free_reduce(interference_braid(sigma, gamma))
     word = _readout_word(sigma, gamma)
     assert word == expected

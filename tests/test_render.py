@@ -58,7 +58,7 @@ def _seeded_words(count=100, seed=20240):
     for _ in range(count):
         n = rng.randint(1, 10)
         c = rng.randint(0, 30) if n > 1 else 0
-        yield BraidWord.from_ints(n, [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(c)])
+        yield BraidWord(n, [rng.choice((1, -1)) * rng.randrange(1, n) for _ in range(c)])
 
 
 def test_drawings_of_seeded_words_are_pinned():

@@ -123,7 +123,7 @@ def closed_braids(draw, max_crossings: int) -> ClosedBraid:
     length = draw(st.integers(0, max_crossings))
     generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
     gens = draw(st.lists(generator, min_size=length, max_size=length))
-    return ClosedBraid(BraidWord.from_ints(n, [i * s for i, s in gens]), closure)
+    return ClosedBraid(BraidWord(n, [i * s for i, s in gens]), closure)
 
 
 @SETTINGS
@@ -144,7 +144,7 @@ def readout_words(draw) -> ClosedBraid:
         length = draw(st.integers(min_size, max_size))
         generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
         gens = draw(st.lists(generator, min_size=length, max_size=length))
-        return BraidWord.from_ints(n, [i * s for i, s in gens])
+        return BraidWord(n, [i * s for i, s in gens])
 
     n = draw(st.sampled_from(range(3, 12, 2)))
     sigma = word(n, 100, 500)
@@ -156,8 +156,8 @@ def longest_readout_word() -> ClosedBraid:
     """readout_words' longest shape, seeded: sigma of 500 generators on 11
     strands and gamma of 20, which Hypothesis rarely draws by itself."""
     rng = random.Random(25)
-    sigma = BraidWord.from_ints(11, [rng.choice([1, -1]) * rng.randrange(1, 11) for _ in range(500)])
-    gamma = BraidWord.from_ints(12, [rng.choice([1, -1]) * rng.randrange(1, 12) for _ in range(20)])
+    sigma = BraidWord(11, [rng.choice([1, -1]) * rng.randrange(1, 11) for _ in range(500)])
+    gamma = BraidWord(12, [rng.choice([1, -1]) * rng.randrange(1, 12) for _ in range(20)])
     return ClosedBraid(free_reduce(interference_braid(sigma, gamma)), "plat")
 
 
@@ -184,7 +184,7 @@ def seeded_words(seed: int, count: int) -> list[ClosedBraid]:
         closure = rng.choice(["plat", "trace"])
         n = rng.choice([4, 6, 8]) if closure == "plat" else rng.choice([3, 4, 5])
         ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.randrange(20, 120))]
-        words.append(ClosedBraid(BraidWord.from_ints(n, ints), closure))
+        words.append(ClosedBraid(BraidWord(n, ints), closure))
     return words
 
 
@@ -246,7 +246,7 @@ def words_of(seed: int, count: int, strands, crossings) -> list[ClosedBraid]:
         n = rng.choice(strands)
         ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.choice(crossings))]
         closure = "plat" if i % 2 == 0 and n % 2 == 0 else "trace"
-        words.append(ClosedBraid(BraidWord.from_ints(n, ints), closure))
+        words.append(ClosedBraid(BraidWord(n, ints), closure))
     return words
 
 
@@ -354,9 +354,9 @@ def interference_case():
     interference braid, freely reduced, has at least 400 crossings."""
     rng = random.Random(2014)
     sigma = free_reduce(
-        BraidWord.from_ints(11, [rng.choice([1, -1]) * rng.randrange(1, 11) for _ in range(260)])
+        BraidWord(11, [rng.choice([1, -1]) * rng.randrange(1, 11) for _ in range(260)])
     )
-    gamma = BraidWord.from_ints(12, [rng.choice([1, -1]) * rng.randrange(1, 12) for _ in range(12)])
+    gamma = BraidWord(12, [rng.choice([1, -1]) * rng.randrange(1, 12) for _ in range(12)])
     return sigma, gamma
 
 

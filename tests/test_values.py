@@ -2,6 +2,8 @@
 and importable without dataclasses."""
 
 import copy
+import datetime
+import inspect
 import os
 import pickle
 import subprocess
@@ -69,14 +71,19 @@ def test_pickle_and_copy_round_trip(value, clone):
 
 @pytest.mark.parametrize("value", VALUES, ids=IDS)
 def test_equal_values_are_equal_and_hash_alike(value):
-    # BraidWord's constructor takes Generators; from_ints takes its stored values.
-    build = BraidWord.from_ints if type(value) is BraidWord else type(value)
-    twin = build(*(getattr(value, name) for name in type(value).__slots__))
+    twin = type(value)(*(getattr(value, name) for name in type(value).__slots__))
     assert twin is not value
     assert twin == value
     assert not twin != value
     assert hash(twin) == hash(value)
     assert len({twin, value}) == 1
+
+
+@pytest.mark.parametrize("value", VALUES, ids=IDS)
+def test_repr_is_a_constructor_call_and_match_args_are_its_parameters(value):
+    rebuilt = eval(repr(value), {**vars(stockbraid), "datetime": datetime})
+    assert type(rebuilt) is type(value) and rebuilt == value
+    assert list(type(value).__match_args__) == list(inspect.signature(type(value)).parameters)
 
 
 def test_values_of_another_class_are_not_equal():
@@ -90,7 +97,7 @@ def test_values_of_another_class_are_not_equal():
 
 def test_repr_text():
     assert repr(Generator(1, 1)) == "Generator(index=1, exponent=1)"
-    assert repr(BraidWord(3, (Generator(2, -1),))) == "BraidWord(n_strands=3, values=(-2,))"
+    assert repr(BraidWord(3, (-2,))) == "BraidWord(n_strands=3, values=(-2,))"
     assert repr(ClosedBraid(BraidWord(2), "plat")) == (
         "ClosedBraid(braid=BraidWord(n_strands=2, values=()), closure='plat')"
     )
@@ -122,13 +129,13 @@ def test_report_json_keys_are_the_fields_in_order():
 
 def test_keyword_construction_and_defaults():
     assert Generator(index=2, exponent=-1) == Generator(2, -1)
-    assert BraidWord(3).generators == ()
-    assert BraidWord(n_strands=3, generators=(Generator(1, 1),)) == parse_word("3: 1")
+    assert BraidWord(3).values == () and BraidWord(3).generators == ()
+    assert BraidWord(n_strands=3, values=(1,)) == parse_word("3: 1")
     # A word keeps a tuple of its own, whatever later happens to the caller's list.
-    gens = [Generator(1, 1)]
-    listed = BraidWord(3, gens)
-    gens.append(Generator(5, 1))
-    assert listed.generators == (Generator(1, 1),)
+    values = [1]
+    listed = BraidWord(3, values)
+    values.append(5)
+    assert listed.values == (1,) and listed.generators == (Generator(1, 1),)
     assert listed == parse_word("3: 1") and hash(listed) == hash(parse_word("3: 1"))
     link = ClosedBraid(braid=BraidWord(4), closure="trace")
     assert (link.braid, link.closure) == (BraidWord(4), "trace")
@@ -140,6 +147,11 @@ def test_positional_class_patterns():
     match Generator(2, -1):
         case Generator(index, exponent):
             assert (index, exponent) == (2, -1)
+        case _:
+            pytest.fail("no match")
+    match parse_word("3: 1 -2"):
+        case BraidWord(n, values):
+            assert (n, values) == (3, (1, -2))
         case _:
             pytest.fail("no match")
 
