@@ -316,7 +316,7 @@ def _cupcap(m: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
     return tuple(m2)
 
 
-def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing=None) -> dict:
+def _sweep(schedule: _Schedule, one, weight_pos, weight_neg, d, closing) -> dict:
     """The state vector left by schedule's steps, with ring-generic
     coefficients, keyed by matching.
 

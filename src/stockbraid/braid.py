@@ -197,25 +197,19 @@ def inverse(w: BraidWord) -> BraidWord:
     return BraidWord._unchecked(w.n_strands, tuple(map(neg, reversed(w.values))))
 
 
-def _push_reduced(stack: list[int], values: Iterable[int]) -> list[int]:
-    """stack with each signed value pushed in turn, cancelling its inverse
-    on top instead: the package's one free-reduction rule.  A reduced
-    stack stays reduced."""
-    for v in values:
-        if stack and stack[-1] == -v:
-            stack.pop()
-        else:
-            stack.append(v)
-    return stack
-
-
 def free_reduce(w: BraidWord) -> BraidWord:
     """Cancel adjacent sigma_i sigma_i^{-1} pairs until none remain.
 
     Only equal-index inverse pairs are cancelled; braid relations are
     never applied.  The result has the same permutation and writhe.
     """
-    return BraidWord._unchecked(w.n_strands, tuple(_push_reduced([], w.values)))
+    stack: list[int] = []
+    for v in w.values:
+        if stack and stack[-1] == -v:
+            stack.pop()
+        else:
+            stack.append(v)
+    return BraidWord._unchecked(w.n_strands, tuple(stack))
 
 
 def permutation(w: BraidWord) -> tuple[int, ...]:

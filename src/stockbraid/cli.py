@@ -8,8 +8,9 @@ Subcommands:
 * ``invariant WORD|CSV``: diagram statistics plus the bracket and Jones
   polynomials of the chosen closure, JSON on stdout.
 * ``prob WORD|CSV``: build the interference braid against a test-strand
-  word, plat-close it, and evaluate the outcome probability at A =
-  e^(i pi/10) only; or probe the bare formula with ``--stats``.
+  word, free-reduce it, plat-close it, and evaluate the outcome
+  probability at A = e^(i pi/10) only; or probe the bare formula with
+  ``--stats``.
 * ``render WORD``: ASCII or SVG diagram of a braid word.
 
 ``invariant`` and ``prob`` print one strict-JSON document: the bytes of
@@ -42,7 +43,7 @@ from math import isfinite
 from types import SimpleNamespace
 
 from . import __version__
-from .braid import BraidWord, _ascii_int, _quote, format_word, parse_word, writhe
+from .braid import BraidWord, _ascii_int, _quote, format_word, free_reduce, parse_word, writhe
 from .bracket import (
     CrossingCapExceeded,
     _writhe_corrected_value,
@@ -52,7 +53,7 @@ from .bracket import (
 )
 from .closure import ClosedBraid, diagram_stats
 from .laurent import poly_to_json
-from .outcome import _complex_json, _readout_word, outcome_from_stats, outcome_probability
+from .outcome import _complex_json, interference_braid, outcome_from_stats, outcome_probability
 
 _WORD_RE = re.compile(r"^\s*\d+\s*:")
 
@@ -219,7 +220,7 @@ def _cmd_prob(args: SimpleNamespace) -> int:
         gamma = parse_word(args.gamma)
     else:
         gamma = BraidWord(sigma.n_strands + 1)
-    braid = _readout_word(sigma, gamma)
+    braid = free_reduce(interference_braid(sigma, gamma))
     report = outcome_probability(ClosedBraid(braid, "plat"))
     doc = {"interference_word": format_word(braid)}
     doc.update(report.to_json())

@@ -3,7 +3,8 @@
 The readout braid is the sandwich lift(sigma) * gamma * lift(sigma)^{-1}
 on one extra strand: the system braid sigma is lifted to n+1 strands
 leaving the appended test strand untouched, and the caller supplies the
-test trajectory gamma on n+1 strands.
+test trajectory gamma on n+1 strands.  The ``prob`` command plat-closes
+free_reduce(interference_braid(sigma, gamma)).
 
 The outcome probability of a plat-closed diagram K is evaluated at the
 Fibonacci point A = e^(i pi / 10) and nowhere else: the formula's powers
@@ -26,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .braid import BraidWord, _push_reduced, _Value, compose, inverse, writhe
+from .braid import BraidWord, _Value, inverse, writhe
 from .bracket import _writhe_corrected_value, bracket_eval
 from .closure import ClosedBraid, ClosureError, component_count, minima_count
 
@@ -85,43 +86,14 @@ def interference_braid(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
     is returned unreduced; free_reduce it to see the cancellation when
     gamma is trivial.
     """
-    n = _readout_strands(sigma, gamma)
-    lifted = BraidWord._unchecked(n, sigma.values)
-    return compose(lifted, compose(gamma, inverse(lifted)))
-
-
-def _readout_strands(sigma: BraidWord, gamma: BraidWord) -> int:
     n = sigma.n_strands + 1
     if gamma.n_strands != n:
         raise ValueError(
             f"gamma must be on {n} strands (system plus test strand), "
             f"got {gamma.n_strands}"
         )
-    return n
-
-
-def _readout_word(sigma: BraidWord, gamma: BraidWord) -> BraidWord:
-    """free_reduce(interference_braid(sigma, gamma)), built as one word.
-
-    sigma's values are reduced once and gamma's pushed onto them,
-    cancelling as they go.  Then sigma's reduced inverse cancels against
-    the top until one of its values stays, and the rest of it is appended
-    in one step: a reduced word has no adjacent inverse pair, so nothing
-    after that point can cancel.  Free reduction is confluent, so the
-    word is the one free_reduce gives on the whole sandwich.
-    """
-    n = _readout_strands(sigma, gamma)
-    reduced = _push_reduced([], sigma.values)
-    stack = _push_reduced(reduced.copy(), gamma.values)
-    tail = [-v for v in reversed(reduced)]
-    cancelled = 0
-    for v in tail:
-        if not stack or stack[-1] != -v:
-            break
-        stack.pop()
-        cancelled += 1
-    stack += tail[cancelled:]
-    return BraidWord._unchecked(n, tuple(stack))
+    # sigma's values are the same on n strands: the lift adds the top strand.
+    return BraidWord._unchecked(n, sigma.values + gamma.values + inverse(sigma).values)
 
 
 def plat_amplitude(k: ClosedBraid) -> complex:

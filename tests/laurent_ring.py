@@ -14,6 +14,8 @@ EXACT_RING = {
     "weight_pos": (A, A_INV, A),
     "weight_neg": (A_INV, A, A_INV),
     "d": D,
+    # A closing step joins two open ends with weight 1 and closes a loop with d.
+    "closing": (LaurentPoly.one(), D),
 }
 
 

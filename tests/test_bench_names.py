@@ -14,7 +14,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from stockbraid import bracket, cli, outcome, parse_csv
+from stockbraid import bracket, braid, cli, outcome, parse_csv
 from stockbraid.crossings import build_braid
 from stockbraid.laurent import LaurentPoly
 
@@ -46,6 +46,9 @@ def test_patched_bindings_are_module_bindings():
     # bench/test_bench.py monkeypatches these names on the modules.
     assert vars(outcome)["bracket_eval"] is bracket.bracket_eval
     assert vars(cli)["bracket_poly"] is bracket.bracket_poly
+    # bench/spans.py's tracer rebinds these where prob calls them.
+    assert vars(cli)["free_reduce"] is braid.free_reduce
+    assert vars(cli)["interference_braid"] is outcome.interference_braid
 
 
 def _bench_trees():

@@ -60,6 +60,12 @@ def test_positive_kink_hand_expansion():
     assert bracket_poly_state_sum(k).terms == {3: -1}
 
 
+def test_a_bracket_with_negative_digits_unpacks():
+    # The trace-closed trefoil: its packed sum is positive, and each of its
+    # two negative digits reads back only with its carry into the next.
+    assert bracket_poly(trace_close(parse_word("2: 1 1 1"))).terms == {-5: -1, 3: -1, 7: 1}
+
+
 def test_state_sum_tallies_on_the_smallest_words():
     # No crossing: one state of A-exponent 0, worth d^(loops - 1).
     assert bracket_poly_state_sum(plat_close(parse_word("2:"))).terms == {0: 1}

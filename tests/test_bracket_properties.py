@@ -8,8 +8,10 @@ soon as it can and sweeps a trace word either in word order as given or
 outward through its annulus (radial order), while the Laurent-ring
 reference sweeps the word in word order and closes it at the end.  Both
 trace schedules are also checked when forced, and trace closures under
-the two Markov moves.  Hypothesis runs derandomized, so every run tries
-the same examples."""
+the two Markov moves.  On words of 100-200 crossings the exact bracket is
+held to itself under braid relations, far commutation, inserted inverse
+pairs, trace conjugation, Markov stabilisation and a kink at a plat cap.
+Hypothesis runs derandomized, so every run tries the same examples."""
 
 import cmath
 import inspect
@@ -18,6 +20,7 @@ import random
 from unittest import mock
 
 import plan_quality
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -109,6 +112,124 @@ def test_numeric_sweep_matches_the_exact_decode_on_long_plat_words(monkeypatch):
     def check(k):
         exact = value_at_fibonacci_point(bracket_poly(k))
         assert abs(bracket_eval(k, FIBONACCI_POINT) - exact) <= 1e-12 * abs(exact)
+
+    check()
+
+
+# Invariance moves at full length.  The exact sweep is exact at any
+# length, so a move that keeps the diagram's regular isotopy class keeps
+# the bracket to the last coefficient, and the words that prob sweeps are
+# this long.  Each size is (strands, most crossings): plat words of
+# 100-200 crossings, trace words of 100-200 on 4 strands and 100 on 5 or
+# 6, where one exact sweep takes about 0.1 s.
+PLAT_SIZES = [(4, 200), (6, 200)]
+TRACE_SIZES = [(4, 200), (5, 100), (6, 100)]
+
+
+@st.composite
+def long_words(draw, sizes, room: int = 0) -> BraidWord:
+    """A word of one of sizes, room letters short of 100 up to its most
+    crossings, so that a move may add room letters."""
+    n, top = draw(st.sampled_from(sizes))
+    length = draw(st.integers(100, top)) - room
+    generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
+    gens = draw(st.lists(generator, min_size=length, max_size=length))
+    return BraidWord(n, [i * s for i, s in gens])
+
+
+@st.composite
+def moved_words(draw, closure: str, move: str) -> tuple[ClosedBraid, ClosedBraid]:
+    """A long closure and the same closure with move applied at a drawn
+    spot: a braid relation sigma_i sigma_i+1 sigma_i -> sigma_i+1 sigma_i
+    sigma_i+1 (of either sign), a far commutation sigma_i sigma_j ->
+    sigma_j sigma_i with |i - j| >= 2, or an inserted g g^-1."""
+    w = draw(long_words(PLAT_SIZES if closure == "plat" else TRACE_SIZES, room=3 if move == "relation" else 2))
+    n, values = w.n_strands, list(w.values)
+    spot = draw(st.integers(0, len(values)))
+    sign = draw(st.sampled_from([1, -1]))
+    if move == "relation":
+        i = draw(st.integers(1, n - 2))
+        before, after = [i, i + 1, i], [i + 1, i, i + 1]
+        before, after = [sign * v for v in before], [sign * v for v in after]
+    elif move == "commutation":
+        i = draw(st.integers(1, n - 3))
+        j = draw(st.integers(i + 2, n - 1))
+        other = draw(st.sampled_from([1, -1]))
+        before, after = [sign * i, other * j], [other * j, sign * i]
+    else:
+        g = sign * draw(st.integers(1, n - 1))
+        before, after = [], [g, -g]
+    words = [BraidWord(n, values[:spot] + letters + values[spot:]) for letters in (before, after)]
+    return ClosedBraid(words[0], closure), ClosedBraid(words[1], closure)
+
+
+def lifted_cap(monkeypatch) -> None:
+    # The cap only guards time; these words are swept in well under a second.
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 200)
+
+
+@pytest.mark.parametrize("closure", ["plat", "trace"])
+@pytest.mark.parametrize("move", ["relation", "commutation", "cancellation"])
+def test_moves_keep_the_bracket_of_long_words(monkeypatch, closure, move):
+    lifted_cap(monkeypatch)
+
+    @settings(SETTINGS, max_examples=6)
+    @given(moved_words(closure, move))
+    def check(pair):
+        k, moved = pair
+        assert len(moved.braid) <= 200
+        assert bracket_poly(moved) == bracket_poly(k)
+
+    check()
+
+
+def test_conjugation_keeps_the_bracket_of_long_trace_words(monkeypatch):
+    # g beta g^-1, unreduced, has the trace closure of beta.
+    lifted_cap(monkeypatch)
+
+    @settings(SETTINGS, max_examples=6)
+    @given(long_words(TRACE_SIZES, room=8).flatmap(lambda beta: st.tuples(st.just(beta), words_on(beta.n_strands, 4))))
+    def check(words):
+        beta, g = words
+        conjugate = BraidWord(beta.n_strands, g.values + beta.values + inverse(g).values)
+        assert bracket_poly(ClosedBraid(conjugate, "trace")) == bracket_poly(ClosedBraid(beta, "trace"))
+
+    check()
+
+
+def test_markov_stabilisation_of_long_trace_words_is_a_kink(monkeypatch):
+    # sigma_m^s inserted anywhere into beta on m + 1 strands multiplies
+    # the trace bracket by -A^(-3s), the factor the README states.
+    lifted_cap(monkeypatch)
+
+    @settings(SETTINGS, max_examples=6)
+    # Each base is a strand narrower than a trace size, so the stabilised
+    # word is of that size.
+    @given(long_words([(n - 1, top) for n, top in TRACE_SIZES], room=1), st.sampled_from([1, -1]),
+           st.integers(0, 200))
+    def check(beta, s, spot):
+        m, values = beta.n_strands, list(beta.values)
+        spot %= len(values) + 1
+        stabilised = BraidWord(m + 1, values[:spot] + [s * m] + values[spot:])
+        want = bracket_poly(ClosedBraid(beta, "trace")).shifted(-3 * s, -1)
+        assert bracket_poly(ClosedBraid(stabilised, "trace")) == want
+
+    check()
+
+
+def test_a_kink_at_a_plat_cap_multiplies_the_bracket_by_minus_a_cubed(monkeypatch):
+    # sigma_i^s on a capped pair (i odd), first or last in the word, twists
+    # the cap: the bracket takes the factor -A^(3s).
+    lifted_cap(monkeypatch)
+
+    @settings(SETTINGS, max_examples=6)
+    @given(long_words(PLAT_SIZES, room=1), st.sampled_from([1, -1]), st.integers(0, 2), st.booleans())
+    def check(beta, s, cap, first):
+        n, values = beta.n_strands, list(beta.values)
+        kink = s * (2 * (cap % (n // 2)) + 1)
+        twisted = BraidWord(n, [kink] + values if first else values + [kink])
+        want = bracket_poly(ClosedBraid(beta, "plat")).shifted(3 * s, -1)
+        assert bracket_poly(ClosedBraid(twisted, "plat")) == want
 
     check()
 

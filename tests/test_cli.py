@@ -257,32 +257,30 @@ def test_prob_gamma_word(capsys):
     assert doc["writhe"] == 0
 
 
-def test_prob_builds_three_words(capsys, monkeypatch):
-    # sigma, gamma and the readout word: the readout word is reduced on
-    # signed values and built once, not lifted, inverted, composed twice
-    # and reduced as words.
-    built = []
-    checked, unchecked = BraidWord.__init__, BraidWord._unchecked.__func__
+def test_prob_reduces_one_interference_braid(capsys, monkeypatch):
+    # prob builds its readout word through the two names bench/spans.py
+    # wraps in stockbraid.cli, each called once, so the tracer's
+    # braid.free_reduce span sees the readout word.
+    calls = []
 
-    def counted_init(self, *args):
-        built.append("init")
-        checked(self, *args)
+    def counted(name):
+        original = vars(cli)[name]
 
-    def counted_unchecked(cls, *fields):
-        built.append("unchecked")
-        return unchecked(cls, *fields)
+        def call(*args):
+            calls.append(name)
+            return original(*args)
 
-    monkeypatch.setattr(BraidWord, "__init__", counted_init)
-    monkeypatch.setattr(BraidWord, "_unchecked", classmethod(counted_unchecked))
-    code, out, _ = run_cli(capsys, "prob", "3: 1 -1 2 1", "--gamma", "4: -1 -2 3")
-    assert code == 0
-    assert json.loads(out)["interference_word"] == "4: 3 -1 -2"
-    assert len(built) == 3
-    built.clear()
-    code, out, _ = run_cli(capsys, "prob", "3: 2 -2 1 2", "--gamma", "4: -2 -1")
-    assert code == 0
-    assert json.loads(out)["interference_word"] == "4: -2 -1"
-    assert len(built) == 3
+        return call
+
+    for name in ("interference_braid", "free_reduce"):
+        monkeypatch.setattr(cli, name, counted(name))
+    for sigma, gamma, word in [("3: 1 -1 2 1", "4: -1 -2 3", "4: 3 -1 -2"),
+                               ("3: 2 -2 1 2", "4: -2 -1", "4: -2 -1")]:
+        calls.clear()
+        code, out, _ = run_cli(capsys, "prob", sigma, "--gamma", gamma)
+        assert code == 0
+        assert json.loads(out)["interference_word"] == word
+        assert calls == ["interference_braid", "free_reduce"]
 
 
 def test_cli_paths_build_no_generator(capsys, monkeypatch, tmp_path):

@@ -29,16 +29,15 @@ from stockbraid import (
 )
 from stockbraid.cli import main
 from stockbraid.closure import _involution
-from stockbraid.laurent import LaurentPoly
 from stockbraid.outcome import interference_braid
 
-from laurent_ring import D, EXACT_RING, laurent_ring_bracket
+from laurent_ring import EXACT_RING, laurent_ring_bracket
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 POINTS = (cmath.exp(1j * cmath.pi / 10), 1j, 0.7 + 0.2j, 1.3 - 0.4j)
 
 
-def tuple_keyed_sweep(schedule, one, weight_pos, weight_neg, d, closing=None):
+def tuple_keyed_sweep(schedule, one, weight_pos, weight_neg, d, closing):
     """The sweep as it was before interning: states keyed by their
     matchings, the cap-cup smoothing, or the closing, rebuilt for every
     state and step.  A closing step weighs a state ``join`` when it joins
@@ -86,7 +85,8 @@ def joined(m, a, b):
 def numeric_ring(a: complex) -> dict:
     a_inv = 1 / a
     d = -(a * a) - (a_inv * a_inv)
-    return {"one": complex(1), "weight_pos": (a, a_inv, a), "weight_neg": (a_inv, a, a_inv), "d": d}
+    return {"one": complex(1), "weight_pos": (a, a_inv, a), "weight_neg": (a_inv, a, a_inv), "d": d,
+            "closing": (1, d)}
 
 
 
@@ -261,11 +261,6 @@ def test_packed_bracket_matches_the_laurent_ring_above_the_cap(monkeypatch):
         assert bracket_poly(k) == laurent_ring_bracket(k)
 
 
-# The sweep on the Laurent ring closed on bracket_poly's schedule: a join
-# weighs 1 and a loop d.
-LAURENT_CLOSING = (LaurentPoly.one(), D)
-
-
 def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_steps):
     # After every step of bracket_poly's schedule, word order or radial,
     # every state's packed coefficient decodes to its Laurent coefficient
@@ -289,7 +284,7 @@ def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_s
             calls.clear()
             width = ring["weight_pos"][1].bit_length() - 1
             packed = sweep_steps(schedule, ring)
-            laurent = sweep_steps(schedule, dict(EXACT_RING, closing=LAURENT_CLOSING))
+            laurent = sweep_steps(schedule, EXACT_RING)
             # every crossing once, and every closing but the last once,
             # each right after the last crossing that touches either of its
             # points (before the first if none does) and only past other
