@@ -496,29 +496,29 @@ def _trace_plan(tracks: tuple) -> bool:
     return sum(map(cost, accumulate(radial[:c]))) < sum(map(cost, accumulate(word[:c])))
 
 
-def _trace_schedule(k: ClosedBraid) -> _Schedule:
-    """The trace closure k in word order as given or outward through its
-    annulus, whichever ``_trace_plan`` estimates holds fewer states, with
-    each arc closed early by ``_closing``."""
-    tracks = _tracks(k.braid)
-    return _closing(_radial_schedule(k.braid, tracks) if _trace_plan(tracks) else _word_schedule(k))
+def _schedule(k: ClosedBraid) -> _Schedule:
+    """k's sweep plan, each arc closed early by ``_closing``: a plat
+    closure in word order, a trace closure in word order as given or
+    outward through its annulus, whichever ``_trace_plan`` estimates holds
+    fewer states."""
+    if k.closure == "trace" and _trace_plan(tracks := _tracks(k.braid)):
+        return _closing(_radial_schedule(k.braid, tracks))
+    return _closing(_word_schedule(k))
 
 
 def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     """The Kauffman bracket of a braid closure, exact in the variable A.
 
-    Normalized so a single circle evaluates to 1.  A plat closure is swept
-    in word order; a trace closure in word order or outward through its
-    annulus, whichever has the smaller sum of 2^open over its crossings,
-    a bound on the states it holds (``_trace_plan``); the plan has no
-    limit on word length.  Raises CrossingCapExceeded above CROSSING_CAP
-    crossings.  The cap bounds crossings only: the sweep's cost also grows
-    with the number of states a state vector can hold, which the strand
-    count and the crossings' order set.
+    Normalized so a single circle evaluates to 1, and swept on
+    ``_schedule(k)``'s plan, which has no limit on word length.  Raises
+    CrossingCapExceeded above CROSSING_CAP crossings.  The cap bounds
+    crossings only: the sweep's cost also grows with the number of states
+    a state vector can hold, which the strand count and the crossings'
+    order set.
     """
     _check_cap(k)
     c = len(k.braid)
-    schedule = _trace_schedule(k) if k.closure == "trace" else _closing(_word_schedule(k))
+    schedule = _schedule(k)
     # The sweep runs on packed integers.  Each generator's weights are
     # taken times A^3 and each closing's times A^2, so every weight is a
     # non-negative power of A^2 (positive step: cap-cup A^4, vertical
@@ -568,9 +568,10 @@ def bracket_eval(k: ClosedBraid, a: complex) -> complex:
         raise ValueError("evaluation point must be finite and nonzero")
     a_inv = 1 / a
     d = -(a * a) - (a_inv * a_inv)
-    # A plat closure, which prob sweeps, keeps its word order and closing
-    # at the end, so its floats keep every byte.
-    schedule = _trace_schedule(k) if k.closure == "trace" else _word_schedule(k)
+    # The one sweep closed at the end: a plat closure, which prob sweeps,
+    # keeps its word order and closing at the end, so its floats keep
+    # every byte.
+    schedule = _word_schedule(k) if k.closure == "plat" else _schedule(k)
     states = _sweep(
         schedule,
         one=complex(1),

@@ -119,15 +119,6 @@ class Generator(_Value):
             raise WordFormatError(f"generator exponent must be +1 or -1, got {exponent}")
         _Value.__init__(self, index, exponent)
 
-    @classmethod
-    def from_int(cls, value: int) -> "Generator":
-        if value == 0:
-            raise WordFormatError("generator 0 is not defined")
-        return cls(abs(value), 1 if value > 0 else -1)
-
-    def to_int(self) -> int:
-        return self.index * self.exponent
-
 
 def _check_strand_count(n_strands: int) -> None:
     if not _is_int(n_strands):
@@ -140,7 +131,8 @@ class BraidWord(_Value):
     """An element of B_n, stored as the signed values format_word prints."""
 
     __slots__ = ("n_strands", "values")
-    _GENERATORS = _Memo(Generator.from_int)  # the one Generator of each value, for generators
+    # The one Generator of each value, for generators.
+    _GENERATORS = _Memo(lambda value: Generator(abs(value), 1 if value > 0 else -1))
 
     def __init__(self, n_strands: int, values: Iterable[int] = ()) -> None:
         """The word of signed generator values, read once from any

@@ -30,8 +30,9 @@ spelled in full, every value in its own token) is read from it by
 ``_read_plain``.  Every other argv, ``--name=value`` forms and ``prob
 --stats`` without a source included, goes to the argparse parser
 ``build_parser()`` makes from the same table, and so do help,
-``--version`` and every usage error: argparse is imported, and the parser
-built, only on the first call that needs it.
+``--version`` and every usage error: argparse is imported, and a parser
+built, only by a call that needs one.  The module keeps no state between
+calls.
 """
 
 from __future__ import annotations
@@ -120,7 +121,9 @@ def _json_text(value, newline: str = "\n") -> str:
     Containers must be dicts with str keys and lists.  Strings are quoted
     by json's ASCII escaper, ints and finite floats are their repr, None
     and bools are json's literals, and a list of [int, int] rows, such as
-    a polynomial's terms, fills one template per row.
+    a polynomial's terms, fills one template per row.  A command prints
+    the whole text at once, so a non-finite value is an error with nothing
+    on stdout.
     """
     kind = type(value)
     if kind is str:
@@ -150,11 +153,6 @@ def _json_text(value, newline: str = "\n") -> str:
             items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     return _scalar_json(value)
-
-
-def _emit_json(doc: dict) -> None:
-    # Written out before printing, so a non-finite value is an error with nothing on stdout.
-    print(_json_text(doc))
 
 
 def _cmd_braid(args: SimpleNamespace) -> int:
@@ -198,7 +196,7 @@ def _cmd_invariant(args: SimpleNamespace) -> int:
         if args.jones:
             v = _writhe_corrected_value(value, a, writhe(word))
             doc["eval"]["jones_value_at_a4"] = _complex_json(v)
-    _emit_json(doc)
+    print(_json_text(doc))
     return 0
 
 
@@ -213,7 +211,7 @@ def _cmd_prob(args: SimpleNamespace) -> int:
             minima=_parse_int(fields[2], "--stats minima"),
             writhe_value=_parse_int(fields[3], "--stats writhe"),
         )
-        _emit_json(report.to_json())
+        print(_json_text(report.to_json()))
         return 0
     sigma = _load_word(args.source, args.window_from, args.window_to)
     if args.gamma:
@@ -224,7 +222,7 @@ def _cmd_prob(args: SimpleNamespace) -> int:
     report = outcome_probability(ClosedBraid(braid, "plat"))
     doc = {"interference_word": format_word(braid)}
     doc.update(report.to_json())
-    _emit_json(doc)
+    print(_json_text(doc))
     return 0
 
 
@@ -379,27 +377,17 @@ def _usage_problem(args: SimpleNamespace) -> str | None:
     return None
 
 
-_parser: argparse.ArgumentParser | None = None
-
-
-def _get_parser() -> argparse.ArgumentParser:
-    # Built once per process, on the first call that needs it, and reused;
-    # parse_args keeps no state between calls.
-    global _parser
-    if _parser is None:
-        _parser = build_parser()
-    return _parser
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _read_plain(argv)
+    parser = None
     if args is None:
-        args = SimpleNamespace(**vars(_get_parser().parse_args(argv)))
+        parser = build_parser()
+        args = SimpleNamespace(**vars(parser.parse_args(argv)))
     problem = _usage_problem(args)
     if problem is not None:
-        _get_parser().error(problem)
+        (parser or build_parser()).error(problem)
     try:
         code = args.func(args)
         sys.stdout.flush()  # so a closed stdout fails here, not at interpreter shutdown

@@ -27,9 +27,9 @@ from __future__ import annotations
 import cmath
 import math
 
-from .braid import BraidWord, _Value, inverse, writhe
+from .braid import BraidWord, _Value, inverse
 from .bracket import _writhe_corrected_value, bracket_eval
-from .closure import ClosedBraid, ClosureError, component_count, minima_count
+from .closure import ClosedBraid, ClosureError, diagram_stats
 
 #: The Fibonacci evaluation point e^(i pi / 10).
 FIBONACCI_POINT = cmath.exp(1j * math.pi / 10)
@@ -153,12 +153,11 @@ def outcome_probability(k: ClosedBraid) -> OutcomeReport:
     """
     if k.closure != "plat":
         raise ClosureError("the outcome probability is defined only for plat closures")
-    w = writhe(k.braid)
+    stats = diagram_stats(k)
     bracket = bracket_eval(k, FIBONACCI_POINT)
-    jones_value = _writhe_corrected_value(bracket, FIBONACCI_POINT, w)
     return outcome_from_stats(
-        jones_value=jones_value,
-        components=component_count(k),
-        minima=minima_count(k),
-        writhe_value=w,
+        jones_value=_writhe_corrected_value(bracket, FIBONACCI_POINT, stats.writhe),
+        components=stats.components,
+        minima=stats.minima,
+        writhe_value=stats.writhe,
     )

@@ -68,6 +68,30 @@ MUTANTS = [
      "sign = -1 if (components + writhe_value) % 2 else 1", [
         "tests/test_outcome.py::test_probe_unknot_stats",
     ]),
+    # a plat closure evaluated on the early-closed plan: the value holds, its float bytes move
+    ("bracket", 'schedule = _word_schedule(k) if k.closure == "plat" else _schedule(k)', 1,
+     "schedule = _schedule(k)", [
+        "tests/test_golden.py::test_the_golden_items_are_byte_identical[readout_prob]",
+    ]),
+    # a one-decimal plain cell read as tenths of a cent: 72.5 -> 7205
+    ("market", 'f.ljust(2, "0")', 1, 'f.rjust(2, "0")', [
+        "tests/test_market.py::test_parse_dow4_table",
+    ]),
+    # a sub-cent price truncated to cents instead of refused
+    ("market", "if cents != cents.to_integral_value():", 1, "if False:", [
+        "tests/test_market.py::test_rejected_rows",
+        "tests/test_market.py::test_a_bad_row_outside_the_window_rejects_the_document",
+    ]),
+    # the plain date pass reads M/D/YYYY as D/M/YYYY
+    ("market", "map(int, parts[2::3]), map(int, parts[::3]), map(int, parts[1::3])", 1,
+     "map(int, parts[2::3]), map(int, parts[1::3]), map(int, parts[::3])", [
+        "tests/test_market.py::test_date_formats_accepted",
+        "tests/test_market.py::test_us_dates_match_strptime_on_ascii_digits",
+    ]),
+    # a tie between the trace plans goes radial, not to word order
+    ("bracket", "accumulate(radial[:c]))) < sum(", 1, "accumulate(radial[:c]))) <= sum(", [
+        "tests/test_bracket_properties.py::test_the_planner_chooses_the_cheaper_schedule",
+    ]),
 ]
 
 

@@ -1,10 +1,10 @@
 """Generated cross-checks of the three bracket paths: the exact sweep
 against the state-sum oracle and against the sweep on the Laurent ring,
 the numeric sweep against the exact bracket evaluated at a point of the
-unit circle, and on long plat words at the Fibonacci point against the
-exact bracket's cyclotomic decode, and the Jones polynomial against the
-bracket times an explicit writhe monomial.  The exact sweep closes each closure arc as
-soon as it can and sweeps a trace word either in word order as given or
+unit circle, and on long plat and trace words at the Fibonacci point
+e^(i pi/10) and at e^(i pi/12) against the exact bracket's cyclotomic
+decode, and the Jones polynomial against the bracket times an explicit
+writhe monomial.  The exact sweep closes each closure arc as soon as it can and sweeps a trace word either in word order as given or
 outward through its annulus (radial order), while the Laurent-ring
 reference sweeps the word in word order and closes it at the end.  Both
 trace schedules are also checked when forced, and trace closures under
@@ -17,6 +17,7 @@ import cmath
 import inspect
 import math
 import random
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import plan_quality
@@ -40,7 +41,8 @@ from stockbraid import (
 )
 from stockbraid.laurent import LaurentPoly
 
-from fibonacci_decode import value_at_fibonacci_point
+import fibonacci_decode
+from fibonacci_decode import value_at_fibonacci_point, value_at_root
 from laurent_ring import D, laurent_ring_bracket
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -166,6 +168,70 @@ def moved_words(draw, closure: str, move: str) -> tuple[ClosedBraid, ClosedBraid
 def lifted_cap(monkeypatch) -> None:
     # The cap only guards time; these words are swept in well under a second.
     monkeypatch.setattr(bracket, "CROSSING_CAP", 200)
+
+
+def test_the_decode_takes_any_q_and_keeps_its_table_at_q_10(monkeypatch):
+    # cos and sin of k pi/10 by rotating with cos(pi/10) = sqrt(10 + 2
+    # sqrt 5) / 4 and sin(pi/10) = (sqrt 5 - 1) / 4, the decode's table
+    # before it took any q.
+    with localcontext() as ctx:
+        ctx.prec = 90
+        root5 = Decimal(5).sqrt()
+        c, s = (10 + 2 * root5).sqrt() / 4, (root5 - 1) / 4
+        table = [(Decimal(1), Decimal(0))]
+        for _ in range(19):
+            re, im = table[-1]
+            table.append((re * c - im * s, re * s + im * c))
+    assert len(fibonacci_decode.powers(10)) == 20
+    for (re, im), (want_re, want_im) in zip(fibonacci_decode.powers(10), table):
+        assert abs(re - want_re) < Decimal("1e-79") and abs(im - want_im) < Decimal("1e-79")
+    # and the same float as the old decode on a long word's bracket
+    lifted_cap(monkeypatch)
+    rng = random.Random(18)
+    poly = bracket_poly(ClosedBraid(BraidWord(6, [rng.choice([1, -1]) * rng.randrange(1, 6) for _ in range(150)]),
+                                    "plat"))
+    buckets = [0] * 20
+    for exponent, coeff in poly.items():
+        buckets[exponent % 20] += coeff
+    with localcontext() as ctx:
+        ctx.prec = 80
+        want = complex(float(sum(b * c for b, (c, _) in zip(buckets, table))),
+                       float(sum(b * s for b, (_, s) in zip(buckets, table))))
+    assert value_at_fibonacci_point(poly) == want
+    assert value_at_root(D, 12) == -math.sqrt(3) + 0j
+    k = ClosedBraid(BraidWord(5, [1, -2, 3, 4, 2, -1, 3]), "trace")
+    poly = bracket_poly(k)
+    for q in (3, 12):
+        assert abs(value_at_root(poly, q) - poly.evaluate(cmath.exp(1j * math.pi / q))) < 1e-13
+
+
+@st.composite
+def mid_trace_words(draw) -> ClosedBraid:
+    """Trace closures on 4-6 strands of 50-100 crossings."""
+    n = draw(st.integers(4, 6))
+    length = draw(st.integers(50, 100))
+    generator = st.tuples(st.integers(1, n - 1), st.sampled_from([1, -1]))
+    gens = draw(st.lists(generator, min_size=length, max_size=length))
+    return ClosedBraid(BraidWord(n, [i * s for i, s in gens]), "trace")
+
+
+@pytest.mark.parametrize("closure, q", [("trace", 10), ("plat", 12), ("trace", 12)])
+def test_numeric_sweep_matches_the_exact_decode_at_roots_of_unity(monkeypatch, closure, q):
+    # Trace words at the Fibonacci point, and both closures at e^(i pi/12),
+    # where d = -sqrt 3, held to the exact bracket's decode there.  The
+    # float sweep's rounding scales with the size of its coefficients, not
+    # with the value: a 6-strand trace word whose bracket is about 0.1 at
+    # the Fibonacci point is off by about 1.2e-12 relative, 1.3e-13
+    # absolute.  So a value below 1 is held to 1e-12 absolute.
+    lifted_cap(monkeypatch)
+
+    @settings(SETTINGS, max_examples=15)
+    @given(long_plat_words() if closure == "plat" else mid_trace_words())
+    def check(k):
+        exact = value_at_root(bracket_poly(k), q)
+        assert abs(bracket_eval(k, cmath.exp(1j * math.pi / q)) - exact) <= 1e-12 * max(abs(exact), 1)
+
+    check()
 
 
 @pytest.mark.parametrize("closure", ["plat", "trace"])

@@ -286,7 +286,7 @@ def test_words_of_values_match_reference_operations(drawn):
     ):
         assert type(twin) is BraidWord
         assert twin == w and hash(twin) == hash(w)
-    assert w.generators == tuple(Generator.from_int(v) for v in ints)
+    assert w.generators == tuple(Generator(abs(v), 1 if v > 0 else -1) for v in ints)
     assert all(a is b for a, b in zip(w.generators, w.generators))
     assert w.to_ints() == ints
     assert len(w) == len(ints)

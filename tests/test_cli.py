@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import math
@@ -858,9 +859,9 @@ def test_window_on_a_file_without_dates(capsys, tmp_path):
     assert err == f"error: {csv} has no dates to window\n"
 
 
-def test_main_builds_one_parser_per_process(capsys, monkeypatch):
-    # Plain argvs build no parser; the first usage error builds the one the
-    # rest of the process reuses, for the argvs only argparse reads too.
+def test_main_builds_a_parser_only_for_an_argv_that_needs_it(capsys, monkeypatch):
+    # Plain argvs build no parser; a usage error and each argv only argparse
+    # reads build one of their own, and the module keeps none between calls.
     argvs = [
         ["braid", str(DOW4_CSV)],
         ["invariant", "4: 1 -2 3 2 -1", "--bracket", "--jones"],
@@ -881,9 +882,9 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
         return build()
 
     monkeypatch.setattr(cli, "build_parser", counted)
-    monkeypatch.setattr(cli, "_parser", None)
     built = []
     for argv, proc in zip(argvs, alone):
+        calls.clear()
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -897,7 +898,7 @@ def test_main_builds_one_parser_per_process(capsys, monkeypatch):
         built.append(len(calls))
     assert [proc.returncode for proc in alone] == [0, 0, 0, 0, 1, 2, 0, 0]
     assert built == [0, 0, 0, 0, 0, 1, 1, 1]
-    assert build() is not build()
+    assert not [name for name, value in vars(cli).items() if isinstance(value, argparse.ArgumentParser)]
 
 
 def test_plain_reader_agrees_with_argparse():
