@@ -30,9 +30,6 @@ from .closure import (
     DiagramStats,
     component_count,
     diagram_stats,
-    minima_count,
-    plat_close,
-    trace_close,
 )
 from .laurent import LaurentPoly, poly_from_json, poly_to_json
 from .outcome import (
@@ -103,21 +100,18 @@ __all__ = [
     "jones_eval",
     "jones_from_bracket",
     "kauffman_invariant",
-    "minima_count",
     "outcome_from_stats",
     "outcome_probability",
     "parse_csv",
     "parse_word",
     "permutation",
     "plat_amplitude",
-    "plat_close",
     "poly_from_json",
     "poly_to_json",
     "rank_order",
     "render_ascii",
     "render_svg",
     "select_window",
-    "trace_close",
     "verify_jones_skein",
     "window_bounds",
     "writhe",

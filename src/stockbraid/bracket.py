@@ -169,7 +169,7 @@ def bracket_poly_state_sum(k: ClosedBraid) -> LaurentPoly:
     return LaurentPoly(
         (a_exp + e, n * coeff)
         for (a_exp, loops), n in tally.items()
-        for e, coeff in d_powers[loops - 1].items()
+        for e, coeff in d_powers[loops - 1].terms.items()
     )
 
 

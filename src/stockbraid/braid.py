@@ -168,9 +168,6 @@ class BraidWord(_Value):
         """The word as Generators: the same Generator for a value on every read."""
         return tuple(map(self._GENERATORS.__getitem__, self.values))
 
-    def to_ints(self) -> list[int]:
-        return list(self.values)
-
     def __len__(self) -> int:
         return len(self.values)
 

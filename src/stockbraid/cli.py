@@ -44,7 +44,7 @@ from math import isfinite
 from types import SimpleNamespace
 
 from . import __version__
-from .braid import BraidWord, _ascii_int, _quote, format_word, free_reduce, parse_word, writhe
+from .braid import BraidWord, _ascii_int, _quote, format_word, free_reduce, parse_word
 from .bracket import (
     CrossingCapExceeded,
     _writhe_corrected_value,
@@ -178,7 +178,8 @@ def _cmd_braid(args: SimpleNamespace) -> int:
 def _cmd_invariant(args: SimpleNamespace) -> int:
     word = _load_word(args.source, args.window_from, args.window_to)
     k = ClosedBraid(word, args.closure)
-    doc: dict = {"word": format_word(word), "stats": diagram_stats(k).to_json()}
+    stats = diagram_stats(k)
+    doc: dict = {"word": format_word(word), "stats": stats.to_json()}
     if args.bracket or args.jones:
         bracket = bracket_poly(k)
     if args.bracket:
@@ -194,7 +195,7 @@ def _cmd_invariant(args: SimpleNamespace) -> int:
         value = bracket_eval(k, a)
         doc["eval"] = {"point_a": _complex_json(a), "bracket_value": _complex_json(value)}
         if args.jones:
-            v = _writhe_corrected_value(value, a, writhe(word))
+            v = _writhe_corrected_value(value, a, stats.writhe)
             doc["eval"]["jones_value_at_a4"] = _complex_json(v)
     print(_json_text(doc))
     return 0

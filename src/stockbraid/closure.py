@@ -58,16 +58,6 @@ class DiagramStats(_Value):
         return dict(zip(self.__slots__, self._key(self)))
 
 
-def plat_close(w: BraidWord) -> ClosedBraid:
-    """Cap strand pairs (1,2), (3,4), ... at top and bottom."""
-    return ClosedBraid(w, "plat")
-
-
-def trace_close(w: BraidWord) -> ClosedBraid:
-    """Join each top strand to the same-indexed bottom strand."""
-    return ClosedBraid(w, "trace")
-
-
 def closure_arcs(k: ClosedBraid) -> list[tuple[int, int]]:
     """Endpoint pairs joined by the closure, over nodes 0..n-1 (bottom)
     and n..2n-1 (top)."""
@@ -112,17 +102,10 @@ def component_count(k: ClosedBraid) -> int:
     return _cycles(strands, _involution(closure_arcs(k), 2 * n))
 
 
-def minima_count(k: ClosedBraid) -> int:
-    """Local minima of a plat closure: half the strand count."""
-    if k.closure != "plat":
-        raise ClosureError("minima are defined only for plat closures")
-    return k.braid.n_strands // 2
-
-
 def diagram_stats(k: ClosedBraid) -> DiagramStats:
     return DiagramStats(
         components=component_count(k),
-        minima=minima_count(k) if k.closure == "plat" else None,
+        minima=k.braid.n_strands // 2 if k.closure == "plat" else None,
         crossings=len(k.braid),
         writhe=writhe(k.braid),
     )

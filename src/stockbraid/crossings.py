@@ -188,7 +188,7 @@ def _exponent(event: CrossingEvent) -> int:
         return 1 if delta_upper > delta_lower else -1
     if upper_after != lower_after:
         return 1 if upper_after > lower_after else -1
-    return 1 if upper <= lower else -1
+    return 1 if upper < lower else -1
 
 
 def classify_crossing(event: CrossingEvent) -> CrossingSign:

@@ -8,7 +8,7 @@ where a stored exponent q stands for t^{q/4}).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 
 class LaurentPoly:
@@ -39,9 +39,6 @@ class LaurentPoly:
     def terms(self) -> dict[int, int]:
         """The nonzero coefficients by exponent, in increasing exponent order."""
         return dict(sorted(self._terms.items()))
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self._terms.items()))
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -108,7 +105,7 @@ def poly_to_json(poly: LaurentPoly, variable: str, convention: str | None = None
     doc: dict = {"variable": variable}
     if convention is not None:
         doc["convention"] = convention
-    doc["terms"] = [[e, c] for e, c in poly.items()]
+    doc["terms"] = [[e, c] for e, c in sorted(poly._terms.items())]
     return doc
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from stockbraid import BraidWord, bracket, jones_eval, parse_csv, plat_close
+from stockbraid import BraidWord, ClosedBraid, bracket, jones_eval, parse_csv
 
 DATA_DIR = Path(__file__).parent / "data"
 DOW4_CSV = DATA_DIR / "dow4_2013.csv"
@@ -45,7 +45,7 @@ def flipped_skein_residue():
     def residue(wl: BraidWord, i: int, wr: BraidWord, t: complex) -> complex:
         n = wl.n_strands
         v_plus, v_minus, v_zero = (
-            jones_eval(plat_close(BraidWord(n, wl.to_ints() + mid + wr.to_ints())), t)
+            jones_eval(ClosedBraid(BraidWord(n, [*wl.values, *mid, *wr.values]), "plat"), t)
             for mid in ([i], [-i], [])
         )
         root = cmath.sqrt(t)

@@ -61,7 +61,7 @@ def powers(q: int) -> list[tuple[Decimal, Decimal]]:
 def value_at_root(poly: LaurentPoly, q: int) -> complex:
     """poly at A = e^(i pi/q), exact up to the one final rounding."""
     buckets = [0] * (2 * q)
-    for exponent, coeff in poly.items():
+    for exponent, coeff in poly.terms.items():
         buckets[exponent % (2 * q)] += coeff
     with localcontext() as ctx:
         ctx.prec = DIGITS

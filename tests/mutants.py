@@ -40,9 +40,8 @@ MUTANTS = [
         "tests/test_braid.py::test_free_reduce_examples",
         "tests/test_outcome.py::test_readout_word_is_the_reduced_interference_braid",
     ]),
-    # the last tie-break of a crossing's sign, the smaller ticker over, flipped;
-    # `<=` -> `<` would be no fault, since a series' tickers are distinct
-    ("crossings", "return 1 if upper <= lower else -1", 1, "return 1 if upper >= lower else -1", [
+    # the last tie-break of a crossing's sign, the smaller ticker over, flipped
+    ("crossings", "return 1 if upper < lower else -1", 1, "return 1 if upper > lower else -1", [
         "tests/test_crossings.py::test_classify_tie_breaks",
     ]),
     # the arc that closes the final loop is closed too, weighing it twice
@@ -91,6 +90,16 @@ MUTANTS = [
     # a tie between the trace plans goes radial, not to word order
     ("bracket", "accumulate(radial[:c]))) < sum(", 1, "accumulate(radial[:c]))) <= sum(", [
         "tests/test_bracket_properties.py::test_the_planner_chooses_the_cheaper_schedule",
+    ]),
+    # a plat closure's minima one more than half its strand count
+    ("closure", 'minima=k.braid.n_strands // 2 if k.closure == "plat"', 1,
+     'minima=k.braid.n_strands // 2 + 1 if k.closure == "plat"', [
+        "tests/test_closure.py::test_diagram_stats_minima",
+        "tests/test_golden.py::test_the_golden_items_are_byte_identical[readout_prob]",
+    ]),
+    # terms written in stored order, which mirrored() reverses, not by exponent
+    ("laurent", "sorted(poly._terms.items())", 1, "poly._terms.items()", [
+        "tests/test_golden.py::test_the_golden_items_are_byte_identical[exact_invariants]",
     ]),
 ]
 

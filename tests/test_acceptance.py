@@ -13,6 +13,7 @@ from pathlib import Path
 
 from stockbraid import (
     BraidWord,
+    ClosedBraid,
     CrossingSign,
     GOLDEN_RATIO,
     bracket_eval,
@@ -28,9 +29,7 @@ from stockbraid import (
     kauffman_invariant,
     outcome_from_stats,
     parse_csv,
-    plat_close,
     select_window,
-    trace_close,
     verify_jones_skein,
     writhe,
 )
@@ -75,11 +74,11 @@ def test_criterion_2_writhe_worked_example():
 
 
 def test_criterion_3_figure_reproduction_attempt(dow4_series):
-    full = plat_close(build_braid(dow4_series))
+    full = ClosedBraid(build_braid(dow4_series), "plat")
     c_full = component_count(full)
     bracket_full = bracket_poly(full)
     narrow_series = select_window(dow4_series, date(2013, 5, 15), date(2013, 6, 5))
-    narrow = plat_close(build_braid(narrow_series))
+    narrow = ClosedBraid(build_braid(narrow_series), "plat")
     c_narrow = component_count(narrow)
 
     # determinism guard: these are the values the pipeline produced when
@@ -115,8 +114,8 @@ def test_criterion_4_bracket_oracle_equivalence(rand_word):
     for _ in range(200):
         n = rng.choice([2, 3, 4, 5, 6, 7, 8])
         word = _random_word(rng, n, max_len=12)
-        closure = plat_close if n % 2 == 0 and rng.random() < 0.5 else trace_close
-        k = closure(word)
+        kind = "plat" if n % 2 == 0 and rng.random() < 0.5 else "trace"
+        k = ClosedBraid(word, kind)
         state_sum = bracket_poly_state_sum(k)
         sweep = bracket_poly(k)
         assert state_sum == sweep
@@ -142,31 +141,31 @@ def test_criterion_5_regular_isotopy_suite(rand_word):
     for _ in range(100):
         n = rng.choice([2, 3, 4, 5, 6])
         word = _random_word(rng, n, max_len=6)
-        closure = plat_close if n % 2 == 0 else trace_close
-        base = bracket_poly(closure(word))
+        kind = "plat" if n % 2 == 0 else "trace"
+        base = bracket_poly(ClosedBraid(word, kind))
         # R2: insert an inverse pair anywhere
         spot = rng.randrange(0, len(word) + 1)
         i = rng.randrange(1, n)
         sign = rng.choice([1, -1])
-        ints = word.to_ints()
+        ints = list(word.values)
         padded = BraidWord(n, ints[:spot] + [sign * i, -sign * i] + ints[spot:])
-        assert bracket_poly(closure(padded)) == base
+        assert bracket_poly(ClosedBraid(padded, kind)) == base
         # R3: substitute the braid-relation triple
         if n >= 3:
             j = rng.randrange(1, n - 1)
             left = BraidWord(n, ints + [j, j + 1, j])
             right = BraidWord(n, ints + [j + 1, j, j + 1])
-            assert bracket_poly(closure(left)) == bracket_poly(closure(right))
+            assert bracket_poly(ClosedBraid(left, kind)) == bracket_poly(ClosedBraid(right, kind))
     # kink appending on plat diagrams
     for _ in range(100):
         n = rng.choice([2, 4, 6])
         word = _random_word(rng, n, max_len=6)
         j = rng.choice([x for x in range(1, n) if x % 2 == 1])
         sign = rng.choice([1, -1])
-        kinked = BraidWord(n, word.to_ints() + [sign * j])
-        base = bracket_poly(plat_close(word))
-        assert bracket_poly(plat_close(kinked)) == base.shifted(3 * sign, -1)
-        assert kauffman_invariant(plat_close(kinked)) == kauffman_invariant(plat_close(word))
+        kinked = BraidWord(n, [*word.values, sign * j])
+        base = bracket_poly(ClosedBraid(word, "plat"))
+        assert bracket_poly(ClosedBraid(kinked, "plat")) == base.shifted(3 * sign, -1)
+        assert kauffman_invariant(ClosedBraid(kinked, "plat")) == kauffman_invariant(ClosedBraid(word, "plat"))
     print(
         "criterion 5: PASS - R2 insertion and R3 substitution exact on 100 words; "
         "kinks scale <K> by -A^(+/-3) and fix f[K]"
@@ -179,7 +178,7 @@ def test_criterion_6_bracket_jones_relation(rand_word):
     for _ in range(50):
         n = rng.choice([2, 3, 4, 5, 6])
         word = _random_word(rng, n, max_len=8)
-        k = plat_close(word) if n % 2 == 0 and rng.random() < 0.5 else trace_close(word)
+        k = ClosedBraid(word, "plat") if n % 2 == 0 and rng.random() < 0.5 else ClosedBraid(word, "trace")
         w = writhe(word)
         jones = jones_from_bracket(k, "paper")
         assert bracket_poly(k) == LaurentPoly({3 * w: (-1) ** (w % 2)}) * jones
@@ -296,6 +295,6 @@ def test_criterion_10_cli_determinism(tmp_path):
             timeout=120,
         ).stdout
     )
-    k = plat_close(build_braid(series))
-    assert doc["bracket"]["terms"] == [[e, c] for e, c in bracket_poly(k).items()]
+    k = ClosedBraid(build_braid(series), "plat")
+    assert doc["bracket"]["terms"] == [[e, c] for e, c in bracket_poly(k).terms.items()]
     print("criterion 10: PASS - repeated CLI pipeline runs are byte-identical")

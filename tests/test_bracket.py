@@ -6,6 +6,7 @@ import pytest
 
 from stockbraid import (
     BraidWord,
+    ClosedBraid,
     CrossingCapExceeded,
     WordFormatError,
     bracket,
@@ -16,8 +17,6 @@ from stockbraid import (
     jones_from_bracket,
     kauffman_invariant,
     parse_word,
-    plat_close,
-    trace_close,
     verify_jones_skein,
     writhe,
 )
@@ -33,27 +32,27 @@ PHI = (1 + math.sqrt(5)) / 2
 def _random_closure(rng, rand_word, max_len=10):
     w = rand_word(rng, max_len=max_len)
     if w.n_strands % 2 == 0 and rng.random() < 0.6:
-        return plat_close(w)
-    return trace_close(w)
+        return ClosedBraid(w, "plat")
+    return ClosedBraid(w, "trace")
 
 
 # --- bracket values pinned by hand expansion -------------------------------
 
 def test_unknot_brackets_are_one():
-    assert bracket_poly(plat_close(BraidWord(2))) == LaurentPoly.one()
-    assert bracket_poly(trace_close(BraidWord(1))) == LaurentPoly.one()
+    assert bracket_poly(ClosedBraid(BraidWord(2), "plat")) == LaurentPoly.one()
+    assert bracket_poly(ClosedBraid(BraidWord(1), "trace")) == LaurentPoly.one()
     # hand expansion of the trace-closed curl: the A-weighted cup-cap state
     # leaves 1 loop, the A^{-1} vertical state 2, so A + A^{-1} d = -A^{-3}
-    assert bracket_poly(trace_close(parse_word("2: 1"))).terms == {-3: -1}
+    assert bracket_poly(ClosedBraid(parse_word("2: 1"), "trace")).terms == {-3: -1}
 
 
 def test_two_circle_plat_gives_loop_value():
-    assert bracket_poly(plat_close(BraidWord(4))) == D_POLY
+    assert bracket_poly(ClosedBraid(BraidWord(4), "plat")) == D_POLY
 
 
 def test_positive_kink_hand_expansion():
     # two states: A * (2 loops -> d) + A^{-1} * (1 loop -> 1) = -A^3
-    k = plat_close(parse_word("2: 1"))
+    k = ClosedBraid(parse_word("2: 1"), "plat")
     states = sorted(smoothing_states(k))
     assert [(s.choices, s.loops) for s in states] == [((False,), 1), ((True,), 2)]
     assert bracket_poly(k).terms == {3: -1}
@@ -63,15 +62,15 @@ def test_positive_kink_hand_expansion():
 def test_a_bracket_with_negative_digits_unpacks():
     # The trace-closed trefoil: its packed sum is positive, and each of its
     # two negative digits reads back only with its carry into the next.
-    assert bracket_poly(trace_close(parse_word("2: 1 1 1"))).terms == {-5: -1, 3: -1, 7: 1}
+    assert bracket_poly(ClosedBraid(parse_word("2: 1 1 1"), "trace")).terms == {-5: -1, 3: -1, 7: 1}
 
 
 def test_state_sum_tallies_on_the_smallest_words():
     # No crossing: one state of A-exponent 0, worth d^(loops - 1).
-    assert bracket_poly_state_sum(plat_close(parse_word("2:"))).terms == {0: 1}
-    assert bracket_poly_state_sum(trace_close(parse_word("3:"))).terms == {-4: 1, 0: 2, 4: 1}
+    assert bracket_poly_state_sum(ClosedBraid(parse_word("2:"), "plat")).terms == {0: 1}
+    assert bracket_poly_state_sum(ClosedBraid(parse_word("3:"), "trace")).terms == {-4: 1, 0: 2, 4: 1}
     # The trace-closed curl: (A, 1 loop) and (A^-1, 2 loops), so A + A^-1 d = -A^-3.
-    k = trace_close(parse_word("2: 1"))
+    k = ClosedBraid(parse_word("2: 1"), "trace")
     assert sorted((s.choices, s.loops) for s in smoothing_states(k)) == [
         ((False,), 2), ((True,), 1)]
     assert bracket_poly_state_sum(k).terms == {-3: -1}
@@ -80,7 +79,7 @@ def test_state_sum_tallies_on_the_smallest_words():
 def test_hopf_link_exhaustive_four_state_sum():
     # by hand: states (AA) 2 loops, (AB) and (BA) 1 loop, (BB) 2 loops:
     # A^2 d + 2 + A^-2 d = -A^4 - A^-4
-    for k in (trace_close(parse_word("2: 1 1")), plat_close(parse_word("4: 2 2"))):
+    for k in (ClosedBraid(parse_word("2: 1 1"), "trace"), ClosedBraid(parse_word("4: 2 2"), "plat")):
         loops = {s.choices: s.loops for s in smoothing_states(k)}
         assert loops[(True, True)] == 2
         assert loops[(False, False)] == 2
@@ -90,26 +89,26 @@ def test_hopf_link_exhaustive_four_state_sum():
 
 
 def test_bracket_eval_examples():
-    hopf = trace_close(parse_word("2: 1 1"))
+    hopf = ClosedBraid(parse_word("2: 1 1"), "trace")
     value = bracket_eval(hopf, FIB_A)
     assert abs(value - (-2 * math.cos(2 * math.pi / 5))) < 1e-12
     rng = random.Random(3)
     for _ in range(5):
         a = cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        assert abs(bracket_eval(plat_close(BraidWord(2)), a) - 1) < 1e-12
+        assert abs(bracket_eval(ClosedBraid(BraidWord(2), "plat"), a) - 1) < 1e-12
 
 
 def test_bracket_eval_rejects_non_finite():
     with pytest.raises(ValueError):
-        bracket_eval(plat_close(BraidWord(2)), complex("inf"))
+        bracket_eval(ClosedBraid(BraidWord(2), "plat"), complex("inf"))
     with pytest.raises(ValueError):
-        jones_eval(plat_close(BraidWord(2)), complex("nan"))
+        jones_eval(ClosedBraid(BraidWord(2), "plat"), complex("nan"))
 
 
 def test_jones_eval_at_a_tiny_point_is_an_overflow():
     # t^(1/4) = 1e-75, so (-A)^(3 Wr) = A^6 underflows to 0 and its reciprocal overflows.
     with pytest.raises(OverflowError, match=r"overflows at A = \(1\.0+6e-75\+0j\) for writhe 2"):
-        jones_eval(plat_close(BraidWord(2, [1, 1])), 1e-300)
+        jones_eval(ClosedBraid(BraidWord(2, [1, 1]), "plat"), 1e-300)
     with pytest.raises(OverflowError):
         bracket._writhe_corrected_value(1.0, 1e-120, 1)
 
@@ -117,7 +116,7 @@ def test_jones_eval_at_a_tiny_point_is_an_overflow():
 def test_a_non_finite_bracket_value_is_an_overflow():
     # A^2 and d overflow at 1e170; at 1e-150 they do not, and the value
     # stays finite.  (tests/test_cli.py runs the tiny points.)
-    k = plat_close(BraidWord(2, [1]))
+    k = ClosedBraid(BraidWord(2, [1]), "plat")
     with pytest.raises(OverflowError, match=r"^the bracket is not finite at A = \(1e\+170\+0j\)$"):
         bracket_eval(k, 1e170)
     assert cmath.isfinite(bracket_eval(k, 1e-150))
@@ -140,7 +139,7 @@ def test_eval_agrees_with_exact_polynomial(rand_word):
 def _value_at_i(poly):
     """poly at A = i, summed in integers: A^e is 1, i, -1 or -i by e mod 4."""
     sums = [0, 0, 0, 0]
-    for e, c in poly.items():
+    for e, c in poly.terms.items():
         sums[e % 4] += c
     return complex(sums[0] - sums[2], sums[1] - sums[3])
 
@@ -150,7 +149,7 @@ def test_trace_eval_of_a_wide_word_runs_the_exact_plan(monkeypatch):
     # holds states of a 60-point module and did not finish in 20 s; on the
     # exact path's plan, closed early, it takes a handful of moves.
     word = BraidWord(30, [*range(1, 30, 2), *range(2, 19, 2)])
-    k = trace_close(word)
+    k = ClosedBraid(word, "trace")
     calls = []
     cupcap = bracket._cupcap
 
@@ -172,7 +171,7 @@ def test_trace_eval_agrees_with_the_exact_bracket_on_wide_words():
     for _ in range(150):
         n = rng.randrange(2, 17)
         ints = [rng.choice([1, -1]) * rng.randrange(1, n) for _ in range(rng.randrange(25))]
-        k = trace_close(BraidWord(n, ints))
+        k = ClosedBraid(BraidWord(n, ints), "trace")
         plans.add(bracket._trace_plan(bracket._tracks(k.braid)))
         exact = bracket_poly(k)
         for a in (FIB_A, 1j, 0.8 + 0.6j):
@@ -195,7 +194,7 @@ def test_trace_eval_of_words_past_twice_the_crossing_cap(monkeypatch):
     ]
     plans = []
     for n, ints in words:
-        k = trace_close(BraidWord(n, ints))
+        k = ClosedBraid(BraidWord(n, ints), "trace")
         plans.append(bracket._trace_plan(bracket._tracks(k.braid)))
         assert bracket_eval(k, 1j) == _value_at_i(bracket_poly(k))
     assert plans == [False, False, True, True]
@@ -214,7 +213,7 @@ def test_a_long_readout_trace_word_is_swept_in_word_order(monkeypatch):
     # Swept radially it takes about twice the state-steps of word order
     # closed early, and over 20x the time; 2^open summed over its
     # crossings is smaller in word order.
-    k = trace_close(parse_word(READOUT_WORD_104))
+    k = ClosedBraid(parse_word(READOUT_WORD_104), "trace")
     assert len(k.braid) == 104
     assert not bracket._trace_plan(bracket._tracks(k.braid))
     monkeypatch.setattr(bracket, "CROSSING_CAP", 104)
@@ -225,56 +224,56 @@ def test_crossing_cap(monkeypatch):
     assert bracket.CROSSING_CAP == 24
     w = BraidWord(2, [1] * 25)
     with pytest.raises(CrossingCapExceeded, match="bracket_eval"):
-        bracket_poly(trace_close(w))
+        bracket_poly(ClosedBraid(w, "trace"))
     with pytest.raises(CrossingCapExceeded, match="bracket_eval"):
-        bracket_poly_state_sum(trace_close(w))
+        bracket_poly_state_sum(ClosedBraid(w, "trace"))
     monkeypatch.setattr(bracket, "CROSSING_CAP", 25)
-    assert bracket_poly(trace_close(w))
+    assert bracket_poly(ClosedBraid(w, "trace"))
     monkeypatch.setattr(bracket, "CROSSING_CAP", 30)
-    assert bracket_poly(trace_close(w))
+    assert bracket_poly(ClosedBraid(w, "trace"))
     monkeypatch.setattr(bracket, "CROSSING_CAP", 10)
     with pytest.raises(CrossingCapExceeded):
-        bracket_poly(trace_close(BraidWord(2, [1] * 11)))
+        bracket_poly(ClosedBraid(BraidWord(2, [1] * 11), "trace"))
 
 
 # --- writhe-corrected invariants -------------------------------------------
 
 def test_kauffman_invariant_removes_kink():
-    assert kauffman_invariant(plat_close(parse_word("2: 1"))) == LaurentPoly.one()
-    assert kauffman_invariant(plat_close(BraidWord(2))) == LaurentPoly.one()
+    assert kauffman_invariant(ClosedBraid(parse_word("2: 1"), "plat")) == LaurentPoly.one()
+    assert kauffman_invariant(ClosedBraid(BraidWord(2), "plat")) == LaurentPoly.one()
 
 
 def test_kauffman_invariant_stable_under_pair_insertion(rand_word):
     rng = random.Random(33)
     for _ in range(100):
         w = rand_word(rng, max_len=8)
-        k = trace_close(w)
+        k = ClosedBraid(w, "trace")
         spot = rng.randrange(0, len(w) + 1)
         i = rng.randrange(1, w.n_strands) if w.n_strands > 1 else None
         if i is None:
             continue
-        ints = w.to_ints()
+        ints = list(w.values)
         padded = BraidWord(w.n_strands, ints[:spot] + [i, -i] + ints[spot:])
-        assert kauffman_invariant(trace_close(padded)) == kauffman_invariant(k)
+        assert kauffman_invariant(ClosedBraid(padded, "trace")) == kauffman_invariant(k)
 
 
 def test_jones_from_bracket_examples():
-    assert jones_from_bracket(plat_close(BraidWord(2))) == LaurentPoly.one()
-    two_unlink = plat_close(BraidWord(4))
+    assert jones_from_bracket(ClosedBraid(BraidWord(2), "plat")) == LaurentPoly.one()
+    two_unlink = ClosedBraid(BraidWord(4), "plat")
     standard = jones_from_bracket(two_unlink, convention="standard")
     assert standard.terms == {2: -1, -2: -1}  # -t^{1/2} - t^{-1/2}
-    hopf = plat_close(parse_word("4: 2 2"))
+    hopf = ClosedBraid(parse_word("4: 2 2"), "plat")
     assert jones_from_bracket(hopf, "paper") == jones_from_bracket(hopf, "standard").mirrored()
     with pytest.raises(ValueError):
         jones_from_bracket(hopf, "other")
-    trefoil = trace_close(parse_word("2: 1 1 1"))
+    trefoil = ClosedBraid(parse_word("2: 1 1 1"), "trace")
     with pytest.raises(ValueError, match="unknown Jones convention 'Paper'"):
         writhe_corrected(bracket_poly(trefoil), trefoil, "Paper")
 
 
 def test_jones_eval_examples():
-    assert abs(jones_eval(plat_close(BraidWord(2)), FIB_T) - 1) < 1e-12
-    value = jones_eval(plat_close(BraidWord(4)), FIB_T)
+    assert abs(jones_eval(ClosedBraid(BraidWord(2), "plat"), FIB_T) - 1) < 1e-12
+    value = jones_eval(ClosedBraid(BraidWord(4), "plat"), FIB_T)
     assert abs(value - (-PHI)) < 1e-12  # -t^{1/2}-t^{-1/2} at t = e^{2pi i/5}
 
 
@@ -342,13 +341,13 @@ def test_r2_insertion_leaves_bracket_unchanged(rand_word):
         w = rand_word(rng, max_len=7)
         if w.n_strands < 2:
             continue
-        k = trace_close(w)
+        k = ClosedBraid(w, "trace")
         spot = rng.randrange(0, len(w) + 1)
         i = rng.randrange(1, w.n_strands)
         sign = rng.choice([1, -1])
-        ints = w.to_ints()
+        ints = list(w.values)
         padded = BraidWord(w.n_strands, ints[:spot] + [sign * i, -sign * i] + ints[spot:])
-        assert bracket_poly(trace_close(padded)) == bracket_poly(k)
+        assert bracket_poly(ClosedBraid(padded, "trace")) == bracket_poly(k)
 
 
 def test_r3_substitution_leaves_bracket_unchanged(rand_word):
@@ -357,11 +356,11 @@ def test_r3_substitution_leaves_bracket_unchanged(rand_word):
         n = rng.choice([3, 4, 5, 6])
         wl, wr = rand_word(rng, n=n, max_len=5), rand_word(rng, n=n, max_len=5)
         i = rng.randrange(1, n - 1)
-        one = BraidWord(n, wl.to_ints() + [i, i + 1, i] + wr.to_ints())
-        other = BraidWord(n, wl.to_ints() + [i + 1, i, i + 1] + wr.to_ints())
-        assert bracket_poly(trace_close(one)) == bracket_poly(trace_close(other))
+        one = BraidWord(n, [*wl.values, i, i + 1, i, *wr.values])
+        other = BraidWord(n, [*wl.values, i + 1, i, i + 1, *wr.values])
+        assert bracket_poly(ClosedBraid(one, "trace")) == bracket_poly(ClosedBraid(other, "trace"))
         if n % 2 == 0:
-            assert bracket_poly(plat_close(one)) == bracket_poly(plat_close(other))
+            assert bracket_poly(ClosedBraid(one, "plat")) == bracket_poly(ClosedBraid(other, "plat"))
 
 
 def test_far_generators_commute(rand_word):
@@ -371,9 +370,9 @@ def test_far_generators_commute(rand_word):
         wl, wr = rand_word(rng, n=n, max_len=4), rand_word(rng, n=n, max_len=4)
         i = rng.randrange(1, n - 2)
         j = rng.randrange(i + 2, n)
-        one = BraidWord(n, wl.to_ints() + [i, j] + wr.to_ints())
-        other = BraidWord(n, wl.to_ints() + [j, i] + wr.to_ints())
-        assert bracket_poly(trace_close(one)) == bracket_poly(trace_close(other))
+        one = BraidWord(n, [*wl.values, i, j, *wr.values])
+        other = BraidWord(n, [*wl.values, j, i, *wr.values])
+        assert bracket_poly(ClosedBraid(one, "trace")) == bracket_poly(ClosedBraid(other, "trace"))
 
 
 def test_plat_kink_appending_scales_bracket(rand_word):
@@ -383,21 +382,21 @@ def test_plat_kink_appending_scales_bracket(rand_word):
         w = rand_word(rng, n=n, max_len=6)
         j = rng.choice([x for x in range(1, n) if x % 2 == 1])
         sign = rng.choice([1, -1])
-        base = bracket_poly(plat_close(w))
-        kinked_word = BraidWord(n, w.to_ints() + [sign * j])
-        kinked = bracket_poly(plat_close(kinked_word))
+        base = bracket_poly(ClosedBraid(w, "plat"))
+        kinked_word = BraidWord(n, [*w.values, sign * j])
+        kinked = bracket_poly(ClosedBraid(kinked_word, "plat"))
         assert kinked == base.shifted(3 * sign, -1)  # times -A^{+/-3}
-        assert kauffman_invariant(plat_close(kinked_word)) == kauffman_invariant(plat_close(w))
+        assert kauffman_invariant(ClosedBraid(kinked_word, "plat")) == kauffman_invariant(ClosedBraid(w, "plat"))
 
 
 def test_mirror_symmetry(rand_word):
     rng = random.Random(42)
     for _ in range(50):
         w = rand_word(rng, max_len=8)
-        mirrored = BraidWord(w.n_strands, [-v for v in w.to_ints()])
-        assert bracket_poly(trace_close(mirrored)) == bracket_poly(trace_close(w)).mirrored()
+        mirrored = BraidWord(w.n_strands, [-v for v in w.values])
+        assert bracket_poly(ClosedBraid(mirrored, "trace")) == bracket_poly(ClosedBraid(w, "trace")).mirrored()
         if w.n_strands % 2 == 0:
-            assert bracket_poly(plat_close(mirrored)) == bracket_poly(plat_close(w)).mirrored()
+            assert bracket_poly(ClosedBraid(mirrored, "plat")) == bracket_poly(ClosedBraid(w, "plat")).mirrored()
 
 
 def test_disjoint_circle_multiplies_by_loop_value(rand_word):
@@ -406,7 +405,7 @@ def test_disjoint_circle_multiplies_by_loop_value(rand_word):
         n = rng.choice([2, 4])
         w = rand_word(rng, n=n, max_len=6)
         widened = BraidWord(n + 2, w.values)
-        assert bracket_poly(plat_close(widened)) == D_POLY * bracket_poly(plat_close(w))
+        assert bracket_poly(ClosedBraid(widened, "plat")) == D_POLY * bracket_poly(ClosedBraid(w, "plat"))
 
 
 def test_three_paths_agree(rand_word):
@@ -435,8 +434,8 @@ def test_bracket_poly_does_no_laurent_arithmetic(monkeypatch):
     plans = [bracket._trace_plan(bracket._tracks(BraidWord(n, g))) for n, g in words]
     assert not all(plans)
     assert any(plans)
-    want = [bracket_poly(close(BraidWord(n, g))) for n, g in words for close in (plat_close, trace_close)]
+    want = [bracket_poly(ClosedBraid(BraidWord(n, g), kind)) for n, g in words for kind in ("plat", "trace")]
     for name in ("__mul__", "__rmul__", "__add__"):
         monkeypatch.setattr(LaurentPoly, name, refuse)
-    got = [bracket_poly(close(BraidWord(n, g))) for n, g in words for close in (plat_close, trace_close)]
+    got = [bracket_poly(ClosedBraid(BraidWord(n, g), kind)) for n, g in words for kind in ("plat", "trace")]
     assert got == want

@@ -191,7 +191,7 @@ def test_the_decode_takes_any_q_and_keeps_its_table_at_q_10(monkeypatch):
     poly = bracket_poly(ClosedBraid(BraidWord(6, [rng.choice([1, -1]) * rng.randrange(1, 6) for _ in range(150)]),
                                     "plat"))
     buckets = [0] * 20
-    for exponent, coeff in poly.items():
+    for exponent, coeff in poly.terms.items():
         buckets[exponent % 20] += coeff
     with localcontext() as ctx:
         ctx.prec = 80
@@ -462,7 +462,7 @@ def test_trace_stabilisation_multiplies_the_bracket_by_a_kink(beta, s):
     # word grows by s, so f[K] moves by A^(-6s): it is not Markov-stable.
     m = beta.n_strands
     base = ClosedBraid(beta, "trace")
-    stabilised = ClosedBraid(BraidWord(m + 1, beta.to_ints() + [s * m]), "trace")
+    stabilised = ClosedBraid(BraidWord(m + 1, [*beta.values, s * m]), "trace")
     check_bracket(stabilised, bracket_poly(base).shifted(-3 * s, -1))
     assert kauffman_invariant(stabilised) == kauffman_invariant(base).shifted(-6 * s)
 

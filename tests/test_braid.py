@@ -160,11 +160,11 @@ def test_writhe_additive(rand_word):
 
 def test_equal_generators_are_shared_within_a_word():
     w = parse_word("4: 1 -2 1 +1 -2 3")
-    assert w.to_ints() == [1, -2, 1, 1, -2, 3]
+    assert w.values == (1, -2, 1, 1, -2, 3)
     g = w.generators
     assert g[0] is g[2] is g[3] and g[1] is g[4]
     inv = inverse(w)
-    assert inv.to_ints() == [-3, 2, -1, -1, 2, -1]
+    assert inv.values == (-3, 2, -1, -1, 2, -1)
     assert inv.generators[1] is inv.generators[4] and inv.generators[2] is inv.generators[5]
     built = BraidWord(4, [1, -2, 1, 1, -2, 3])
     assert built == w
@@ -207,7 +207,7 @@ def test_checked_words_still_refuse_bad_generators():
 def test_parse_and_format():
     w = parse_word("4: 1 -2 3")
     assert w.n_strands == 4
-    assert w.to_ints() == [1, -2, 3]
+    assert w.values == (1, -2, 3)
     assert format_word(w) == "4: 1 -2 3"
     assert parse_word("2:") == BraidWord(2)
     assert format_word(BraidWord(2)) == "2:"
@@ -234,7 +234,7 @@ def test_words_store_each_value_as_the_int_its_check_read():
     mixed = BraidWord(3, [1, 1.0, True, -2])
     plain = BraidWord(3, [1, 1, 1, -2])
     assert format_word(mixed) == "3: 1 1 1 -2"
-    assert [type(v) for v in mixed.to_ints()] == [int] * 4
+    assert [type(v) for v in mixed.values] == [int] * 4
     assert mixed == plain and hash(mixed) == hash(plain)
 
 
@@ -288,7 +288,7 @@ def test_words_of_values_match_reference_operations(drawn):
         assert twin == w and hash(twin) == hash(w)
     assert w.generators == tuple(Generator(abs(v), 1 if v > 0 else -1) for v in ints)
     assert all(a is b for a, b in zip(w.generators, w.generators))
-    assert w.to_ints() == ints
+    assert list(w.values) == ints
     assert len(w) == len(ints)
     assert format_word(w) == f"{n}:" + "".join(f" {v}" for v in ints)
     assert parse_word(format_word(w)) == w

@@ -329,7 +329,7 @@ def test_prob_malformed_gamma(capsys):
     assert "error" in err
 
 
-def test_prob_even_system_braid_cannot_plat_close(capsys):
+def test_prob_even_system_braid_has_no_plat_closure(capsys):
     code, _, err = run_cli(capsys, "prob", "4: 1")
     assert code == 1
     assert "2k" in err

@@ -9,17 +9,14 @@ from stockbraid import (
     component_count,
     diagram_stats,
     free_reduce,
-    minima_count,
     parse_word,
     permutation,
-    plat_close,
-    trace_close,
 )
 
 
 def test_plat_requires_even_strands():
     with pytest.raises(ClosureError, match="2k"):
-        plat_close(parse_word("3: 1"))
+        ClosedBraid(parse_word("3: 1"), "plat")
 
 
 def test_a_closure_of_a_value_that_is_not_a_word_is_refused():
@@ -29,20 +26,19 @@ def test_a_closure_of_a_value_that_is_not_a_word_is_refused():
 
 
 def test_component_count_examples():
-    assert component_count(plat_close(BraidWord(4))) == 2  # caps meet caps
-    assert component_count(trace_close(BraidWord(5))) == 5
-    assert component_count(trace_close(parse_word("2: 1"))) == 1  # unknot
+    assert component_count(ClosedBraid(BraidWord(4), "plat")) == 2  # caps meet caps
+    assert component_count(ClosedBraid(BraidWord(5), "trace")) == 5
+    assert component_count(ClosedBraid(parse_word("2: 1"), "trace")) == 1  # unknot
     # trefoil: (1 2)^3 = (1 2) has a single cycle under trace pairing
-    assert component_count(trace_close(parse_word("2: 1 1 1"))) == 1
-    assert component_count(plat_close(parse_word("2: 1"))) == 1  # kinked unknot
+    assert component_count(ClosedBraid(parse_word("2: 1 1 1"), "trace")) == 1
+    assert component_count(ClosedBraid(parse_word("2: 1"), "plat")) == 1  # kinked unknot
 
 
-def test_minima_count():
-    assert minima_count(plat_close(BraidWord(4))) == 2
-    assert minima_count(plat_close(BraidWord(2))) == 1
-    assert minima_count(plat_close(BraidWord(8))) == 4
-    with pytest.raises(ClosureError):
-        minima_count(trace_close(BraidWord(3)))
+def test_diagram_stats_minima():
+    assert diagram_stats(ClosedBraid(BraidWord(4), "plat")).minima == 2
+    assert diagram_stats(ClosedBraid(BraidWord(2), "plat")).minima == 1
+    assert diagram_stats(ClosedBraid(BraidWord(8), "plat")).minima == 4
+    assert diagram_stats(ClosedBraid(BraidWord(3), "trace")).minima is None
 
 
 def _cycle_count(perm: tuple[int, ...]) -> int:
@@ -89,37 +85,37 @@ def test_trace_components_cross_checked_against_union_find(rand_word):
     rng = random.Random(21)
     for _ in range(100):
         w = rand_word(rng)
-        k = trace_close(w)
+        k = ClosedBraid(w, "trace")
         assert component_count(k) == _cycle_count(permutation(w))
         assert component_count(k) == _components_by_union_find(w, "trace")
         if w.n_strands % 2 == 0:
-            assert component_count(plat_close(w)) == _components_by_union_find(w, "plat")
+            assert component_count(ClosedBraid(w, "plat")) == _components_by_union_find(w, "plat")
 
 
 def test_component_count_bounds_fuzz(rand_word):
     rng = random.Random(22)
     for _ in range(100):
         w = rand_word(rng)
-        assert 1 <= component_count(trace_close(w)) <= w.n_strands
+        assert 1 <= component_count(ClosedBraid(w, "trace")) <= w.n_strands
         if w.n_strands % 2 == 0:
-            assert 1 <= component_count(plat_close(w)) <= w.n_strands
+            assert 1 <= component_count(ClosedBraid(w, "plat")) <= w.n_strands
 
 
 def test_component_count_invariant_under_free_reduce(rand_word):
     rng = random.Random(23)
     for _ in range(100):
         w = rand_word(rng)
-        assert component_count(trace_close(w)) == component_count(
-            trace_close(free_reduce(w))
+        assert component_count(ClosedBraid(w, "trace")) == component_count(
+            ClosedBraid(free_reduce(w), "trace")
         )
         if w.n_strands % 2 == 0:
-            assert component_count(plat_close(w)) == component_count(
-                plat_close(free_reduce(w))
+            assert component_count(ClosedBraid(w, "plat")) == component_count(
+                ClosedBraid(free_reduce(w), "plat")
             )
 
 
 def test_diagram_stats():
-    k = plat_close(parse_word("4: 1 -2 3"))
+    k = ClosedBraid(parse_word("4: 1 -2 3"), "plat")
     stats = diagram_stats(k)
     assert stats.crossings == 3
     assert stats.minima == 2
@@ -130,5 +126,5 @@ def test_diagram_stats():
         "crossings": 3,
         "writhe": 1,
     }
-    trace_stats = diagram_stats(trace_close(parse_word("3: 1")))
+    trace_stats = diagram_stats(ClosedBraid(parse_word("3: 1"), "trace"))
     assert trace_stats.minima is None

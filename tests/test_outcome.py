@@ -11,6 +11,7 @@ from stockbraid import (
     FIBONACCI_POINT,
     GOLDEN_RATIO,
     BraidWord,
+    ClosedBraid,
     ClosureError,
     format_word,
     free_reduce,
@@ -19,8 +20,6 @@ from stockbraid import (
     outcome_probability,
     parse_word,
     plat_amplitude,
-    plat_close,
-    trace_close,
     writhe,
 )
 from stockbraid.outcome import _golden_power
@@ -114,7 +113,7 @@ def _readout_inputs(draw):
     n = draw(st.integers(1, 8))
     alphabet = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=2, unique=True)) if n > 1 else []
     sigma = draw(_letters(alphabet)) if alphabet else []
-    reduced = free_reduce(BraidWord(n, sigma)).to_ints()
+    reduced = list(free_reduce(BraidWord(n, sigma)).values)
     kind = draw(st.sampled_from(["free", "empty", "cancel", "junction", "trivial"]))
     if kind == "empty":
         return n, sigma, []
@@ -159,12 +158,12 @@ def test_readout_word_is_the_reduced_interference_braid(inputs):
 # --- plat amplitude ----------------------------------------------------------
 
 def test_amplitude_two_strand_identity():
-    assert abs(plat_amplitude(plat_close(BraidWord(2))) - 1) < 1e-12
+    assert abs(plat_amplitude(ClosedBraid(BraidWord(2), "plat")) - 1) < 1e-12
 
 
 def test_amplitude_four_strand_identity_is_minus_one():
     # bracket is -a^2 - a^-2 = -2 cos(pi/5) = -phi at the Fibonacci point
-    value = plat_amplitude(plat_close(BraidWord(4)))
+    value = plat_amplitude(ClosedBraid(BraidWord(4), "plat"))
     assert abs(value - (-1)) < 1e-12
 
 
@@ -173,12 +172,12 @@ def test_amplitude_finite_on_random_plats(rand_word):
     rng = random.Random(54)
     for _ in range(600):
         w = rand_word(rng, n=rng.choice([2, 4, 6, 8, 10]), max_len=60)
-        assert abs(plat_amplitude(plat_close(w))) <= 1 + 1e-12
+        assert abs(plat_amplitude(ClosedBraid(w, "plat"))) <= 1 + 1e-12
 
 
 def test_amplitude_rejects_trace():
     with pytest.raises(ClosureError):
-        plat_amplitude(trace_close(BraidWord(3)))
+        plat_amplitude(ClosedBraid(BraidWord(3), "trace"))
 
 
 # --- outcome formula ---------------------------------------------------------
@@ -219,7 +218,7 @@ def test_probability_stays_in_the_documented_range(rand_word):
     for _ in range(300):
         sigma = rand_word(rng, n=rng.choice([1, 3, 5]), max_len=8)
         gamma = rand_word(rng, n=sigma.n_strands + 1, max_len=6)
-        k = plat_close(free_reduce(interference_braid(sigma, gamma)))
+        k = ClosedBraid(free_reduce(interference_braid(sigma, gamma)), "plat")
         values.append(outcome_probability(k).probability)
     assert low - 1e-12 <= min(values) < 0
     assert max(values) <= high + 1e-12
@@ -227,7 +226,7 @@ def test_probability_stays_in_the_documented_range(rand_word):
 
 def test_outcome_probability_of_trivial_plat():
     # V = 1, c = 1, m = 1, Wr = 0: the first synthetic probe in the flesh
-    report = outcome_probability(plat_close(BraidWord(2)))
+    report = outcome_probability(ClosedBraid(BraidWord(2), "plat"))
     assert abs(report.probability - 0.7236) < 1e-4
     assert report.components == 1
     assert report.minima == 1
@@ -236,7 +235,7 @@ def test_outcome_probability_of_trivial_plat():
 
 def test_outcome_probability_requires_plat():
     with pytest.raises(ClosureError):
-        outcome_probability(trace_close(BraidWord(2)))
+        outcome_probability(ClosedBraid(BraidWord(2), "trace"))
 
 
 def test_outcome_invariant_under_free_reduce(rand_word):
@@ -244,15 +243,15 @@ def test_outcome_invariant_under_free_reduce(rand_word):
     for _ in range(30):
         n = rng.choice([2, 4, 6])
         w = rand_word(rng, n=n, max_len=8)
-        one = outcome_probability(plat_close(w))
-        two = outcome_probability(plat_close(free_reduce(w)))
+        one = outcome_probability(ClosedBraid(w, "plat"))
+        two = outcome_probability(ClosedBraid(free_reduce(w), "plat"))
         assert abs(one.probability - two.probability) < 1e-9
         assert one.components == two.components
         assert one.writhe == two.writhe
 
 
 def test_report_serialization():
-    report = outcome_probability(plat_close(parse_word("4: 2 2")))
+    report = outcome_probability(ClosedBraid(parse_word("4: 2 2"), "plat"))
     doc = report.to_json()
     assert set(doc) == {
         "jones_value",

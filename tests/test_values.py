@@ -24,20 +24,19 @@ from stockbraid import (
     diagram_stats,
     outcome_probability,
     parse_word,
-    plat_close,
 )
 
 
 def _values():
     word = parse_word("4: 1 -2 3 2 -1")
-    link = plat_close(word)
+    link = ClosedBraid(word, "plat")
     return [
         Generator(2, -1),
         word,
         link,
         diagram_stats(link),
         PriceSeries(("A", "B"), (date(2020, 1, 2), date(2020, 1, 3)), ((100, 250), (175, 90))),
-        outcome_probability(plat_close(parse_word("4: 1 -3 2"))),
+        outcome_probability(ClosedBraid(parse_word("4: 1 -3 2"), "plat")),
     ]
 
 
@@ -108,8 +107,8 @@ def test_repr_text():
 
 def test_report_json_keys_are_the_fields_in_order():
     trace = diagram_stats(ClosedBraid(parse_word("3: 1 2"), "trace"))
-    for report in [diagram_stats(plat_close(parse_word("4: 1 -2 3"))), trace,
-                   outcome_probability(plat_close(parse_word("4: 1 -3 2")))]:
+    for report in [diagram_stats(ClosedBraid(parse_word("4: 1 -2 3"), "plat")), trace,
+                   outcome_probability(ClosedBraid(parse_word("4: 1 -3 2"), "plat"))]:
         doc = report.to_json()
         assert list(doc) == list(type(report).__slots__)
         complex_fields = []
