@@ -59,9 +59,9 @@ across calls.
 from __future__ import annotations
 
 import cmath
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator, NamedTuple
 
 from .braid import BraidWord, WordFormatError, _is_int, _Memo, compose, writhe
 from .closure import ClosedBraid, _cycles, _involution, closure_arcs
@@ -111,12 +111,12 @@ class _UnionFind:
         return False
 
 
-class SmoothingState(NamedTuple):
-    """One full resolution of the diagram: a choice bit per crossing
-    (True = the A-weighted smoothing) and the resulting loop count."""
-
-    choices: tuple[bool, ...]
-    loops: int
+# A collections.namedtuple, not a typing.NamedTuple class, so that importing
+# the package does not load typing.
+SmoothingState = namedtuple("SmoothingState", ("choices", "loops"))
+SmoothingState.__doc__ = """One full resolution of the diagram: a choice bit per
+crossing (a tuple of bools, True = the A-weighted smoothing) and the
+resulting loop count."""
 
 
 def smoothing_states(k: ClosedBraid) -> Iterator[SmoothingState]:
@@ -519,16 +519,19 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     _check_cap(k)
     c = len(k.braid)
     schedule = _schedule(k)
-    # The sweep runs on packed integers.  Each generator's weights are
-    # taken times A^3 and each closing's times A^2, so every weight is a
-    # non-negative power of A^2 (positive step: cap-cup A^4, vertical
-    # A^2, loop A^4 d = -(A^6 + A^2); negative step: A^2, A^4 and A^2 d =
-    # -(A^4 + 1); closing: join A^2, loop A^2 d = -(A^4 + 1)), and a
-    # coefficient sum_i a_i A^(2i) is held as the integer sum_i a_i 2^(W i):
-    # polynomial products and sums become integer ones.  The schedule makes
-    # k closings, all but the one that would close the final loop, which
-    # weighs 1, and ends in one state, decoded once and shifted back by
-    # A^(-3c - 2k).
+    # The sweep runs on packed integers.  The weights of a step of sign s
+    # (+1 or -1 for a generator, 0 for a closing) are taken times A^(2 - s),
+    # so every weight is a non-negative power of A^2 (positive step:
+    # cap-cup A^2, vertical 1, loop A^2 d = -(A^4 + 1); negative step: A^2,
+    # A^4 and A^2 d = -(A^4 + 1); closing: join A^2, loop A^2 d =
+    # -(A^4 + 1)), and a coefficient sum_i a_i A^(2i) is held as the
+    # integer sum_i a_i 2^(W i): polynomial products and sums become
+    # integer ones.  The schedule makes k closings, all but the one that
+    # would close the final loop, which weighs 1, and ends in one state,
+    # decoded once and shifted back by A^-(sum of 2 - s over its steps),
+    # which is A^(-(p + 3q) - 2k) for p positive and q negative steps.
+    # (A radial step carries the sign opposite to its generator's, so the
+    # shift is read from the steps, not from the word.)
     #
     # Packed sums and products are exact integers at any width, so only the
     # digits of the final state must fit: they decode exactly while every
@@ -541,16 +544,17 @@ def bracket_poly(k: ClosedBraid) -> LaurentPoly:
     # 3^c 2^k < 2^bitlength(3^c 2^k) = 2^(W-1) for W = bitlength(3^c 2^k) + 1.
     closed = len(schedule.steps) - c
     width = (3 ** c << closed).bit_length() + 1
-    a2, a4, a6 = 1 << width, 1 << 2 * width, 1 << 3 * width
+    a2, a4 = 1 << width, 1 << 2 * width
     states = _sweep(
         schedule,
         one=1,
-        weight_pos=(a4, a2, -(a6 + a2)),
+        weight_pos=(a2, 1, -(a4 + 1)),
         weight_neg=(a2, a4, -(a4 + 1)),
         d=1,
         closing=(a2, -(a4 + 1)),
     )
-    return _unpack(states[schedule.close], width, -3 * c - 2 * closed)
+    shift = sum(sign - 2 for _, _, sign in schedule.steps)
+    return _unpack(states[schedule.close], width, shift)
 
 
 def bracket_eval(k: ClosedBraid, a: complex) -> complex:

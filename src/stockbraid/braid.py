@@ -13,7 +13,7 @@ Words are immutable values and safe to share between threads.
 from __future__ import annotations
 
 from operator import attrgetter, neg
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
 
 
 class WordFormatError(ValueError):

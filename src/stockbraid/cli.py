@@ -22,7 +22,10 @@ on clocks, locales, or iteration order of unordered sets.
 
 The ingest, crossing and render modules are imported inside the commands
 that read a CSV or draw a word, so a braid-word ``invariant`` or ``prob``
-starts without loading them.
+starts without loading them.  A word command on a plain argv (below)
+loads none of ``typing``, ``re``, ``argparse`` and ``json``: the package
+takes its annotation names from ``collections.abc``, and ``_is_word``
+tells word text from a CSV path without a regex.
 
 One table, ``_COMMANDS``, declares every subcommand's arguments.  An argv
 of the plain form (a subcommand, each of its positionals, then options
@@ -38,7 +41,6 @@ calls.
 from __future__ import annotations
 
 import os
-import re
 import sys
 from math import isfinite
 from types import SimpleNamespace
@@ -56,7 +58,16 @@ from .closure import ClosedBraid, diagram_stats
 from .laurent import poly_to_json
 from .outcome import _complex_json, interference_braid, outcome_from_stats, outcome_probability
 
-_WORD_RE = re.compile(r"^\s*\d+\s*:")
+
+def _is_word(source: str) -> bool:
+    """Whether a source is braid word text rather than a CSV path: the text
+    before its first ":" is one or more decimal digits with any whitespace
+    around them.  That is what the regex ^\\s*\\d+\\s*: matches, whose \\s
+    and \\d are str.isspace and str.isdecimal; the test takes no regex, so
+    that the CLI does not load re.
+    """
+    head, colon, _ = source.partition(":")
+    return bool(colon) and head.strip().isdecimal()
 
 
 # complex() and int() also read non-ASCII digits and underscores; an option's
@@ -98,7 +109,7 @@ def _load_series(path: str, start: str | None, end: str | None):
 
 
 def _load_word(source: str, start: str | None, end: str | None) -> BraidWord:
-    if _WORD_RE.match(source):
+    if _is_word(source):
         return parse_word(source)
     from .crossings import build_braid
 
@@ -372,7 +383,7 @@ def _usage_problem(args: SimpleNamespace) -> str | None:
     if args.command == "prob" and args.stats and (args.source or args.gamma or args.window_from is not None
                                                   or args.window_to is not None):
         return "prob --stats takes no braid word, CSV path, --gamma or --from/--to"
-    if (args.command in ("invariant", "prob") and args.source and _WORD_RE.match(args.source)
+    if (args.command in ("invariant", "prob") and args.source and _is_word(args.source)
             and (args.window_from is not None or args.window_to is not None)):
         return "--from/--to window a price CSV, not a braid word"
     return None

@@ -13,11 +13,7 @@ arcs; no general planar-diagram machinery is needed.
 
 from __future__ import annotations
 
-from typing import Literal
-
 from .braid import BraidWord, _Value, permutation, writhe
-
-Closure = Literal["plat", "trace"]
 
 
 class ClosureError(ValueError):
@@ -25,11 +21,12 @@ class ClosureError(ValueError):
 
 
 class ClosedBraid(_Value):
-    """A braid word together with the closure kind that turns it into a link."""
+    """A braid word together with the closure kind, "plat" or "trace",
+    that turns it into a link."""
 
     __slots__ = ("braid", "closure")
 
-    def __init__(self, braid: BraidWord, closure: Closure) -> None:
+    def __init__(self, braid: BraidWord, closure: str) -> None:
         if not isinstance(braid, BraidWord):
             raise ClosureError(f"a closure needs a BraidWord, got {braid!r}")
         if closure not in ("plat", "trace"):

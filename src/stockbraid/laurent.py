@@ -8,7 +8,7 @@ where a stored exponent q stands for t^{q/4}).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 
 class LaurentPoly:

@@ -101,6 +101,22 @@ MUTANTS = [
     ("laurent", "sorted(poly._terms.items())", 1, "poly._terms.items()", [
         "tests/test_golden.py::test_the_golden_items_are_byte_identical[exact_invariants]",
     ]),
+    # a superscript digit, which str.isdigit takes and \d does not, reads as a strand count
+    ("cli", "head.strip().isdecimal()", 1, "head.strip().isdigit()", [
+        "tests/test_cli.py::test_word_text_is_told_from_a_path_as_the_regex_reads_it",
+    ]),
+    # whitespace around the strand count makes word text a CSV path
+    ("cli", "head.strip().isdecimal()", 1, "head.isdecimal()", [
+        "tests/test_cli.py::test_word_text_is_told_from_a_path_as_the_regex_reads_it",
+    ]),
+    # a series checks every other pair of dates, so a swapped adjacent pair passes
+    ("market", "zip(dates, dates[1:])", 1, "zip(dates, dates[2:])", [
+        "tests/test_market.py::test_the_constructor_refuses_dates_not_strictly_increasing",
+    ]),
+    # a term of coefficient 1 written 1*x^e, and every other coefficient dropped
+    ("laurent", 'f"{c}*x^{e}" if c != 1 else', 1, 'f"{c}*x^{e}" if c == 1 else', [
+        "tests/test_laurent.py::test_repr_omits_a_coefficient_of_one_before_a_power",
+    ]),
 ]
 
 

@@ -3,6 +3,7 @@ import errno
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -155,6 +156,30 @@ def test_a_word_with_several_faults_reports_the_first(capsys, word, message):
     # Faults are reported in word order: the strand count, then the first
     # token that is not a number or not a generator on that many strands.
     assert run_cli(capsys, "invariant", word) == (1, "", f"error: {message}\n")
+
+
+WORD_TEXT = re.compile(r"^\s*\d+\s*:")
+
+
+def test_word_text_is_told_from_a_path_as_the_regex_reads_it():
+    # The CLI tells word text from a CSV path without re, as WORD_TEXT
+    # does: a decimal digit of any script counts, a superscript does not,
+    # and every whitespace code point pads as a space does.
+    table = {
+        "3: 1": True, " 3 : 1": True, "12:": True, "3\n: 1": True, "٣: 1": True,
+        "\u00a03\u2003: 1": True, "\u30003\u3000:": True, "\x1c3\x85:": True,
+        "²: 1": False, "\u200b3: 1": False, "": False, ":": False, " : 1": False, "3": False,
+        "1 2:": False, "3 x: 1": False, "prices.csv": False, "data/3:1.csv": False,
+    }
+    for text, want in table.items():
+        assert cli._is_word(text) is want, ascii(text)
+        assert (WORD_TEXT.match(text) is not None) is want, ascii(text)
+    # Every numeric or whitespace code point, alone and beside a digit on
+    # either side of the colon.
+    marks = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isnumeric() or c.isspace()]
+    for c in marks:
+        for text in (f"{c}:", f"{c}1:", f"1{c}:", f"{c}1{c}: 1", f"1:{c}"):
+            assert cli._is_word(text) is (WORD_TEXT.match(text) is not None), ascii(text)
 
 
 def test_invariant_jones_conventions_and_eval(capsys):

@@ -9,20 +9,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stockbraid import (
+    ClosedBraid,
     CrossingEvent,
     CrossingSign,
     audit_log,
+    bracket,
+    bracket_poly,
     build_braid,
     classify_crossing,
+    compose,
     detect_crossings,
     format_word,
+    inverse,
     parse_csv,
     permutation,
     rank_order,
     select_window,
 )
 from stockbraid.braid import BraidWord
-from stockbraid.crossings import _CHUNK, _ranker, audit_entries, braid_with_events, write_audit
+from stockbraid.crossings import (
+    _CHUNK,
+    _exponent,
+    _ranker,
+    audit_entries,
+    braid_with_events,
+    write_audit,
+)
 from stockbraid.market import PriceSeries
 
 # the full crossing schedule of the 2013 sample data, tracked by hand from the
@@ -589,3 +601,65 @@ def test_classify_crossing_signs_as_the_word_does():
     check()
     # The generated series reach every rung of the tie-break chain.
     assert rungs == {"delta", "later price", "ticker"}
+
+
+@st.composite
+def tied_intervals(draw):
+    """One trading interval of 3-6 tickers, both days' prices in a band of
+    a few cents, so equal prices and equal moves are common."""
+    n = draw(st.integers(3, 6))
+    tickers = draw(st.lists(st.text("ABCXYZ", min_size=1, max_size=3),
+                            min_size=n, max_size=n, unique=True))
+    cents = st.lists(st.integers(1, 6), min_size=n, max_size=n)
+    return _series(tickers, [draw(cents), draw(cents)])
+
+
+def _any_reduced_word(series, rng):
+    """The braid word of a one-interval series along a random reduced
+    decomposition of its permutation: each swap takes a random adjacent
+    pair that the later day's rank order puts the other way round, and is
+    signed by _exponent on the event of that swap."""
+    (from_date, to_date), (before, after) = series.dates, series.prices_cents
+    rank = _ranker(series.tickers)
+    arrangement = rank(before)
+    place = {t: i for i, t in enumerate(rank(after))}
+    values = []
+    while inverted := [i for i in range(len(arrangement) - 1)
+                       if place[arrangement[i]] > place[arrangement[i + 1]]]:
+        i = rng.choice(inverted)
+        lower, upper = arrangement[i], arrangement[i + 1]
+        event = CrossingEvent(
+            from_date, to_date, i + 1, series.tickers[lower], series.tickers[upper],
+            abs(after[lower] - before[lower]), abs(after[upper] - before[upper]),
+            after[lower], after[upper],
+        )
+        values.append((i + 1) * _exponent(event))
+        arrangement[i], arrangement[i + 1] = upper, lower
+    return BraidWord(len(arrangement), values)
+
+
+def test_an_intervals_braid_does_not_depend_on_the_swap_schedule(monkeypatch):
+    # _exponent signs a pair by one total order of the stocks (the absolute
+    # move, then the later price, then the reversed ticker order), so the
+    # signs of three strands are never cyclic, and every reduced
+    # decomposition of an interval's permutation gives the same braid as
+    # the bubble sort's: the same bracket on each closure, and w w'^-1 is
+    # the identity, whose trace closure is the unlink.
+    monkeypatch.setattr(bracket, "CROSSING_CAP", 200)  # w w'^-1 has up to 30 crossings
+    other_words = 0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(tied_intervals(), st.randoms(use_true_random=False))
+    def check(series, rng):
+        nonlocal other_words
+        word, _ = braid_with_events(series)
+        other = _any_reduced_word(series, rng)
+        other_words += other != word
+        n = word.n_strands
+        for closure in ("trace", "plat") if n % 2 == 0 else ("trace",):
+            assert bracket_poly(ClosedBraid(other, closure)) == bracket_poly(ClosedBraid(word, closure))
+        unlink = bracket_poly(ClosedBraid(BraidWord(n), "trace"))
+        assert bracket_poly(ClosedBraid(compose(word, inverse(other)), "trace")) == unlink
+
+    check()
+    assert other_words > 0

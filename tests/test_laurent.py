@@ -22,6 +22,13 @@ def test_zero_coefficients_never_stored():
     assert LaurentPoly([(1, 3), (1, -3)]).terms == {}
 
 
+def test_repr_omits_a_coefficient_of_one_before_a_power():
+    assert repr(LaurentPoly({2: 1, 0: 1, -1: -2, -3: 1})) == (
+        "LaurentPoly(x^-3 - 2*x^-1 + 1 + x^2)")
+    assert repr(LaurentPoly({1: -1})) == "LaurentPoly(-1*x^1)"
+    assert repr(LaurentPoly()) == "LaurentPoly(0)"
+
+
 def test_equality_is_term_set_equality():
     assert LaurentPoly({0: 1}) == LaurentPoly.one()
     assert LaurentPoly({0: 2}) == 2

@@ -223,6 +223,18 @@ def test_the_constructor_refuses_fields_of_the_wrong_type(tickers, dates, cents,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("dates, later", [
+    ((date(2020, 1, 2), date(2020, 1, 2)), date(2020, 1, 2)),
+    ((date(2020, 1, 2), date(2020, 1, 6), date(2020, 1, 3)), date(2020, 1, 3)),
+], ids=["equal pair", "swapped adjacent pair"])
+def test_the_constructor_refuses_dates_not_strictly_increasing(dates, later):
+    # parse_csv refuses a repeated date on its own, so only a direct build
+    # checks that every adjacent pair of dates increases, not every other one.
+    with pytest.raises(CsvFormatError) as err:
+        PriceSeries(("A",), dates, ((100,),) * len(dates))
+    assert str(err.value) == f"dates not strictly increasing at {later}"
+
+
 def test_unchecked_refuses_a_missing_field():
     with pytest.raises(TypeError) as err:
         PriceSeries._unchecked(("A",), (date(2020, 1, 2),))

@@ -261,12 +261,13 @@ def test_packed_bracket_matches_the_laurent_ring_above_the_cap(monkeypatch):
         assert bracket_poly(k) == laurent_ring_bracket(k)
 
 
-def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_steps):
+def test_packed_states_are_the_laurent_states_times_their_step_shifts(monkeypatch, sweep_steps):
     # After every step of bracket_poly's schedule, word order or radial,
     # every state's packed coefficient decodes to its Laurent coefficient
-    # times A^3 per crossing and A^2 per closed arc so far, in the same
-    # state order, and the one final state, the schedule's closing
-    # involution, decodes to the bracket.
+    # times A^(2 - s) per step of sign s so far: A per positive step, A^3
+    # per negative step and A^2 per closed arc, in the same state order,
+    # and the one final state, the schedule's closing involution, decodes
+    # to the bracket.
     calls = []
     sweep = bracket._sweep
 
@@ -282,7 +283,9 @@ def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_s
             (schedule, ring), = calls
             assert want == laurent_ring_bracket(k)
             calls.clear()
-            width = ring["weight_pos"][1].bit_length() - 1
+            # the cap-cup weight A^2 of either sign is 2^W
+            width = ring["weight_pos"][0].bit_length() - 1
+            assert ring["weight_neg"][0] == 1 << width
             packed = sweep_steps(schedule, ring)
             laurent = sweep_steps(schedule, EXACT_RING)
             # every crossing once, and every closing but the last once,
@@ -300,8 +303,8 @@ def test_packed_states_are_the_laurent_states_times_a_cubed(monkeypatch, sweep_s
                     assert last < j
                     assert all(kind == "arc" for kind in kinds[last + 1 : j])
             shift = 0
-            for (kind, p_states), (_, l_states) in zip(packed, laurent):
-                shift += 3 if kind == "crossing" else 2
+            for (_, _, sign), (_, p_states), (_, l_states) in zip(schedule.steps, packed, laurent):
+                shift += 2 - sign
                 assert list(p_states) == list(l_states)
                 decoded = [bracket._unpack(p, width, 0) for p in p_states.values()]
                 assert decoded == [coeff.shifted(shift) for coeff in l_states.values()]

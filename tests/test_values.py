@@ -179,12 +179,17 @@ JSON_MODULES = {"json", "json.decoder", "json.scanner", "json.encoder"}
 # Modules that every command needs, loaded with stockbraid.cli itself.
 EAGER_MODULES = {"stockbraid.bracket", "stockbraid.outcome", "stockbraid.closure",
                  "stockbraid.laurent", "cmath"}
+# Modules that no word command needs.  A site may import them before the
+# package does (a .pth file that imports typing and re, say), so only an
+# interpreter started without site shows whether the package loads them.
+COLD_START_MODULES = {"typing", "re"}
 
 
-def new_modules(code: str) -> set[str]:
+def new_modules(code: str, site: bool = True) -> set[str]:
     """The modules a fresh isolated interpreter holds after running `code`
-    with the package on its path, less those the bare interpreter (site
-    included) already holds."""
+    with the package on its path, less those the bare interpreter already
+    holds: with its site imports, or started without site (-S) when site
+    is False."""
     script = (
         "import sys\n"
         "bare = set(sys.modules)\n"
@@ -192,8 +197,9 @@ def new_modules(code: str) -> set[str]:
         f"{code}\n"
         "print(' '.join(sorted(set(sys.modules) - bare)))\n"
     )
+    flags = ["-I"] if site else ["-I", "-S"]
     out = subprocess.run(
-        [sys.executable, "-I", "-c", script, SRC],
+        [sys.executable, *flags, "-c", script, SRC],
         capture_output=True, text=True, check=True,
     ).stdout
     return set(out.splitlines()[-1].split())
@@ -209,16 +215,37 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert not out & JSON_MODULES
 
 
+def test_a_cold_cli_import_loads_neither_typing_nor_re():
+    out = new_modules("import stockbraid.cli", site=False)
+    assert {"stockbraid.cli"} | EAGER_MODULES <= out
+    assert not out & COLD_START_MODULES
+    assert not out & PARSER_MODULES
+    assert not out & JSON_MODULES
+
+
+WORD_COMMANDS = (
+    "from stockbraid.cli import main\n"
+    "assert main(['invariant', '4: 1 2 3', '--bracket', '--jones']) == 0\n"
+    "assert main(['prob', '3: 1', '--gamma', '4: 1 -3']) == 0"
+)
+RENDER_COMMANDS = (
+    "from stockbraid.cli import main\n"
+    "assert main(['render', '4: 1 -2 3']) == 0\n"
+    "assert main(['render', '4: 1 -2 3', '--format', 'svg']) == 0"
+)
+
+
 def test_word_commands_load_no_ingest_crossing_or_render_module():
-    out = new_modules(
-        "from stockbraid.cli import main\n"
-        "assert main(['invariant', '4: 1 2 3', '--bracket', '--jones']) == 0\n"
-        "assert main(['prob', '3: 1', '--gamma', '4: 1 -3']) == 0"
-    )
+    out = new_modules(WORD_COMMANDS)
     assert {"stockbraid.bracket", "stockbraid.outcome"} <= out
     assert not out & LAZY_MODULES
     assert not out & PARSER_MODULES
     assert not out & JSON_MODULES
+
+
+@pytest.mark.parametrize("code", [WORD_COMMANDS, RENDER_COMMANDS], ids=["invariant-prob", "render"])
+def test_cold_word_commands_load_neither_typing_nor_re(code):
+    assert not new_modules(code, site=False) & (COLD_START_MODULES | PARSER_MODULES | JSON_MODULES)
 
 
 def test_braid_loads_the_ingest_and_crossing_modules(tmp_path):
@@ -234,11 +261,7 @@ def test_braid_loads_the_ingest_and_crossing_modules(tmp_path):
 
 
 def test_render_loads_the_render_module_and_no_json():
-    out = new_modules(
-        "from stockbraid.cli import main\n"
-        "assert main(['render', '4: 1 -2 3']) == 0\n"
-        "assert main(['render', '4: 1 -2 3', '--format', 'svg']) == 0"
-    )
+    out = new_modules(RENDER_COMMANDS)
     assert "stockbraid.render" in out
     assert not out & PARSER_MODULES
     assert not out & JSON_MODULES
