@@ -63,7 +63,7 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from itertools import accumulate
 
-from .braid import BraidWord, WordFormatError, _is_int, _Memo, compose, writhe
+from .braid import BraidWord, WordFormatError, _is_int, _Memo, _Value, compose, writhe
 from .closure import ClosedBraid, _cycles, _involution, closure_arcs
 from .laurent import LaurentPoly
 
@@ -111,12 +111,12 @@ class _UnionFind:
         return False
 
 
-# A collections.namedtuple, not a typing.NamedTuple class, so that importing
-# the package does not load typing.
-SmoothingState = namedtuple("SmoothingState", ("choices", "loops"))
-SmoothingState.__doc__ = """One full resolution of the diagram: a choice bit per
-crossing (a tuple of bools, True = the A-weighted smoothing) and the
-resulting loop count."""
+class SmoothingState(namedtuple("SmoothingState", ("choices", "loops"))):
+    """One full resolution of the diagram: a choice bit per crossing (a
+    tuple of bools, True = the A-weighted smoothing) and the resulting
+    loop count."""
+
+    __slots__ = ()
 
 
 def smoothing_states(k: ClosedBraid) -> Iterator[SmoothingState]:
@@ -184,26 +184,19 @@ def bracket_poly_state_sum(k: ClosedBraid) -> LaurentPoly:
 # touches them.
 
 
-class _Schedule:
-    """A sweep's plan: the start matching, the steps, and the involution
-    that closes the final states.
+class _Schedule(_Value):
+    """A sweep's plan: the start matching (a tuple), the steps (a list of
+    (a, b, s) triples), and the involution (a tuple) that closes the final
+    states.
 
     A step (a, b, s) with s = +1 or -1 is a Temperley-Lieb generator on
     points a and b weighted like a crossing of sign s: its vertical
     smoothing keeps every point, its cap-cup smoothing joins the partners
     of a and b and pairs a with b.  A step (a, b, 0), which only
-    ``_closing`` makes, closes the arc that joins a to b.  (A plain class:
-    a NamedTuple costs the CLI's start-up about 0.2 ms to create.)
+    ``_closing`` makes, closes the arc that joins a to b.
     """
 
     __slots__ = ("start", "steps", "close")
-
-    def __init__(
-        self, start: tuple[int, ...], steps: list[tuple[int, int, int]], close: tuple[int, ...]
-    ) -> None:
-        self.start = start
-        self.steps = steps
-        self.close = close
 
 
 def _word_schedule(k: ClosedBraid) -> _Schedule:

@@ -44,7 +44,9 @@ class _Value:
 
     A subclass names its fields in __slots__, checks its arguments in its
     own __init__ and then passes the fields, in slot order, to
-    _Value.__init__, which stores each through its slot's descriptor.
+    _Value.__init__, which stores each through its slot's descriptor; a
+    subclass with nothing to check, such as bracket._Schedule, inherits
+    __init__.
     Instances compare equal and hash alike when they are of the same
     class with equal fields, print as ClassName(field=value, ...), refuse
     assignment and deletion of fields with AttributeError, and pickle and
@@ -229,11 +231,14 @@ def format_word(w: BraidWord) -> str:
     return f"{w.n_strands}:" + (f" {body}" if body else "")
 
 
-def _ascii_int(text: str) -> int:
-    # int() also reads non-ASCII digits and underscores; word text takes neither.
+def _ascii_number(convert: Callable, text: str):
+    """convert(text), for text in ASCII with no underscore; ValueError for
+    any other text.  int(), complex() and Decimal() also read non-ASCII
+    digits and underscores; word text, an option's numbers and a price
+    cell take neither."""
     if not text.isascii() or "_" in text:
         raise ValueError(text)
-    return int(text)
+    return convert(text)
 
 
 def parse_word(text: str) -> BraidWord:
@@ -242,16 +247,16 @@ def parse_word(text: str) -> BraidWord:
     if not sep:
         raise WordFormatError(f"missing ':' strand-count prefix in {text!r}")
     try:
-        n = _ascii_int(head.strip())
+        n = _ascii_number(int, head.strip())
     except ValueError:
         raise WordFormatError(f"bad strand count {head.strip()!r}") from None
+
     # Each distinct token is read once.  One that is not a number stays
     # text, which BraidWord reports as a bad token in its place in the word.
-    tokens = tail.split()
-    values: dict[str, int | str] = {}
-    for token in set(tokens):
+    def value(token: str) -> int | str:
         try:
-            values[token] = _ascii_int(token)
+            return _ascii_number(int, token)
         except ValueError:
-            values[token] = token
-    return BraidWord(n, map(values.__getitem__, tokens))
+            return token
+
+    return BraidWord(n, map(_Memo(value).__getitem__, tail.split()))

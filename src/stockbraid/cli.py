@@ -46,7 +46,7 @@ from math import isfinite
 from types import SimpleNamespace
 
 from . import __version__
-from .braid import BraidWord, _ascii_int, _quote, format_word, free_reduce, parse_word
+from .braid import BraidWord, _ascii_number, _quote, format_word, free_reduce, parse_word
 from .bracket import (
     CrossingCapExceeded,
     _writhe_corrected_value,
@@ -70,20 +70,16 @@ def _is_word(source: str) -> bool:
     return bool(colon) and head.strip().isdecimal()
 
 
-# complex() and int() also read non-ASCII digits and underscores; an option's
-# numbers, like word text, take neither.
 def _parse_complex(text: str, field: str) -> complex:
-    if text.isascii() and "_" not in text:
-        try:
-            return complex(text.replace(" ", ""))
-        except ValueError:
-            pass
-    raise ValueError(f"{field} {text!r} is not a complex number")
+    try:
+        return _ascii_number(complex, text.replace(" ", ""))
+    except ValueError:
+        raise ValueError(f"{field} {text!r} is not a complex number") from None
 
 
 def _parse_int(text: str, field: str) -> int:
     try:
-        return _ascii_int(text)
+        return _ascii_number(int, text)
     except ValueError:
         raise ValueError(f"{field} {text!r} is not an integer") from None
 

@@ -41,10 +41,12 @@ per-crossing dict or JSON encoder call is made.
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from datetime import date
 from decimal import Decimal
+from io import TextIOBase
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .braid import BraidWord, _Memo, _quote
 from .market import PriceSeries, cents_to_decimal
@@ -61,26 +63,22 @@ class CrossingSign(enum.Enum):
         return 1 if self is CrossingSign.OVER else -1
 
 
-class CrossingEvent(NamedTuple):
+class CrossingEvent(namedtuple("CrossingEvent", (
+    "from_date", "to_date", "position", "lower_ticker", "upper_ticker",
+    "delta_lower_cents", "delta_upper_cents", "lower_after_cents", "upper_after_cents",
+))):
     """One adjacent swap between consecutive dates, as an immutable
     named tuple (fields in this order; compares and unpacks as a tuple).
 
-    lower_ticker and upper_ticker occupied rank positions i and i+1
-    before the swap; delta_* are the stocks' own absolute price changes
-    across the interval and *_after_cents their prices on to_date, all
-    in cents.  delta_lower and delta_upper give the changes as exact
-    Decimals.
+    from_date and to_date are dates and position is the 1-based rank
+    position i of the swap.  lower_ticker and upper_ticker occupied rank
+    positions i and i+1 before the swap; delta_* are the stocks' own
+    absolute price changes across the interval and *_after_cents their
+    prices on to_date, all int cents.  delta_lower and delta_upper give
+    the changes as exact Decimals.
     """
 
-    from_date: date
-    to_date: date
-    position: int
-    lower_ticker: str
-    upper_ticker: str
-    delta_lower_cents: int
-    delta_upper_cents: int
-    lower_after_cents: int
-    upper_after_cents: int
+    __slots__ = ()
 
     @property
     def delta_lower(self) -> Decimal:
@@ -261,7 +259,7 @@ def audit_entries(events: list[CrossingEvent]) -> list[dict]:
     return [dict(zip(_AUDIT_KEYS, record)) for record in _audit_values(events, values)]
 
 
-def write_audit(fh: TextIO, events: list[CrossingEvent], word: BraidWord) -> None:
+def write_audit(fh: TextIOBase, events: list[CrossingEvent], word: BraidWord) -> None:
     """Write audit_entries(events) to fh exactly as json.dump(...,
     indent=2) followed by a newline would, taking each sign from the
     word that braid_with_events returned with the events.

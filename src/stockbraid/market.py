@@ -28,7 +28,7 @@ from decimal import MAX_PREC, Context, Decimal, InvalidOperation, Overflow
 from itertools import repeat
 from operator import itemgetter
 
-from .braid import _is_int, _Value
+from .braid import _ascii_number, _is_int, _Value
 
 _EXACT = Context(prec=MAX_PREC)  # the default Emax still raises Overflow
 
@@ -139,11 +139,8 @@ def _parse_cents(raw: str, row_date: date, ticker: str) -> int:
     if not raw:
         raise CsvFormatError(f"missing price for {ticker} on {row_date}")
     try:
-        # Decimal also reads non-ASCII digits and underscores; a price cell takes neither.
-        if not raw.isascii() or "_" in raw:
-            raise InvalidOperation
-        value = Decimal(raw)
-    except InvalidOperation:
+        value = _ascii_number(Decimal, raw)
+    except (ValueError, InvalidOperation):
         raise CsvFormatError(f"unparseable price {raw!r} for {ticker} on {row_date}") from None
     if not value.is_finite():
         raise CsvFormatError(f"non-finite price {raw!r} for {ticker} on {row_date}")

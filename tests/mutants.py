@@ -117,6 +117,44 @@ MUTANTS = [
     ("laurent", 'f"{c}*x^{e}" if c != 1 else', 1, 'f"{c}*x^{e}" if c == 1 else', [
         "tests/test_laurent.py::test_repr_omits_a_coefficient_of_one_before_a_power",
     ]),
+    # --stats with three fields fails on a missing one, and a fifth is ignored
+    ("cli", "if len(fields) != 4:", 1, "if False:", [
+        "tests/test_cli.py::test_stats_of_other_than_four_fields_is_an_input_error",
+    ]),
+    # a closure kind other than plat or trace is taken, and closes as a trace
+    ("closure", 'if closure not in ("plat", "trace"):', 1, "if False:", [
+        "tests/test_closure.py::test_an_unknown_closure_kind_is_refused",
+    ]),
+    # a series with more dates than price rows drops the dates that have none
+    ("market", "if len(prices_cents) != len(dates):", 1, "if False:", [
+        "tests/test_market.py::test_the_constructor_refuses_a_matrix_of_the_wrong_shape[rows and dates]",
+    ]),
+    # a row with fewer cells than tickers drops the tickers that have none
+    ("market", "if len(row) != len(tickers):", 1, "if False:", [
+        "tests/test_market.py::test_the_constructor_refuses_a_matrix_of_the_wrong_shape[cells and tickers]",
+    ]),
+    # an unknown ticker escapes as list.index's bare ValueError
+    ("market", "        try:\n            return self.tickers.index(ticker)\n"
+     "        except ValueError:\n            raise CsvFormatError(f\"unknown ticker {ticker!r}\") from None\n", 1,
+     "        return self.tickers.index(ticker)\n", [
+        "tests/test_market.py::test_price_cents_refuses_an_unknown_ticker",
+    ]),
+    # a polynomial compared with a str answers None instead of deferring to it
+    ("laurent", "        return NotImplemented\n", 1, "", [
+        "tests/test_laurent.py::test_equality_with_a_value_that_is_not_a_number_is_left_to_that_value",
+    ]),
+    # non-ASCII digits read as numbers in word text, option values and price cells
+    ("braid", "if not text.isascii() or ", 1, "if ", [
+        "tests/test_cli.py::test_word_with_non_ascii_digits_or_underscores_is_an_input_error",
+        "tests/test_cli.py::test_numeric_option_values_are_ascii_without_underscores",
+        "tests/test_market.py::test_rejected_rows",
+    ]),
+    # underscores read as digit separators in word text, option values and price cells
+    ("braid", ' or "_" in text', 1, "", [
+        "tests/test_cli.py::test_word_with_non_ascii_digits_or_underscores_is_an_input_error",
+        "tests/test_cli.py::test_numeric_option_values_are_ascii_without_underscores",
+        "tests/test_market.py::test_rejected_rows",
+    ]),
 ]
 
 

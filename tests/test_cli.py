@@ -257,6 +257,12 @@ def test_numeric_option_values_are_ascii_without_underscores(capsys, argv, messa
     assert run_cli(capsys, *argv) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("argv", [["--stats", "1,1,1"], ["--stats=1,1,1,0,0"]], ids=["3", "5"])
+def test_stats_of_other_than_four_fields_is_an_input_error(capsys, argv):
+    expected = (1, "", "error: --stats expects V,components,minima,writhe\n")
+    assert run_cli(capsys, "prob", *argv) == expected
+
+
 def test_numeric_option_values_keep_spaces_and_signs(capsys):
     plain = run_cli(capsys, "prob", "--stats", "1,1,1,0")
     assert plain[0] == 0

@@ -25,6 +25,12 @@ def test_a_closure_of_a_value_that_is_not_a_word_is_refused():
     assert str(err.value) == "a closure needs a BraidWord, got '3: 1'"
 
 
+def test_an_unknown_closure_kind_is_refused():
+    with pytest.raises(ClosureError) as err:
+        ClosedBraid(BraidWord(2), "spiral")
+    assert str(err.value) == "unknown closure kind 'spiral'"
+
+
 def test_component_count_examples():
     assert component_count(ClosedBraid(BraidWord(4), "plat")) == 2  # caps meet caps
     assert component_count(ClosedBraid(BraidWord(5), "trace")) == 5

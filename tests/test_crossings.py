@@ -1,5 +1,7 @@
+import copy
 import io
 import json
+import pickle
 import random
 from datetime import date, timedelta
 from decimal import Decimal
@@ -256,6 +258,26 @@ def test_crossing_event_is_a_named_tuple_in_field_order():
         "delta_lower_cents", "delta_upper_cents", "lower_after_cents", "upper_after_cents",
     )
     assert (event.delta_lower, event.delta_upper) == (Decimal("1.95"), Decimal("0.01"))
+
+
+def test_crossing_event_prints_pickles_copies_and_unpacks_as_a_tuple():
+    event = _event(195, 1)
+    assert repr(event) == (
+        "CrossingEvent(from_date=datetime.date(2013, 1, 1), to_date=datetime.date(2013, 1, 2), "
+        "position=1, lower_ticker='LOW', upper_ticker='UPP', delta_lower_cents=195, "
+        "delta_upper_cents=1, lower_after_cents=1000, upper_after_cents=2000)"
+    )
+    copies = [pickle.loads(pickle.dumps(event, protocol)) for protocol in (0, 5)]
+    for other in [*copies, copy.copy(event), copy.deepcopy(event)]:
+        assert type(other) is CrossingEvent
+        assert other == event
+        assert other.delta_lower == Decimal("1.95")
+    fields = (date(2013, 1, 1), date(2013, 1, 2), 1, "LOW", "UPP", 195, 1, 1000, 2000)
+    assert event == fields and tuple(event) == fields
+    assert event < _event(196, 1)
+    from_date, *_, upper_after = event
+    assert (from_date, upper_after) == (date(2013, 1, 1), 2000)
+    assert not hasattr(event, "__dict__")
 
 
 def _audit_oracle(events) -> str:

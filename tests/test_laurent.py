@@ -36,6 +36,10 @@ def test_equality_is_term_set_equality():
     assert LaurentPoly({1: 1}) != LaurentPoly({-1: 1})
 
 
+def test_equality_with_a_value_that_is_not_a_number_is_left_to_that_value():
+    assert LaurentPoly({0: 1}).__eq__("1") is NotImplemented
+
+
 def test_hash_agrees_with_equality():
     # A constant polynomial equals its int, so the two must hash alike.
     assert LaurentPoly({0: 2}) == 2 and hash(LaurentPoly({0: 2})) == hash(2)

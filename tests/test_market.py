@@ -223,6 +223,24 @@ def test_the_constructor_refuses_fields_of_the_wrong_type(tickers, dates, cents,
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("tickers, dates, message", [
+    (("A",), (date(2020, 1, 2), date(2020, 1, 3)), "price matrix and date list disagree"),
+    (("A", "B"), (date(2020, 1, 2),), "row 2020-01-02 has 1 cells, expected 2"),
+], ids=["rows and dates", "cells and tickers"])
+def test_the_constructor_refuses_a_matrix_of_the_wrong_shape(tickers, dates, message):
+    # zip would pair a short matrix or row with the rest and drop the excess.
+    with pytest.raises(CsvFormatError) as err:
+        PriceSeries(tickers, dates, ((100,),))
+    assert str(err.value) == message
+
+
+def test_price_cents_refuses_an_unknown_ticker():
+    series = PriceSeries(("A",), (date(2020, 1, 2),), ((100,),))
+    with pytest.raises(CsvFormatError) as err:
+        series.price_cents(date(2020, 1, 2), "ZZ")
+    assert str(err.value) == "unknown ticker 'ZZ'"
+
+
 @pytest.mark.parametrize("dates, later", [
     ((date(2020, 1, 2), date(2020, 1, 2)), date(2020, 1, 2)),
     ((date(2020, 1, 2), date(2020, 1, 6), date(2020, 1, 3)), date(2020, 1, 3)),

@@ -248,6 +248,22 @@ def test_cold_word_commands_load_neither_typing_nor_re(code):
     assert not new_modules(code, site=False) & (COLD_START_MODULES | PARSER_MODULES | JSON_MODULES)
 
 
+CSV_COMMANDS = (
+    "from stockbraid.cli import main\n"
+    f"assert main(['braid', {str(DOW4_CSV)!r}]) == 0\n"
+    f"assert main(['invariant', {str(DOW4_CSV)!r}, '--bracket']) == 0"
+)
+
+
+def test_cold_csv_commands_load_no_typing():
+    out = new_modules(CSV_COMMANDS, site=False)
+    assert {"stockbraid.market", "stockbraid.crossings"} <= out
+    assert "typing" not in out
+    # re still loads: the ingest module reads dates and plain lines with it.
+    assert "re" in out
+    assert not out & (PARSER_MODULES | JSON_MODULES)
+
+
 def test_braid_loads_the_ingest_and_crossing_modules(tmp_path):
     audit = str(tmp_path / "audit.json")
     out = new_modules(
